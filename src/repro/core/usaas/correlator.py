@@ -8,9 +8,8 @@ implicit actions react to instantly.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,20 +48,19 @@ class CorrelationFinding:
         return "negligible"
 
 
-def _joined(
-    a_daily: Dict[dt.date, float],
-    b_daily: Dict[dt.date, float],
-    lag_days: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    xs: List[float] = []
-    ys: List[float] = []
-    lag = dt.timedelta(days=lag_days)
-    for day, value in a_daily.items():
-        shifted = day + lag
-        if shifted in b_daily:
-            xs.append(value)
-            ys.append(b_daily[shifted])
-    return np.asarray(xs), np.asarray(ys)
+#: Day ordinals in order of first appearance and the mean of each day.
+Daily = Tuple[np.ndarray, np.ndarray]
+
+
+def _joined(a_daily: Daily, b_daily: Daily, lag_days: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs (a's mean on day d, b's mean on day d + lag), in a's day order."""
+    a_days, a_means = a_daily
+    b_days, b_means = b_daily
+    order = np.argsort(b_days)
+    shifted = a_days + lag_days
+    at = np.minimum(np.searchsorted(b_days[order], shifted), len(order) - 1)
+    hit = b_days[order[at]] == shifted
+    return a_means[hit], b_means[order[at[hit]]]
 
 
 def correlate_series(
@@ -74,11 +72,25 @@ def correlate_series(
     min_overlap_days: int = 10,
 ) -> CorrelationFinding:
     """Correlate the daily means of two signal series over a lag window."""
+    return correlate_daily(
+        a.filter(metric=metric_a)._daily(),
+        b.filter(metric=metric_b)._daily(),
+        metric_a, metric_b, max_lag_days, min_overlap_days,
+    )
+
+
+def correlate_daily(
+    a_daily: Daily,
+    b_daily: Daily,
+    metric_a: str,
+    metric_b: str,
+    max_lag_days: int = 3,
+    min_overlap_days: int = 10,
+) -> CorrelationFinding:
+    """:func:`correlate_series` on daily means already taken (``SignalSeries._daily``)."""
     if max_lag_days < 0:
         raise AnalysisError("max_lag_days must be >= 0")
-    a_daily = a.filter(metric=metric_a).daily_mean()
-    b_daily = b.filter(metric=metric_b).daily_mean()
-    if not a_daily or not b_daily:
+    if not len(a_daily[0]) or not len(b_daily[0]):
         raise AnalysisError(
             f"no data for {metric_a!r} or {metric_b!r}"
         )

@@ -29,7 +29,11 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
+from repro.core.signals import SignalSeries
+from repro.core.stats import unique_counts
+
 __all__ = [
+    "SignalUnitScores",
     "TrustScore",
     "contamination_estimate",
     "fraud_rating_mask",
@@ -40,6 +44,7 @@ __all__ = [
     "score_authors",
     "score_raters",
     "score_signal_units",
+    "signal_unit_scores",
     "text_fingerprint",
 ]
 
@@ -198,58 +203,102 @@ def score_raters(dataset) -> Dict[str, TrustScore]:
     return scores
 
 
+@dataclass(frozen=True)
+class SignalUnitScores:
+    """:func:`score_signal_units` as arrays, one entry per unit.
+
+    ``unit_of_row`` maps each row of the scored series to its unit's
+    index, -1 for rows without a ``user`` attr (unscored, weight 1).
+    """
+
+    units: Tuple[str, ...]
+    unit_of_row: np.ndarray
+    n_items: np.ndarray
+    burst_peak: np.ndarray
+    rating_bias: np.ndarray
+    rating_fraud: np.ndarray
+    burst: np.ndarray
+    trust: np.ndarray
+
+
+def signal_unit_scores(series: SignalSeries) -> SignalUnitScores:
+    """Grouped counts by user code behind :func:`score_signal_units`."""
+    codes, vocab = series._attr("user")
+    present = vocab.present(codes)
+    units = [vocab.words[c] for c in present.tolist()]
+    lut = np.full(len(vocab.words) + 1, -1, dtype=np.int64)
+    lut[present + 1] = np.arange(len(units))
+    unit_of_row = lut[codes + 1]
+    scored = unit_of_row >= 0
+    unit = unit_of_row[scored]
+    k = len(units)
+
+    day = series._col("day")[scored]
+    n_items = np.bincount(unit, minlength=k)
+    burst_peak = np.zeros(k, dtype=np.int64)
+    if len(day):
+        span = int(day.max() - day.min()) + 1
+        cells, per_cell = unique_counts(unit * span + (day - day.min()))
+        np.maximum.at(burst_peak, cells // span, per_cell)
+
+    metric, metric_vocab = series._field("metric")
+    rated = metric[scored] == metric_vocab.code("rating")
+    rating = np.rint(series._col("value")[scored][rated])
+    rater = unit[rated]
+    n_ratings = np.bincount(rater, minlength=k)
+    extreme = np.maximum(
+        np.bincount(rater[rating == 1], minlength=k),
+        np.bincount(rater[rating == 5], minlength=k),
+    )
+    enough = n_ratings >= FRAUD_MIN_RATINGS
+    rating_bias = np.where(enough, extreme / np.maximum(n_ratings, 1), 0.0)
+    rating_fraud = enough & (rating_bias >= FRAUD_CONSTANT_FRAC)
+    burst = burst_peak >= BURST_DAY_POSTS
+    trust = np.where(rating_fraud, 0.0, np.where(burst, 0.5, 1.0))
+    return SignalUnitScores(
+        units=tuple(units),
+        unit_of_row=unit_of_row,
+        n_items=n_items,
+        burst_peak=burst_peak,
+        rating_bias=rating_bias,
+        rating_fraud=rating_fraud,
+        burst=burst,
+        trust=trust,
+    )
+
+
 def score_signal_units(signals: Iterable) -> Dict[str, TrustScore]:
     """Trust-score the contributors behind explicit USaaS signals.
 
     Groups by each signal's scrubbed ``user`` attribute (signals
     without one are not scored and keep weight 1).  Rating signals run
     the distribution test; per-day signal counts run the burst test.
-    Returns a unit-sorted dict, like the other scorers.
+    Returns a unit-sorted dict, like the other scorers.  ``signals`` is
+    a ``SignalSeries`` or any iterable of ``Signal`` objects.
     """
-    per_user: Dict[str, Dict[str, object]] = {}
-    for s in signals:
-        unit = s.attr("user")
-        if unit is None:
-            continue
-        entry = per_user.setdefault(unit, {"ratings": [], "days": {}})
-        if s.metric == "rating":
-            entry["ratings"].append(int(round(s.value)))
-        days = entry["days"]
-        days[s.date] = days.get(s.date, 0) + 1
-    scores: Dict[str, TrustScore] = {}
-    for unit in sorted(per_user):
-        entry = per_user[unit]
-        ratings = entry["ratings"]
-        days = entry["days"]
-        n_items = sum(days.values())
-        burst_peak = max(days.values())
-        bias = 0.0
-        flags = []
-        if len(ratings) >= FRAUD_MIN_RATINGS:
-            bias = max(
-                sum(1 for r in ratings if r == extreme) / len(ratings)
-                for extreme in (1, 5)
-            )
-            if bias >= FRAUD_CONSTANT_FRAC:
-                flags.append("rating_fraud")
-        if burst_peak >= BURST_DAY_POSTS:
-            flags.append("burst")
-        if "rating_fraud" in flags:
-            trust = 0.0
-        elif flags:
-            trust = 0.5
-        else:
-            trust = 1.0
-        scores[unit] = TrustScore(
+    if not isinstance(signals, SignalSeries):
+        signals = SignalSeries(signals)
+    t = signal_unit_scores(signals)
+    scores = {
+        unit: TrustScore(
             unit=unit,
             n_items=n_items,
             duplicate_ratio=0.0,
             burst_peak=burst_peak,
             rating_bias=bias,
-            flags=tuple(flags),
+            flags=tuple(
+                flag for flag, on in (("rating_fraud", fraud), ("burst", burst))
+                if on
+            ),
             trust=trust,
         )
-    return scores
+        for unit, n_items, burst_peak, bias, fraud, burst, trust in zip(
+            t.units, t.n_items.tolist(), t.burst_peak.tolist(),
+            t.rating_bias.tolist(), t.rating_fraud.tolist(), t.burst.tolist(),
+            t.trust.tolist(),
+        )
+    }
+    return {unit: scores[unit] for unit in sorted(scores)}
 
 
 def contamination_estimate(scores: Dict[str, TrustScore]) -> float:
