@@ -4,7 +4,8 @@ import datetime as dt
 
 import pytest
 
-from repro.core.signals import ImplicitSignal, SignalSeries
+from repro.core.signals import ExplicitSignal, ImplicitSignal, SignalSeries
+from repro.core.usaas import UsaasQuery, UsaasService
 from repro.core.usaas.privacy import PrivacyGuard, is_scrubbed, scrub_author
 from repro.errors import PrivacyError
 
@@ -63,3 +64,75 @@ class TestPrivacyGuard:
     def test_rejects_bad_floor(self):
         with pytest.raises(PrivacyError):
             PrivacyGuard(min_users=0)
+
+
+class TestAggregateFloor:
+    """Inside an answer, an aggregate below the floor is withheld, not raised."""
+
+    @staticmethod
+    def _service(implicit, explicit):
+        service = UsaasService()
+        service.register_source("telemetry", lambda: SignalSeries(implicit))
+        service.register_source("social", lambda: SignalSeries(explicit))
+        return service
+
+    def test_window_covering_six_users_withholds_its_levels(self):
+        # 20 session users over ten days, but only six in the last two.
+        implicit = [
+            ImplicitSignal(
+                TS + dt.timedelta(days=day, minutes=u), "net", "presence",
+                70.0 + u, service="teams", platform="ios",
+                user=scrub_author(f"s{u}"),
+            )
+            for day in range(10) for u in range(20 if day < 8 else 6)
+            for _ in range(3)
+        ]
+        explicit = [
+            ExplicitSignal(TS + dt.timedelta(days=day, hours=2), "net",
+                           "sentiment_polarity", 0.2, user=scrub_author(f"p{p}"))
+            for day in range(10) for p in range(12)
+        ]
+        service = self._service(implicit, explicit)
+        window = dict(start=TS + dt.timedelta(days=8), end=TS + dt.timedelta(days=10))
+        query = UsaasQuery(network="net", service="teams", breakdown="platform",
+                           implicit_metrics=("presence",), **window)
+        report = service.answer(query)  # the pool (6 + 12 users) passes the floor
+        assert report.n_implicit == 36
+        assert not [i for i in report.insights if i.kind == "level"]
+        released = service.answer(UsaasQuery(
+            network="net", service="teams", breakdown="platform",
+            implicit_metrics=("presence",), min_users=6, **window,
+        ))
+        levels = [i.statement for i in released.insights if i.kind == "level"]
+        assert len(levels) == 2 and "platform=ios" in levels[1]
+        whole = service.answer(UsaasQuery(network="net", service="teams",
+                                          implicit_metrics=("presence",)))
+        assert [i for i in whole.insights if i.kind == "level"]
+
+    def test_worst_day_needs_the_floor_of_authors(self):
+        implicit = [
+            ImplicitSignal(TS + dt.timedelta(days=day), "net", "presence", 80.0,
+                           service="teams", user=scrub_author(f"s{u}"))
+            for day in range(6) for u in range(12)
+        ]
+        crowd = [  # day 2: a dozen authors, mildly negative
+            ExplicitSignal(TS + dt.timedelta(days=2, minutes=p), "net",
+                           "sentiment_polarity", -0.5, user=scrub_author(f"p{p}"))
+            for p in range(12)
+        ]
+        loner = [  # day 4: one author, furious
+            ExplicitSignal(TS + dt.timedelta(days=4, minutes=k), "net",
+                           "sentiment_polarity", -0.9, user=scrub_author("loner"))
+            for k in range(2)
+        ]
+        service = self._service(implicit, crowd + loner)
+        anomalies = [
+            i for i in service.answer(UsaasQuery(network="net")).insights
+            if i.kind == "anomaly"
+        ]
+        assert len(anomalies) == 1
+        assert (TS + dt.timedelta(days=2)).date().isoformat() in anomalies[0].statement
+        assert anomalies[0].evidence_dict()["polarity"] == -0.5
+        floor_one = service.answer(UsaasQuery(network="net", min_users=1))
+        worst = [i for i in floor_one.insights if i.kind == "anomaly"][0]
+        assert (TS + dt.timedelta(days=4)).date().isoformat() in worst.statement
