@@ -74,6 +74,19 @@ def test_strict_dirs_flag_narrow_swallow(tmp_path):
         assert "swallows" in violations[0][2]
 
 
+def test_core_usaas_is_strict(tmp_path):
+    """The columnar answer path promises float-identical results, so a
+    narrow swallow under repro/core/usaas is flagged too."""
+    tool = _load_tool()
+    target = tmp_path / "repro" / "core" / "usaas"
+    target.mkdir(parents=True)
+    bad = target / "service.py"
+    bad.write_text("try:\n    x()\nexcept KeyError:\n    pass\n")
+    violations = tool.check_file(bad)
+    assert len(violations) == 1
+    assert "swallows" in violations[0][2]
+
+
 def test_vectorized_modules_are_strict_anywhere_under_repro(tmp_path):
     """vectorized*.py under repro is strict wherever it lives: the block
     engines' byte-identity contract makes silent swallows wrong-numbers

@@ -10,9 +10,11 @@ Two patterns are banned everywhere:
   a broken source into a silently wrong answer.
 
 Inside the fault-handling subsystems — ``repro/perf/`` and
-``repro/resilience/`` — and in any ``vectorized*.py`` module under
-``repro`` (the block engines, whose byte-identity contract a swallowed
-failure would corrupt silently) the rule is stricter: *any* except
+``repro/resilience/`` — in ``repro/core/`` (whose columnar USaaS answer
+path promises results float-identical to its record-loop oracles), and
+in any ``vectorized*.py`` module under ``repro`` (the block engines,
+whose byte-identity contract a swallowed failure would corrupt
+silently) the rule is stricter: *any* except
 handler whose body only swallows (``pass``/``...``) is flagged, however
 narrow the caught type.  That code's whole job is to observe failures; a
 handler there must at minimum count, log, or re-route what it caught
@@ -44,6 +46,7 @@ STRICT_DIRS = (
     ("repro", "resilience"),
     ("repro", "prediction"),
     ("repro", "integrity"),
+    ("repro", "core"),
 )
 
 #: File stems under ``repro`` that are strict wherever they live: the
