@@ -22,12 +22,12 @@ The suite measures the three levers this repo pulls for scale:
   executor reports ``auto-serial`` and the speedup is 1.0 by
   definition — it ran the identical serial code path;
 * **analysis phase** — the columnar read paths
-  (:mod:`repro.perf.columnar`) against the record-at-a-time reference
-  implementations: column-block build cost, the single-pass
-  :func:`~repro.engagement.curve_matrix` against per-curve
-  :func:`~repro.engagement.engagement_curve` loops, bulk signal
-  export, and the shared-sentiment-block timeline reuse.  Each
-  speedup is only recorded after asserting the outputs are equal;
+  (:mod:`repro.perf.columnar`) against the record-at-a-time oracles
+  kept in ``tests/``: column-block build cost, the single-pass
+  :func:`~repro.engagement.curve_matrix` against per-curve record
+  loops, bulk signal export, and the shared-sentiment-block timeline
+  reuse.  Each speedup is only recorded after asserting the outputs
+  are equal;
 * **serving phase** — a deterministic overload soak
   (:mod:`repro.serving.soak`) at 5x capacity on a ``ManualClock``:
   shed rate and p50/p99 *admitted* latency are simulated-clock
@@ -51,7 +51,7 @@ The suite measures the three levers this repo pulls for scale:
   speedup is recorded;
 * **prediction phase** — the columnar MOS predictor
   (:mod:`repro.prediction`) against the record-at-a-time
-  :class:`~repro.engagement.predictor.MosPredictor` reference on a
+  ``MosPredictor`` oracle (``tests/prediction/oracle.py``) on a
   rating-rich replay of the call workload: training cost, batched
   inference speedup and rows/sec (weights and predictions asserted
   byte-identical first; the gate enforces a 20x speedup and 100k
@@ -327,17 +327,18 @@ def run_perf_suite(
         1e-9, batch["seconds"]
     )
 
-    # --- analysis phase: columnar read paths vs record paths ------------
+    # --- analysis phase: columnar read paths vs record oracles ----------
     from repro.analysis.sentiment_timeline import sentiment_timeline
-    from repro.core.usaas import telemetry_signals, telemetry_signals_records
+    from repro.core.usaas import telemetry_signals
     from repro.engagement import (
         DEFAULT_EDGES,
         control_windows_except,
         curve_matrix,
-        engagement_curve,
     )
     from repro.perf.columnar import participant_columns
     from repro.telemetry.schema import ENGAGEMENT_METRICS
+    from tests.engagement.oracle import engagement_curve_records
+    from tests.usaas.oracle import telemetry_signals_records
 
     build = _timed(lambda: participant_columns(calls_dataset))
     cols = build["value"]
@@ -350,7 +351,7 @@ def run_perf_suite(
     def record_curves() -> Dict[str, Dict[str, Any]]:
         return {
             nm: {
-                em: engagement_curve(
+                em: engagement_curve_records(
                     participants, nm, em, DEFAULT_EDGES[nm],
                     control_windows=windows[nm], min_bin_count=5,
                 )
@@ -374,7 +375,7 @@ def run_perf_suite(
             if (a.stat.tobytes() != b.stat.tobytes()
                     or a.counts.tobytes() != b.counts.tobytes()):
                 raise AssertionError(
-                    f"curve_matrix diverged from engagement_curve "
+                    f"curve_matrix diverged from the record oracle "
                     f"for {nm}/{em}"
                 )
     results["analysis_curve_matrix_speedup"] = record["seconds"] / max(
@@ -635,7 +636,6 @@ def run_perf_suite(
 
     import numpy as np
 
-    from repro.engagement.predictor import MosPredictor
     from repro.perf.columnar import ParticipantColumns
     from repro.prediction import (
         CoalescerConfig,
@@ -648,6 +648,7 @@ def run_perf_suite(
     from repro.resilience.faults import Arrival
     from repro.rng import derive
     from repro.telemetry.vectorized import VectorizedCallEngine
+    from tests.prediction.oracle import MosPredictor
 
     # A rating-rich replay of the call workload: training needs far more
     # rated sessions than the paper's ~0.5 % prompt rate yields.
@@ -780,8 +781,8 @@ def run_perf_suite(
     # --- integrity phase: trust scoring + robust aggregation ------------
     from repro.integrity import (
         OnlineTrustGate,
-        rated_weights_columns,
-        robust_mos_columns,
+        rated_weights,
+        robust_mos,
         score_raters,
     )
     from repro.resilience.faults import DataFaultSpec, FaultPlan
@@ -798,13 +799,13 @@ def run_perf_suite(
     tainted_cols = ParticipantColumns.from_dataset(tainted.dataset)
 
     naive_agg = _timed_vec(
-        lambda: robust_mos_columns(tainted_cols, statistic="mean")
+        lambda: robust_mos(tainted_cols, statistic="mean")
     )
 
     def robust_once() -> float:
         scores = score_raters(tainted.dataset)
-        weights = rated_weights_columns(tainted_cols, scores)
-        return robust_mos_columns(
+        weights = rated_weights(tainted_cols, scores)
+        return robust_mos(
             tainted_cols, statistic="trimmed_mean", weights=weights
         )
 

@@ -27,14 +27,12 @@ UNREPORTED_DAY = dt.date(2022, 4, 22)
 
 @pytest.fixture(scope="module")
 def series(bench_corpus, bench_timeline):
-    return outage_keyword_series(bench_corpus, scores=bench_timeline.scores)
+    return outage_keyword_series(bench_corpus)
 
 
 class TestFig6:
     def test_bench_fig6_series(self, benchmark, bench_corpus, bench_timeline):
-        series = timed(benchmark, lambda: outage_keyword_series(
-            bench_corpus, scores=bench_timeline.scores
-        ))
+        series = timed(benchmark, lambda: outage_keyword_series(bench_corpus))
         top = series.occurrences.top_peaks(6)
         emit("fig6_outages", format_table(
             ["day", "keyword occurrences", "threads"],
@@ -69,10 +67,10 @@ class TestFig6:
                                       bench_timeline):
         def run():
             filtered = outage_keyword_series(
-                bench_corpus, scores=bench_timeline.scores, negative_only=True
+                bench_corpus, negative_only=True
             )
             unfiltered = outage_keyword_series(
-                bench_corpus, scores=bench_timeline.scores, negative_only=False
+                bench_corpus, negative_only=False
             )
             return filtered, unfiltered
 

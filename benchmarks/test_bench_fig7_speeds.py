@@ -23,9 +23,7 @@ from repro.starlink.subscribers import SubscriberModel
 
 @pytest.fixture(scope="module")
 def fulcrum(bench_corpus, bench_track, bench_timeline):
-    return pos_vs_speed(
-        bench_corpus, bench_track.median, scores=bench_timeline.scores
-    )
+    return pos_vs_speed(bench_corpus, bench_track.median)
 
 
 class TestFig7Speeds:
@@ -130,7 +128,6 @@ class TestFig7Fulcrum:
         bars were set on arrival, are what pull sentiment back up while
         speeds keep falling."""
         from repro.analysis.fulcrum import pos_vs_speed
-        from repro.analysis.sentiment_timeline import sentiment_timeline
         from repro.analysis.speed_tracker import track_speeds
         from repro.social import CorpusConfig, CorpusGenerator
 
@@ -140,11 +137,8 @@ class TestFig7Fulcrum:
                 corpus = CorpusGenerator(CorpusConfig(
                     seed=7, author_pool_size=1200, conditioning_mode=mode,
                 )).generate()
-                timeline = sentiment_timeline(corpus)
                 track = track_speeds(corpus)
-                fulcrum = pos_vs_speed(
-                    corpus, track.median, scores=timeline.scores
-                )
+                fulcrum = pos_vs_speed(corpus, track.median)
                 trends[mode] = fulcrum.inversion_2022()["pos_trend"]
             return trends
 

@@ -33,7 +33,7 @@ def fresh_runs():
         ).generate()
         timeline = sentiment_timeline(corpus)
         track = track_speeds(corpus, seed=seed)
-        fulcrum = pos_vs_speed(corpus, track.median, scores=timeline.scores)
+        fulcrum = pos_vs_speed(corpus, track.median)
         runs[seed] = (corpus, timeline, track, fulcrum)
     return runs
 

@@ -10,14 +10,15 @@ import pytest
 
 from benchmarks.conftest import emit
 from benchmarks.util import timed
-from repro.engagement.predictor import (
+from repro.io.tables import format_table
+from repro.perf.columnar import participant_columns
+from repro.prediction import (
     ALL_FEATURES,
     ENGAGEMENT_FEATURES,
     NETWORK_FEATURES,
-    MosPredictor,
+    ColumnarMosPredictor,
     train_test_evaluate,
 )
-from repro.io.tables import format_table
 
 FEATURE_SETS = {
     "network only": NETWORK_FEATURES,
@@ -64,8 +65,8 @@ class TestS3:
 
     def test_feature_importances_sensible(self, benchmark,
                                           observational_dataset):
-        rated = observational_dataset.rated_participants()
-        model = timed(benchmark, lambda: MosPredictor().fit(rated))
+        rated = participant_columns(observational_dataset.rated_participants())
+        model = timed(benchmark, lambda: ColumnarMosPredictor().fit_columns(rated))
         weights = model.weights()
         emit("s3_feature_weights", format_table(
             ["feature", "standardised weight"],

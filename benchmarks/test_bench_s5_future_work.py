@@ -176,9 +176,7 @@ class TestPosNormalisationAblation:
         from repro.core.timeline import MonthlySeries, align_series, month_of
 
         def run():
-            fulcrum = pos_vs_speed(
-                bench_corpus, bench_track.median, scores=bench_timeline.scores
-            )
+            fulcrum = pos_vs_speed(bench_corpus, bench_track.median)
             raw_counts: dict = {}
             for post in bench_corpus.speed_shares():
                 s = bench_timeline.scores[post.post_id]

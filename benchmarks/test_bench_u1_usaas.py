@@ -56,7 +56,7 @@ def service(bench_corpus, bench_timeline):
     )
     svc.register_source(
         "reddit",
-        lambda: social_signals(bench_corpus, scores=bench_timeline.scores),
+        lambda: social_signals(bench_corpus),
     )
     return svc
 

@@ -13,7 +13,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from benchmarks.util import timed
-from repro.analysis import outage_keyword_series, sentiment_timeline
+from repro.analysis import outage_keyword_series
 from repro.core.usaas import telemetry_signals, watch_metric
 from repro.engagement.early_warning import DriftDetector
 from repro.social import CorpusConfig, CorpusGenerator
@@ -45,8 +45,7 @@ def social_spike():
         seed=13, span_start=SPAN[0], span_end=SPAN[1],
         author_pool_size=800,
     )).generate()
-    timeline = sentiment_timeline(corpus)
-    outages = outage_keyword_series(corpus, scores=timeline.scores)
+    outages = outage_keyword_series(corpus)
     return outages.top_spike_days(1)[0]
 
 

@@ -64,7 +64,7 @@ def main() -> None:
         author_pool_size=800,
     )).generate()
     timeline = sentiment_timeline(corpus)
-    outages = outage_keyword_series(corpus, scores=timeline.scores)
+    outages = outage_keyword_series(corpus)
     top_day, top_count = outages.top_spike_days(1)[0]
     print("\nexplicit side (r/Starlink):")
     print(f"  biggest outage-keyword day: {top_day} "

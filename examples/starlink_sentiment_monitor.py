@@ -55,7 +55,7 @@ def main() -> None:
     print("  -> the 3rd peak is an outage no outlet ever covered (Fig. 5b)\n")
 
     # --- Fig. 6 ---------------------------------------------------------------
-    outages = outage_keyword_series(corpus, scores=timeline.scores)
+    outages = outage_keyword_series(corpus)
     spikes = outages.top_spike_days(2)
     print("Fig. 6 — outage keywords in negative threads; largest spikes:")
     for day, value in spikes:
@@ -78,7 +78,7 @@ def main() -> None:
           f"{100 * track.max_subsample_deviation():.1f}%\n")
 
     # --- §4.2 fulcrum ---------------------------------------------------------
-    fulcrum = pos_vs_speed(corpus, track.median, scores=timeline.scores)
+    fulcrum = pos_vs_speed(corpus, track.median)
     exc = fulcrum.exception_dec21_vs_apr21()
     inv = fulcrum.inversion_2022()
     print("§4.2 'the wheel of time':")

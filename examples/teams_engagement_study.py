@@ -24,12 +24,8 @@ from repro.engagement import (
     fig1_curves,
     mos_by_engagement,
 )
-from repro.engagement.predictor import (
-    ALL_FEATURES,
-    NETWORK_FEATURES,
-    train_test_evaluate,
-)
 from repro.io.tables import format_table
+from repro.prediction import ALL_FEATURES, NETWORK_FEATURES, train_test_evaluate
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
 
 

@@ -18,16 +18,14 @@ by the benchmark on top of this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.core.stats import pearson
-from repro.core.timeline import Month, MonthlySeries, align_series, month_of
+from repro.core.timeline import Month, MonthlySeries, align_series
 from repro.errors import AnalysisError
-from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.perf.columnar import corpus_columns
-from repro.social.corpus import RedditCorpus
 
 
 @dataclass
@@ -85,46 +83,30 @@ def _window_mean(series: MonthlySeries, months) -> float:
 
 
 def pos_vs_speed(
-    corpus: RedditCorpus,
+    corpus: Any,
     speed: MonthlySeries,
-    scores: Optional[Dict[str, SentimentScores]] = None,
-    analyzer: Optional[SentimentAnalyzer] = None,
+    analyzer: Optional[Any] = None,
     min_strong_posts: int = 5,
 ) -> FulcrumResult:
     """Compute monthly Pos over speed-share posts and align with speeds.
 
     §4.2 defines Pos over posts *that share Starlink speed-test reports*,
     using strong scores only — "thus filtering out edge cases when
-    identifying the sentiment is hard."
+    identifying the sentiment is hard."  ``corpus`` is anything
+    :func:`~repro.perf.columnar.corpus_columns` accepts; the shared
+    sentiment block and month column are read over just the speed-share
+    rows.
     """
     strong_pos: Dict[Month, int] = {}
     strong_neg: Dict[Month, int] = {}
-    if (
-        scores is None
-        and isinstance(corpus, RedditCorpus)
-        and (analyzer is None or isinstance(analyzer, SentimentAnalyzer))
-    ):
-        # Columnar path: reuse the shared sentiment block and month
-        # column over just the speed-share rows.
-        cols = corpus_columns(corpus)
-        block = cols.sentiment(analyzer)
-        for i in cols.speed_indices.tolist():
-            month = cols.month[i]
-            if block.strong_positive[i]:
-                strong_pos[month] = strong_pos.get(month, 0) + 1
-            elif block.strong_negative[i]:
-                strong_neg[month] = strong_neg.get(month, 0) + 1
-    else:
-        analyzer = analyzer or SentimentAnalyzer()
-        for post in corpus.speed_shares():
-            s = scores.get(post.post_id) if scores else None
-            if s is None:
-                s = analyzer.score(post.full_text)
-            month = month_of(post.date)
-            if s.is_strong_positive:
-                strong_pos[month] = strong_pos.get(month, 0) + 1
-            elif s.is_strong_negative:
-                strong_neg[month] = strong_neg.get(month, 0) + 1
+    cols = corpus_columns(corpus)
+    block = cols.sentiment(analyzer)
+    for i in cols.speed_indices.tolist():
+        month = cols.month[i]
+        if block.strong_positive[i]:
+            strong_pos[month] = strong_pos.get(month, 0) + 1
+        elif block.strong_negative[i]:
+            strong_neg[month] = strong_neg.get(month, 0) + 1
 
     values: Dict[Month, float] = {}
     for month in set(strong_pos) | set(strong_neg):

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.timeline import DailySeries
 from repro.errors import AnalysisError
 from repro.nlp.keywords import OUTAGE_KEYWORDS, KeywordDictionary
-from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.perf.columnar import corpus_columns
-from repro.social.corpus import RedditCorpus
 
 
 @dataclass
@@ -57,51 +55,33 @@ class OutageSeries:
 
 
 def outage_keyword_series(
-    corpus: RedditCorpus,
+    corpus: Any,
     dictionary: KeywordDictionary = OUTAGE_KEYWORDS,
-    scores: Optional[Dict[str, SentimentScores]] = None,
     negative_only: bool = True,
-    analyzer: Optional[SentimentAnalyzer] = None,
+    analyzer: Optional[Any] = None,
 ) -> OutageSeries:
     """Count outage keywords per day across (optionally negative) threads.
 
     Args:
-        scores: pre-computed per-post sentiment (from
-            :func:`repro.analysis.sentiment_timeline.sentiment_timeline`);
-            computed on the fly when absent.
+        corpus: anything :func:`~repro.perf.columnar.corpus_columns`
+            accepts.
         negative_only: apply the paper's negative-sentiment filter
             (threads with positive or neutral sentiment are dropped).
+            The filter reads the corpus-wide sentiment block, scored
+            once and shared with the other §4 analyses.
+        analyzer: scorer for the filter (anything with ``score_many``);
+            the default shares the memoized block.
     """
-    start, end = corpus.config.span_start, corpus.config.span_end
-    occurrences = DailySeries.zeros(start, end)
-    threads = DailySeries.zeros(start, end)
-    if (
-        negative_only
-        and scores is None
-        and isinstance(corpus, RedditCorpus)
-        and (analyzer is None or isinstance(analyzer, SentimentAnalyzer))
-    ):
-        # Columnar path: the shared sentiment block replaces per-post
-        # scoring; the `negative_dominant` mask is the same comparison
-        # as the reject filter below, so only keyword counting remains.
-        cols = corpus_columns(corpus)
-        block = cols.sentiment(analyzer)
-        for i in np.flatnonzero(block.negative_dominant).tolist():
-            post = cols.posts[i]
-            count = dictionary.count_matches(post.thread_text)
-            if count > 0:
-                occurrences.add(post.date, count)
-                threads.add(post.date)
-        return OutageSeries(occurrences=occurrences, threads=threads)
-
-    analyzer = analyzer or SentimentAnalyzer()
-    for post in corpus:
-        if negative_only:
-            s = scores.get(post.post_id) if scores else None
-            if s is None:
-                s = analyzer.score(post.full_text)
-            if s.negative <= max(s.positive, s.neutral):
-                continue
+    cols = corpus_columns(corpus)
+    occurrences = DailySeries.zeros(cols.span_start, cols.span_end)
+    threads = DailySeries.zeros(cols.span_start, cols.span_end)
+    if negative_only:
+        # Keep a post only when its negative score beats both others.
+        rows = np.flatnonzero(cols.sentiment(analyzer).negative_dominant)
+    else:
+        rows = np.arange(len(cols))
+    for i in rows.tolist():
+        post = cols.posts[i]
         count = dictionary.count_matches(post.thread_text)
         if count > 0:
             occurrences.add(post.date, count)

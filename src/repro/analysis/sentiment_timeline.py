@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.timeline import DailySeries
 from repro.errors import AnalysisError
-from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
+from repro.nlp.sentiment import SentimentScores
 from repro.perf.columnar import corpus_columns
-from repro.social.corpus import RedditCorpus
-from repro.social.schema import Post
 
 
 @dataclass
@@ -58,43 +56,17 @@ class SentimentTimeline:
 
 
 def sentiment_timeline(
-    corpus: RedditCorpus,
-    analyzer: Optional[SentimentAnalyzer] = None,
+    corpus: Any,
+    analyzer: Optional[Any] = None,
 ) -> SentimentTimeline:
     """Score every post and build the daily strong-sentiment series.
 
-    A plain corpus takes the columnar path: the shared per-day index and
-    sentiment block (``repro.perf.columnar``) replace the per-analysis
-    corpus scan, and with the default analyzer the block is scored once
-    and reused by the outage monitor, the fulcrum and the USaaS export.
+    ``corpus`` is anything :func:`~repro.perf.columnar.corpus_columns`
+    accepts.  The shared per-day index and sentiment block replace a
+    per-analysis corpus scan; with the default analyzer the block is
+    scored once and reused by the outage monitor, the fulcrum and the
+    USaaS export.  Any other scorer with ``score_many`` scores afresh.
     """
-    if isinstance(corpus, RedditCorpus) and (
-        analyzer is None or isinstance(analyzer, SentimentAnalyzer)
-    ):
-        return _sentiment_timeline_columnar(corpus, analyzer)
-    analyzer = analyzer or SentimentAnalyzer()
-    start = corpus.config.span_start
-    end = corpus.config.span_end
-    strong_pos = DailySeries.zeros(start, end)
-    strong_neg = DailySeries.zeros(start, end)
-    scores: Dict[str, SentimentScores] = {}
-    posts = corpus.posts()
-    for post, s in zip(posts, analyzer.score_many(p.full_text for p in posts)):
-        scores[post.post_id] = s
-        if s.is_strong_positive:
-            strong_pos.add(post.date)
-        elif s.is_strong_negative:
-            strong_neg.add(post.date)
-    return SentimentTimeline(
-        strong_positive=strong_pos,
-        strong_negative=strong_neg,
-        scores=scores,
-    )
-
-
-def _sentiment_timeline_columnar(
-    corpus: RedditCorpus, analyzer: Optional[SentimentAnalyzer]
-) -> SentimentTimeline:
     cols = corpus_columns(corpus)
     start = cols.span_start
     end = cols.span_end
@@ -102,12 +74,12 @@ def _sentiment_timeline_columnar(
     strong_neg = DailySeries.zeros(start, end)
     block = cols.sentiment(analyzer)
     pos_mask = block.strong_positive
-    # The record path's elif: a strong-both post counts as positive only.
+    # A strong-both post counts as positive only.
     neg_mask = block.strong_negative & ~pos_mask
     day = cols.day_index
     n_days = cols.n_days
-    # Only strong posts hit DailySeries.add in the record path, so only
-    # those may raise for an out-of-span date — first one in post order.
+    # Only strong posts are counted, so only those may raise for an
+    # out-of-span date — the first one in post order.
     oob = (pos_mask | neg_mask) & ((day < 0) | (day >= n_days))
     if oob.any():
         i = int(np.flatnonzero(oob)[0])

@@ -247,7 +247,7 @@ def _cmd_analyze_starlink(args: argparse.Namespace) -> int:
         print(f"  {day}  {int(value):4d} strong posts "
               f"({timeline.peak_polarity(day)})  {news}")
 
-    outages = outage_keyword_series(corpus, scores=timeline.scores)
+    outages = outage_keyword_series(corpus)
     print("\noutage-keyword spikes:")
     for day, value in outages.top_spike_days(2):
         print(f"  {day}  {int(value)} occurrences")
@@ -469,6 +469,7 @@ def _cmd_usaas(args: argparse.Namespace) -> int:
     from repro.errors import (
         DeadlineExceededError,
         DegradedServiceError,
+        PrivacyError,
         QueryRejectedError,
     )
     from repro.resilience import ResilienceConfig
@@ -548,6 +549,11 @@ def _cmd_usaas(args: argparse.Namespace) -> int:
         from repro.resilience import health_table
 
         print(health_table(iter(service.source_health())), file=sys.stderr)
+        return 2
+    except PrivacyError as exc:
+        # The surviving pool is below the privacy floor: the query cannot
+        # be answered as asked, and a retry would hit the same floor.
+        print(f"query refused: {exc}", file=sys.stderr)
         return 2
     print(report.summary)
     print(f"\n({report.n_implicit} implicit + {report.n_explicit} explicit "
@@ -942,9 +948,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "usaas", help="answer a §5 USaaS query",
         epilog="exit codes: 0 = served; 2 = hard degradation (too few "
-               "sources survived); 3 = shed or deadline exceeded (the "
-               "service is up but refused this query — retry with "
-               "backoff)",
+               "sources survived) or query refused (the matching pool "
+               "is below the privacy floor); 3 = shed or deadline "
+               "exceeded (the service is up but refused this query — "
+               "retry with backoff)",
     )
     p.add_argument("--calls", help="call dataset JSONL (implicit signals)")
     p.add_argument("--posts", help="corpus JSONL (explicit signals)")
@@ -1115,14 +1122,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "contaminated data both ways: the naive mean versus "
                     "the trust-weighted robust estimators.  The sweep "
                     "proves the robust path holds its documented error "
-                    "bound where the naive mean breaks, pins the record "
-                    "and columnar paths equal, and checks the stream "
-                    "boundary quarantines every malformed record.  Same "
-                    "--seed, same bytes.",
+                    "bound where the naive mean breaks, and checks the "
+                    "stream boundary quarantines every malformed record.  "
+                    "Same --seed, same bytes.",
         epilog="exit codes: 0 = trust-weighted aggregates held their "
                "bounds at every eps and the naive mean broke at the top "
-               "eps; 2 = a robust aggregate escaped its bound, the "
-               "columnar path diverged from the record path, or the "
+               "eps; 2 = a robust aggregate escaped its bound, or the "
                "stream boundary leaked a malformed record (a bug, not "
                "contamination); 3 = the sweep proved nothing — the "
                "attack was too weak to break the naive mean, or trust "

@@ -220,7 +220,7 @@ class BinGrouping:
     ``order`` is a stable sort of the in-range sample indices by bin, so
     each bin's slice visits members in original sample order — exactly
     the sequence the naive per-bin mask produced, which keeps reductions
-    bit-identical to the record path.
+    bit-identical to a record-at-a-time loop.
     """
 
     edges: np.ndarray

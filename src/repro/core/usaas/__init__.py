@@ -22,9 +22,7 @@ service, which metrics — and the service:
 from repro.core.usaas.adapters import (
     FallbackSentimentChain,
     social_signals,
-    social_signals_records,
     telemetry_signals,
-    telemetry_signals_records,
 )
 from repro.core.usaas.bias import BiasCorrector
 from repro.core.usaas.correlator import CorrelationFinding, correlate_series
@@ -58,8 +56,6 @@ __all__ = [
     "correlate_series",
     "scrub_author",
     "social_signals",
-    "social_signals_records",
     "summarize_insights",
     "telemetry_signals",
-    "telemetry_signals_records",
 ]

@@ -8,24 +8,16 @@ sentiment polarity weighted by popularity.
 
 from __future__ import annotations
 
-import datetime as dt
-from typing import Callable, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.signals import (
-    ExplicitSignal,
-    ImplicitSignal,
-    Signal,
-    SignalKind,
-    SignalSeries,
-)
+from repro.core.signals import SignalKind, SignalSeries
 from repro.core.usaas.privacy import scrub_author
 from repro.errors import QueryError, SchemaError
 from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.perf.columnar import corpus_columns, participant_columns
 from repro.resilience.policy import Fallback
-from repro.social.corpus import RedditCorpus
 from repro.telemetry.store import CallDataset
 
 
@@ -39,7 +31,9 @@ class FallbackSentimentChain:
     always ends at the offline lexicon
     :class:`~repro.nlp.sentiment.SentimentAnalyzer`, which cannot fail
     on valid text.  It is a drop-in for the ``analyzer=`` argument of
-    :func:`social_signals` (only ``.score`` is required).
+    :func:`social_signals` and the §4 analyses: :meth:`score_many`
+    scores a batch one text at a time, so every post keeps its own
+    fallback accounting.
 
         chain = FallbackSentimentChain(("azure", azure_scorer))
         series = social_signals(corpus, analyzer=chain)
@@ -75,89 +69,56 @@ class FallbackSentimentChain:
             self.fallback_calls += 1
         return result.value
 
+    def score_many(self, texts: Iterable[str]) -> List[SentimentScores]:
+        return [self.score(text) for text in texts]
+
 
 #: Per-participant signal layout: four implicit rows, then the sparse
-#: explicit rating row.  Order matters — it is the record-path order.
+#: explicit rating row.  Order matters — it is the export order.
 _TELEMETRY_METRICS = np.array(
     ["presence", "cam_on", "mic_on", "drop_off", "rating"], dtype=object
 )
 _TELEMETRY_KINDS = np.array(
     [SignalKind.IMPLICIT] * 4 + [SignalKind.EXPLICIT], dtype=object
 )
+#: Per-post signal layout: polarity, then the sparse speed report.
+_SOCIAL_METRICS = np.array(
+    ["sentiment_polarity", "reported_downlink_mbps"], dtype=object
+)
 
 
 def telemetry_signals(
     dataset: CallDataset,
-    network: str,
+    network: Union[str, Sequence[str]],
     service: str = "teams",
-    network_of: Optional[Callable] = None,
 ) -> SignalSeries:
     """Export a call dataset as implicit (+ sparse explicit) signals.
 
-    A plain ``CallDataset`` with a single ``network`` label takes the
-    columnar bulk-export path (signal-for-signal identical to
-    :func:`telemetry_signals_records`, which remains the reference
-    implementation and handles per-participant ``network_of``).
+    Each participant session becomes four implicit signals (presence,
+    camera, microphone, drop-off) plus an explicit ``rating`` signal when
+    the session was rated.
 
     Args:
-        network: network label for every session, unless ``network_of``
-            is given.
-        network_of: optional ``participant -> network-name`` attribution
-            function (a real deployment would map client IPs to ASes).
+        dataset: a ``CallDataset`` or its ``ParticipantColumns`` block.
+        network: one network label for every session, or one label per
+            session in ``participant_columns`` row order (a real
+            deployment would map client IPs to ASes).
     """
-    if not network and network_of is None:
-        raise QueryError("either network or network_of is required")
-    if isinstance(dataset, CallDataset) and network_of is None:
-        return _telemetry_signals_columnar(dataset, network, service)
-    return telemetry_signals_records(dataset, network, service, network_of)
-
-
-def telemetry_signals_records(
-    dataset: CallDataset,
-    network: str,
-    service: str = "teams",
-    network_of: Optional[Callable] = None,
-) -> SignalSeries:
-    """Record-at-a-time reference implementation of :func:`telemetry_signals`."""
-    if not network and network_of is None:
-        raise QueryError("either network or network_of is required")
-    series = SignalSeries()
-    for call in dataset:
-        for p in call.participants:
-            net = network_of(p) if network_of is not None else network
-            author = scrub_author(p.user_id)
-            common = dict(
-                service=service,
-                platform=p.platform,
-                country=p.country,
-                user=author,
-            )
-            ts = call.start
-            series.append(ImplicitSignal(ts, net, "presence", p.presence_pct, **common))
-            series.append(ImplicitSignal(ts, net, "cam_on", p.cam_on_pct, **common))
-            series.append(ImplicitSignal(ts, net, "mic_on", p.mic_on_pct, **common))
-            series.append(
-                ImplicitSignal(ts, net, "drop_off", 100.0 * p.dropped_early, **common)
-            )
-            if p.rating is not None:
-                series.append(
-                    ExplicitSignal(ts, net, "rating", float(p.rating), **common)
-                )
-    return series
-
-
-def _telemetry_signals_columnar(
-    dataset: CallDataset, network: str, service: str
-) -> SignalSeries:
+    if isinstance(network, str) and not network:
+        raise QueryError("a network label is required")
     cols = participant_columns(dataset)
     n = len(cols)
     series = SignalSeries()
+    if not isinstance(network, str) and len(network) != n:
+        raise QueryError(
+            f"network has {len(network)} labels for {n} participant sessions"
+        )
     if n == 0:
         return series
 
     # Interleave: participant i contributes rows [starts[i], starts[i]+sizes[i])
-    # — 4 implicit signals plus the rating row when one exists — so the
-    # flat signal order equals the nested record-path loops exactly.
+    # — 4 implicit signals plus the rating row when one exists — in
+    # call order, participants in call order.
     rated = ~np.isnan(cols.rating)
     sizes = 4 + rated.astype(np.int64)
     starts = np.cumsum(sizes) - sizes
@@ -190,7 +151,7 @@ def _telemetry_signals_columnar(
     series.extend_columns(
         _TELEMETRY_KINDS[pos].tolist(),
         [cols.call_start[r] for r in row_list],
-        network,
+        network if isinstance(network, str) else [network[r] for r in row_list],
         _TELEMETRY_METRICS[pos].tolist(),
         vmat[pos, row],
         service=service,
@@ -201,10 +162,9 @@ def _telemetry_signals_columnar(
 
 
 def social_signals(
-    corpus: RedditCorpus,
+    corpus: Any,
     network: str = "starlink",
-    scores: Optional[Dict[str, SentimentScores]] = None,
-    analyzer: Optional[SentimentAnalyzer] = None,
+    analyzer: Optional[Any] = None,
     service_of_topic: Optional[Dict[str, str]] = None,
 ) -> SignalSeries:
     """Export a social corpus as explicit sentiment signals.
@@ -212,79 +172,15 @@ def social_signals(
     Each post becomes one ``sentiment_polarity`` signal in [-1, 1],
     weighted by popularity (upvotes + comments), so that one viral thread
     counts for the crowd behind it — which is also why the bias corrector
-    exists downstream.
+    exists downstream.  Posts carrying a speed test add a
+    ``reported_downlink_mbps`` signal right after their polarity signal.
 
-    A plain corpus scored by the lexicon analyzer takes the columnar
-    path, sharing the corpus-wide sentiment block with the §4 analyses;
-    precomputed ``scores`` or a custom scorer (e.g.
-    :class:`FallbackSentimentChain`) fall back to
-    :func:`social_signals_records`, the reference implementation.
+    ``corpus`` is anything :func:`~repro.perf.columnar.corpus_columns`
+    accepts.  With the default analyzer the polarity comes from the
+    corpus-wide sentiment block shared with the §4 analyses; any other
+    scorer with ``score_many`` (e.g. :class:`FallbackSentimentChain`)
+    scores the posts afresh.
     """
-    if (
-        scores is None
-        and isinstance(corpus, RedditCorpus)
-        and (analyzer is None or isinstance(analyzer, SentimentAnalyzer))
-    ):
-        return _social_signals_columnar(
-            corpus, network, analyzer, service_of_topic
-        )
-    return social_signals_records(
-        corpus, network, scores, analyzer, service_of_topic
-    )
-
-
-def social_signals_records(
-    corpus: RedditCorpus,
-    network: str = "starlink",
-    scores: Optional[Dict[str, SentimentScores]] = None,
-    analyzer: Optional[SentimentAnalyzer] = None,
-    service_of_topic: Optional[Dict[str, str]] = None,
-) -> SignalSeries:
-    """Post-at-a-time reference implementation of :func:`social_signals`."""
-    analyzer = analyzer or SentimentAnalyzer()
-    series = SignalSeries()
-    for post in corpus:
-        s = scores.get(post.post_id) if scores else None
-        if s is None:
-            s = analyzer.score(post.full_text)
-        service = (service_of_topic or {}).get(post.topic)
-        series.append(
-            ExplicitSignal(
-                post.created,
-                network,
-                "sentiment_polarity",
-                s.polarity,
-                service=service,
-                weight=max(1.0, post.popularity),
-                user=scrub_author(post.author),
-                topic=post.topic,
-            )
-        )
-        if post.speed_test is not None:
-            series.append(
-                ExplicitSignal(
-                    post.created,
-                    network,
-                    "reported_downlink_mbps",
-                    post.speed_test.download_mbps,
-                    user=scrub_author(post.author),
-                    topic=post.topic,
-                )
-            )
-    return series
-
-
-_SOCIAL_METRICS = np.array(
-    ["sentiment_polarity", "reported_downlink_mbps"], dtype=object
-)
-
-
-def _social_signals_columnar(
-    corpus: RedditCorpus,
-    network: str,
-    analyzer: Optional[SentimentAnalyzer],
-    service_of_topic: Optional[Dict[str, str]],
-) -> SignalSeries:
     cols = corpus_columns(corpus)
     n = len(cols)
     series = SignalSeries()
@@ -293,8 +189,7 @@ def _social_signals_columnar(
     block = cols.sentiment(analyzer)
 
     # Interleave: one polarity signal per post, plus the speed-report
-    # signal right after it for posts carrying a speed test — the exact
-    # record-path order.
+    # signal right after it for posts carrying a speed test.
     has_speed = np.zeros(n, dtype=np.int64)
     has_speed[cols.speed_indices] = 1
     sizes = 1 + has_speed

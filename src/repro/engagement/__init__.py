@@ -12,8 +12,9 @@ analysis in the paper's §3:
   (Fig. 2).
 * :mod:`repro.engagement.platform` — per-platform sensitivity (Fig. 3).
 * :mod:`repro.engagement.mos_link` — engagement↔MOS correlation (Fig. 4).
-* :mod:`repro.engagement.predictor` — MOS prediction from engagement +
-  network conditions (the §5 model "omitted for brevity").
+
+MOS prediction from engagement + network conditions (the §5 model
+"omitted for brevity") lives in :mod:`repro.prediction`.
 """
 
 from repro.engagement.adjustment import (
@@ -34,7 +35,6 @@ from repro.engagement.curves import DEFAULT_EDGES, Fig1Result, fig1_curves
 from repro.engagement.metrics import engagement_frame
 from repro.engagement.mos_link import MosCorrelation, mos_by_engagement
 from repro.engagement.platform import platform_curves
-from repro.engagement.predictor import MosPredictor, PredictionReport
 
 __all__ = [
     "AdjustedCurve",
@@ -50,8 +50,6 @@ __all__ = [
     "DEFAULT_EDGES",
     "Fig1Result",
     "MosCorrelation",
-    "MosPredictor",
-    "PredictionReport",
     "compound_presence_grid",
     "control_windows_except",
     "curve_matrix",

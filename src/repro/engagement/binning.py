@@ -1,35 +1,26 @@
 """Engagement-vs-condition binning: the Fig. 1 primitive.
 
-Two input shapes, one contract.  :func:`engagement_curve` accepts either
-an iterable of participant records (the original path) or a columnar
-source (a :class:`~repro.telemetry.store.CallDataset` or prebuilt
-:class:`~repro.perf.columnar.ParticipantColumns`), and the two paths are
-float-for-float identical — property-tested in
-``tests/perf/test_columnar.py``.  :func:`curve_matrix` is the columnar
-fast path for a whole Fig. 1-style grid: each network metric is binned
-once and every engagement column is reduced against that one grouping.
+Both entry points run on a :class:`~repro.perf.columnar.ParticipantColumns`
+block.  They accept whatever :func:`~repro.perf.columnar.participant_columns`
+accepts — a :class:`~repro.telemetry.store.CallDataset`, a prebuilt block,
+or an iterable of participant records — and are float-for-float
+identical to the record-at-a-time loop kept as a test oracle
+(``tests/perf/test_columnar.py``).  :func:`curve_matrix` covers a whole
+Fig. 1-style grid: each network metric is binned once and every
+engagement column is reduced against that one grouping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.stats import BinnedCurve, bin_grouping, bin_statistic
-from repro.engagement.cohort import ConditionWindow, apply_windows
+from repro.engagement.cohort import ConditionWindow
 from repro.errors import AnalysisError
-from repro.perf.columnar import ParticipantColumns, participant_columns
-from repro.telemetry.schema import (
-    ENGAGEMENT_METRICS,
-    NETWORK_METRICS,
-    ParticipantRecord,
-)
-from repro.telemetry.store import CallDataset
-
-ParticipantPool = Union[
-    CallDataset, ParticipantColumns, Iterable[ParticipantRecord]
-]
+from repro.perf.columnar import ParticipantSource, participant_columns
+from repro.telemetry.schema import ENGAGEMENT_METRICS, NETWORK_METRICS
 
 
 def _mask_sparse_bins(curve: BinnedCurve, min_bin_count: int) -> BinnedCurve:
@@ -45,7 +36,7 @@ def _mask_sparse_bins(curve: BinnedCurve, min_bin_count: int) -> BinnedCurve:
 
 
 def engagement_curve(
-    participants: ParticipantPool,
+    participants: ParticipantSource,
     network_metric: str,
     engagement_metric: str,
     edges: Sequence[float],
@@ -57,10 +48,9 @@ def engagement_curve(
     """Bin sessions by a network metric and summarise an engagement metric.
 
     Args:
-        participants: sessions to analyse (already cohort-filtered) — an
-            iterable of records, a ``CallDataset``, or prebuilt
-            ``ParticipantColumns`` (the latter two take the zero-getattr
-            columnar path).
+        participants: sessions to analyse (already cohort-filtered) — a
+            ``CallDataset``, prebuilt ``ParticipantColumns``, or an
+            iterable of records.
         network_metric: x-axis metric, one of ``NETWORK_METRICS``.
         engagement_metric: y-axis metric, one of ``ENGAGEMENT_METRICS``
             or ``"dropped_early"`` (the §3.2 drop-off observation).
@@ -80,36 +70,14 @@ def engagement_curve(
     if engagement_metric not in valid_engagement:
         raise AnalysisError(f"unknown engagement metric {engagement_metric!r}")
 
-    if isinstance(participants, (ParticipantColumns, CallDataset)):
-        cols = participant_columns(participants)
-        keys = cols.metric(network_metric, network_stat)
-        values = cols.engagement_values(engagement_metric)
-        if control_windows is not None:
-            mask = cols.window_mask(control_windows)
-            keys = keys[mask]
-            values = values[mask]
-        if len(keys) == 0:
-            raise AnalysisError(
-                f"no sessions left for {network_metric} after control windows"
-            )
-        curve = bin_statistic(keys, values, edges, statistic=statistic)
-        return _mask_sparse_bins(curve, min_bin_count)
-
-    keys: List[float] = []
-    values: List[float] = []
+    cols = participant_columns(participants)
+    keys = cols.metric(network_metric, network_stat)
+    values = cols.engagement_values(engagement_metric)
     if control_windows is not None:
-        pool = apply_windows(list(participants), control_windows)
-    else:
-        pool = participants  # stream; no list() materialisation needed
-    if engagement_metric == "dropped_early":
-        for p in pool:
-            keys.append(p.metric(network_metric, network_stat))
-            values.append(100.0 * float(p.dropped_early))
-    else:
-        for p in pool:
-            keys.append(p.metric(network_metric, network_stat))
-            values.append(getattr(p, engagement_metric))
-    if not keys:
+        mask = cols.window_mask(control_windows)
+        keys = keys[mask]
+        values = values[mask]
+    if len(keys) == 0:
         raise AnalysisError(
             f"no sessions left for {network_metric} after control windows"
         )
@@ -118,7 +86,7 @@ def engagement_curve(
 
 
 def curve_matrix(
-    participants: ParticipantPool,
+    participants: ParticipantSource,
     edges: Dict[str, Sequence[float]],
     engagement_metrics: Optional[Sequence[str]] = None,
     control_windows: Optional[Dict[str, Iterable[ConditionWindow]]] = None,

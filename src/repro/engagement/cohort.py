@@ -15,7 +15,7 @@ curves look like without them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import AnalysisError
 from repro.telemetry.schema import NETWORK_METRICS, ParticipantRecord
@@ -107,13 +107,3 @@ def control_windows_except(target_metric: str) -> List[ConditionWindow]:
         raise AnalysisError(f"unknown network metric {target_metric!r}")
     return [w for m, w in PAPER_CONTROL_WINDOWS.items() if m != target_metric]
 
-
-def apply_windows(
-    participants: Iterable[ParticipantRecord],
-    windows: Iterable[ConditionWindow],
-) -> List[ParticipantRecord]:
-    """Keep sessions inside every window."""
-    window_list = list(windows)
-    return [
-        p for p in participants if all(w.contains(p) for w in window_list)
-    ]

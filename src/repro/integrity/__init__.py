@@ -6,7 +6,7 @@ package is the defense in four layers:
 
 * :mod:`~repro.integrity.estimators` — robust aggregates (trimmed /
   winsorized mean, median-of-means) with a documented breakdown-point
-  table, on both the record and the columnar path;
+  table, over the columnar blocks;
 * :mod:`~repro.integrity.trust` — per-author / per-rater trust scores
   from duplicate-text fingerprinting, burst anomalies, template rings
   and rating-distribution tests, feeding aggregation weights;
@@ -27,9 +27,7 @@ from repro.integrity.estimators import (
     EstimatorInfo,
     median_of_means,
     robust_mos,
-    robust_mos_columns,
     robust_polarity,
-    robust_polarity_columns,
     trimmed_mean,
     winsorized_mean,
 )
@@ -49,9 +47,7 @@ from repro.integrity.trust import (
     contamination_estimate,
     fraud_rating_mask,
     post_weights,
-    post_weights_columns,
     rated_weights,
-    rated_weights_columns,
     score_authors,
     score_raters,
     score_signal_units,
@@ -73,13 +69,9 @@ __all__ = [
     "median_of_means",
     "parse_stream_dicts",
     "post_weights",
-    "post_weights_columns",
     "rated_weights",
-    "rated_weights_columns",
     "robust_mos",
-    "robust_mos_columns",
     "robust_polarity",
-    "robust_polarity_columns",
     "run_integrity_soak",
     "score_authors",
     "score_raters",

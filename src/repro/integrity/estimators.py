@@ -4,8 +4,10 @@ The estimators themselves live in :mod:`repro.core.stats` (registered
 in the ``BinGrouping`` reducer table so every curve accepts them by
 name); this module applies them to the two aggregates the integrity
 soak defends — MOS over the rated sessions and mean sentiment polarity
-over a corpus — on **both** the record and the columnar path, with the
-same value ordering, so the two paths agree bit for bit.
+over a corpus.  Both read the columnar blocks
+(:mod:`repro.perf.columnar`) and accept whatever
+:func:`~repro.perf.columnar.participant_columns` /
+:func:`~repro.perf.columnar.corpus_columns` accept.
 
 ``ESTIMATORS`` is the documented breakdown-point table
 (``docs/integrity.md`` renders it): the contamination fraction each
@@ -28,15 +30,14 @@ from repro.core.stats import (
     winsorized_mean,
 )
 from repro.errors import AnalysisError
+from repro.perf.columnar import corpus_columns, participant_columns
 
 __all__ = [
     "ESTIMATORS",
     "EstimatorInfo",
     "median_of_means",
     "robust_mos",
-    "robust_mos_columns",
     "robust_polarity",
-    "robust_polarity_columns",
     "trimmed_mean",
     "winsorized_mean",
 ]
@@ -93,31 +94,15 @@ def robust_mos(
     statistic: str = "trimmed_mean",
     weights: Optional[Sequence[float]] = None,
 ) -> float:
-    """Aggregate the rated sessions' ratings — record-path reference.
+    """Aggregate the rated sessions' ratings.
 
-    ``weights`` (per rated session, in dataset order) selects the
-    trust-weighted variant: zero-weight sessions are excluded *before*
-    the reducer runs, which is how fraud-flagged raters drop out.
+    The block's ``rating`` column is NaN-sparse in session order, so the
+    finite subset is the rated sessions in dataset order.  ``weights``
+    (per rated session, in that order) selects the trust-weighted
+    variant: zero-weight sessions are excluded *before* the reducer
+    runs, which is how fraud-flagged raters drop out.
     """
-    ratings = np.array(
-        [float(p.rating) for p in dataset.participants()
-         if p.rating is not None],
-        dtype=float,
-    )
-    return _reduce(_apply_weights(ratings, weights), statistic)
-
-
-def robust_mos_columns(
-    cols,
-    statistic: str = "trimmed_mean",
-    weights: Optional[Sequence[float]] = None,
-) -> float:
-    """Columnar twin of :func:`robust_mos` — bit-identical by contract.
-
-    The block's ``rating`` column is NaN-sparse in session order, so
-    the finite subset is the record path's rated list exactly.
-    """
-    rating = np.asarray(cols.rating, dtype=float)
+    rating = participant_columns(dataset).rating
     ratings = rating[np.isfinite(rating)]
     return _reduce(_apply_weights(ratings, weights), statistic)
 
@@ -128,30 +113,9 @@ def robust_polarity(
     statistic: str = "trimmed_mean",
     weights: Optional[Sequence[float]] = None,
 ) -> float:
-    """Aggregate per-post sentiment polarity — record-path reference."""
-    from repro.nlp.sentiment import SentimentAnalyzer
-
-    analyzer = analyzer or SentimentAnalyzer()
-    posts = corpus.posts()
-    scores = analyzer.score_many(p.full_text for p in posts)
-    polarity = np.fromiter(
-        (s.polarity for s in scores), dtype=float, count=len(scores)
-    )
-    return _reduce(_apply_weights(polarity, weights), statistic)
-
-
-def robust_polarity_columns(
-    cols,
-    analyzer=None,
-    statistic: str = "trimmed_mean",
-    weights: Optional[Sequence[float]] = None,
-) -> float:
-    """Columnar twin of :func:`robust_polarity` via the sentiment block."""
-    block = cols.sentiment(analyzer)
-    return _reduce(
-        _apply_weights(np.asarray(block.polarity, dtype=float), weights),
-        statistic,
-    )
+    """Aggregate per-post sentiment polarity via the sentiment block."""
+    block = corpus_columns(corpus).sentiment(analyzer)
+    return _reduce(_apply_weights(block.polarity, weights), statistic)
 
 
 def _apply_weights(
@@ -161,8 +125,7 @@ def _apply_weights(
 
     Trust weights are currently binary in effect (suspect contributors
     get weight 0), so weighting composes with any reducer as a
-    pre-filter — which keeps the record/columnar equality contract
-    trivially intact.
+    pre-filter.
     """
     if weights is None:
         return values

@@ -19,14 +19,12 @@ all measured as deviation from the clean-run aggregate.  The contract
   at every ε **and** the naive mean broke the bound at the top ε (the
   attack was real and the defense held);
 * ``2`` — a trust-weighted aggregate escaped the bound (hard violation:
-  the defense failed);
+  the defense failed), or the stream boundary leaked a malformed record;
 * ``3`` — the naive mean never broke, or the trust layer flagged
   nothing under attack / flagged clean data (the experiment is not
   demonstrating anything — attack too weak or detection ineffective).
 
-Record- and columnar-path robust aggregates are equality-pinned inside
-the soak itself (exact ``==``, same discipline as ``test_columnar``),
-and the stream-boundary fault kind is exercised through
+The stream-boundary fault kind is exercised through
 :func:`~repro.integrity.online.parse_stream_dicts` so malformed and
 dropped records land in reason-bucketed quarantine counters.  Every
 number in :meth:`IntegritySoakReport.counters_dict` is a pure function
@@ -78,7 +76,6 @@ class EpsOutcome:
     polarity_trust: float
     polarity_naive_dev: float
     polarity_trust_dev: float
-    columnar_match: bool
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,6 @@ class IntegritySoakReport:
             )
             out[f"{tag}.polarity_naive"] = round(row.polarity_naive, 6)
             out[f"{tag}.polarity_trust"] = round(row.polarity_trust, 6)
-            out[f"{tag}.columnar_match"] = row.columnar_match
         return out
 
     def table(self) -> str:
@@ -209,24 +205,16 @@ def run_integrity_soak(
     contract.  Pure function of its arguments — byte-identical per seed.
     """
     from repro.errors import ConfigError
-    from repro.integrity.estimators import (
-        robust_mos,
-        robust_mos_columns,
-        robust_polarity,
-        robust_polarity_columns,
-    )
+    from repro.integrity.estimators import robust_mos, robust_polarity
     from repro.integrity.online import parse_stream_dicts
     from repro.integrity.trust import (
         contamination_estimate,
         post_weights,
-        post_weights_columns,
         rated_weights,
-        rated_weights_columns,
         score_authors,
         score_raters,
     )
     from repro.nlp.sentiment import SentimentAnalyzer
-    from repro.perf.columnar import CorpusColumns, ParticipantColumns
     from repro.resilience.faults import DataFaultSpec, FaultPlan
     from repro.social.corpus import CorpusConfig, CorpusGenerator
     from repro.telemetry.generator import CallDatasetGenerator, GeneratorConfig
@@ -290,24 +278,6 @@ def run_integrity_soak(
             tainted_corpus.corpus, analyzer, "mean", weights=pw
         )
 
-        # Record vs columnar equality pins (exact, not approximate).
-        pcols = ParticipantColumns.from_dataset(tainted_calls.dataset)
-        ccols = CorpusColumns.from_corpus(tainted_corpus.corpus)
-        columnar_match = (
-            robust_mos_columns(pcols, "mean") == mos_naive
-            and robust_mos_columns(pcols, "trimmed_mean") == mos_trimmed
-            and robust_mos_columns(
-                pcols, "mean",
-                weights=rated_weights_columns(pcols, rater_scores),
-            ) == mos_trust
-            and robust_polarity_columns(ccols, analyzer, "mean")
-            == polarity_naive
-            and robust_polarity_columns(
-                ccols, analyzer, "mean",
-                weights=post_weights_columns(ccols, author_scores),
-            ) == polarity_trust
-        )
-
         n_rated = int(rating_weights.shape[0])
         row = EpsOutcome(
             eps=eps,
@@ -332,7 +302,6 @@ def run_integrity_soak(
             polarity_trust=polarity_trust,
             polarity_naive_dev=polarity_naive - clean_polarity,
             polarity_trust_dev=polarity_trust - clean_polarity,
-            columnar_match=columnar_match,
         )
         rows.append(row)
 
@@ -345,11 +314,6 @@ def run_integrity_soak(
             violations.append(
                 f"eps={eps:g}: trust-weighted polarity deviated "
                 f"{row.polarity_trust_dev:+.4f} (bound {polarity_bound})"
-            )
-        if not columnar_match:
-            violations.append(
-                f"eps={eps:g}: record and columnar robust aggregates "
-                f"disagree"
             )
         if eps == 0.0:
             if row.rating_contamination > FALSE_POSITIVE_TOLERANCE:

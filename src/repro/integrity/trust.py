@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.signals import SignalSeries
 from repro.core.stats import unique_counts
+from repro.perf.columnar import corpus_columns, participant_columns
 
 __all__ = [
     "SignalUnitScores",
@@ -38,9 +39,7 @@ __all__ = [
     "contamination_estimate",
     "fraud_rating_mask",
     "post_weights",
-    "post_weights_columns",
     "rated_weights",
-    "rated_weights_columns",
     "score_authors",
     "score_raters",
     "score_signal_units",
@@ -322,29 +321,24 @@ def _weights_for(units, scores: Dict[str, TrustScore]) -> np.ndarray:
 
 
 def post_weights(corpus, scores: Dict[str, TrustScore]) -> np.ndarray:
-    """Per-post trust weights, in corpus (created-time) order."""
-    return _weights_for([p.author for p in corpus.posts()], scores)
+    """Per-post trust weights, in corpus (created-time) order.
 
-
-def post_weights_columns(cols, scores: Dict[str, TrustScore]) -> np.ndarray:
-    """Columnar twin of :func:`post_weights` via the author column."""
-    return _weights_for(list(cols.author), scores)
+    ``corpus`` is anything :func:`~repro.perf.columnar.corpus_columns`
+    accepts; the weights are read off its author column.
+    """
+    return _weights_for(corpus_columns(corpus).author, scores)
 
 
 def rated_weights(dataset, scores: Dict[str, TrustScore]) -> np.ndarray:
-    """Per-rated-session trust weights, in dataset session order."""
-    return _weights_for(
-        [p.user_id for p in dataset.participants() if p.rating is not None],
-        scores,
-    )
+    """Per-rated-session trust weights, in dataset session order.
 
-
-def rated_weights_columns(cols, scores: Dict[str, TrustScore]) -> np.ndarray:
-    """Columnar twin of :func:`rated_weights` via the rating mask."""
-    rating = np.asarray(cols.rating, dtype=float)
-    rated = np.flatnonzero(np.isfinite(rating))
-    units = [cols.user_id[int(i)] for i in rated]
-    return _weights_for(units, scores)
+    ``dataset`` is anything :func:`~repro.perf.columnar.participant_columns`
+    accepts; the rated sessions are the finite rows of its ``rating``
+    column.
+    """
+    cols = participant_columns(dataset)
+    rated = np.flatnonzero(np.isfinite(cols.rating))
+    return _weights_for([cols.user_id[i] for i in rated.tolist()], scores)
 
 
 def fraud_rating_mask(cols, scores: Dict[str, TrustScore]) -> np.ndarray:

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.errors import ExtractionError
 from repro.nlp.lexicon import INTENSIFIERS, NEGATORS, VALENCES
@@ -204,20 +202,3 @@ class SentimentAnalyzer:
                 memo.move_to_end(text)
             out.append(scores)
         return out
-
-    def score_columns(
-        self, texts: Sequence[str]
-    ) -> Tuple[List[SentimentScores], np.ndarray, np.ndarray, np.ndarray]:
-        """Score a batch and return the scores as float64 columns too.
-
-        Feeds the columnar corpus block
-        (:class:`repro.perf.columnar.SentimentBlock`): the score objects
-        plus ``(positive, negative, neutral)`` arrays carrying the exact
-        same floats, scored once via :meth:`score_many`.
-        """
-        scores = self.score_many(texts)
-        n = len(scores)
-        positive = np.fromiter((s.positive for s in scores), dtype=float, count=n)
-        negative = np.fromiter((s.negative for s in scores), dtype=float, count=n)
-        neutral = np.fromiter((s.neutral for s in scores), dtype=float, count=n)
-        return scores, positive, negative, neutral

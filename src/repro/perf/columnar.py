@@ -10,8 +10,9 @@ engagement curve, signal export and timeline reads contiguous arrays
 with zero per-record ``getattr`` loops.
 
 The contract (property-tested in ``tests/perf/test_columnar.py``): the
-columns are the *same* float64 values the records carry, so any analysis
-rewired on top of them is float-for-float identical to the record path.
+columns are the *same* float64 values the records carry, so every
+analysis built on them is float-for-float identical to a record-at-a-time
+loop over the same records (kept in ``tests/`` as oracles).
 See ``docs/performance.md`` §6 for the cache-key contract.
 """
 
@@ -144,8 +145,8 @@ class ParticipantColumns:
             raise SchemaError(f"no aggregate {name!r}/{stat!r}") from None
 
     def engagement_values(self, name: str) -> np.ndarray:
-        """Engagement column; ``dropped_early`` maps to 0/100 like the
-        record path's ``100.0 * float(p.dropped_early)``."""
+        """Engagement column; ``dropped_early`` maps to 0/100, i.e.
+        ``100.0 * float(p.dropped_early)`` per record."""
         if name == "dropped_early":
             return self.dropped_early * 100.0
         if name not in ENGAGEMENT_METRICS:
@@ -355,21 +356,31 @@ class SentimentBlock:
     """Per-post sentiment as columns, shared by every §4 analysis.
 
     ``scores`` keeps the exact :class:`SentimentScores` objects (for the
-    per-post dict the timeline exposes); the float64 columns hold the
-    identical values, so masks computed here match per-record property
-    checks bit for bit.
+    per-post dict the timeline exposes); the float64 columns are read
+    off them, so they hold the identical values and masks computed here
+    match per-record property checks bit for bit.
     """
 
     scores: List[SentimentScores]
-    positive: np.ndarray
-    negative: np.ndarray
-    neutral: np.ndarray
+    positive: np.ndarray = field(init=False)
+    negative: np.ndarray = field(init=False)
+    neutral: np.ndarray = field(init=False)
     strong_positive: np.ndarray = field(init=False)
     strong_negative: np.ndarray = field(init=False)
     negative_dominant: np.ndarray = field(init=False)
     polarity: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        n = len(self.scores)
+        self.positive = np.fromiter(
+            (s.positive for s in self.scores), dtype=float, count=n
+        )
+        self.negative = np.fromiter(
+            (s.negative for s in self.scores), dtype=float, count=n
+        )
+        self.neutral = np.fromiter(
+            (s.neutral for s in self.scores), dtype=float, count=n
+        )
         # Same comparisons as SentimentScores.is_strong_* and the outage
         # monitor's `negative <= max(positive, neutral)` reject filter.
         self.strong_positive = self.positive >= STRONG_THRESHOLD
@@ -435,21 +446,23 @@ class CorpusColumns:
             )
         self.posts = list(posts)
 
-    def sentiment(self, analyzer: Optional[SentimentAnalyzer] = None) -> SentimentBlock:
+    def sentiment(self, analyzer: Optional[Any] = None) -> SentimentBlock:
         """Score every post once and share the block.
 
         With the default analyzer (``None``) the block is memoized on
         this object, so the timeline, the outage monitor, the fulcrum
         and the USaaS social export all reuse one scoring pass.  An
-        explicit analyzer scores fresh (it may be configured differently).
+        explicit analyzer — anything with ``score_many``, such as a
+        configured :class:`SentimentAnalyzer` or a fallback chain —
+        scores fresh.
         """
         if analyzer is None:
             if self._sentiment is None:
                 self._sentiment = SentimentBlock(
-                    *SentimentAnalyzer().score_columns(self.full_text)
+                    SentimentAnalyzer().score_many(self.full_text)
                 )
             return self._sentiment
-        return SentimentBlock(*analyzer.score_columns(self.full_text))
+        return SentimentBlock(analyzer.score_many(self.full_text))
 
     # -- construction ----------------------------------------------------
 

@@ -7,9 +7,9 @@ three layers:
 * :mod:`repro.prediction.model` — :class:`ColumnarMosPredictor`, ridge
   regression trained on the sparse ``rating`` column of a
   :class:`~repro.perf.columnar.ParticipantColumns` block and predicting
-  for every row in one vectorized call, byte-identical to the
-  record-based :class:`~repro.engagement.predictor.MosPredictor`
-  reference;
+  for every row in one vectorized call, plus the held-out evaluators
+  :func:`kfold_evaluate` / :func:`train_test_evaluate`, which take
+  participant records;
 * :mod:`repro.prediction.emodel` — the vectorized E-model prior
   (:func:`emodel_prior_mos`), the deadline-pressure fallback that needs
   no training and no engagement features;
@@ -32,7 +32,15 @@ drives the serving path under deterministic overload on a
 from repro.prediction.coalescer import CoalescerConfig, PredictionCoalescer
 from repro.prediction.emodel import emodel_prior_from_arrays, emodel_prior_mos
 from repro.prediction.evaluate import GroundTruthReport, evaluate_ground_truth
-from repro.prediction.model import ColumnarMosPredictor
+from repro.prediction.model import (
+    ALL_FEATURES,
+    ENGAGEMENT_FEATURES,
+    NETWORK_FEATURES,
+    ColumnarMosPredictor,
+    PredictionReport,
+    kfold_evaluate,
+    train_test_evaluate,
+)
 from repro.prediction.service import (
     MosPredictionAnswer,
     PredictionCostModel,
@@ -45,6 +53,9 @@ from repro.prediction.soak import (
 )
 
 __all__ = [
+    "ALL_FEATURES",
+    "ENGAGEMENT_FEATURES",
+    "NETWORK_FEATURES",
     "CoalescerConfig",
     "ColumnarMosPredictor",
     "GroundTruthReport",
@@ -52,10 +63,13 @@ __all__ = [
     "PredictionCoalescer",
     "PredictionCostModel",
     "PredictionEngine",
+    "PredictionReport",
     "PredictionSoakReport",
     "emodel_prior_from_arrays",
     "emodel_prior_mos",
     "evaluate_ground_truth",
+    "kfold_evaluate",
     "run_prediction_soak",
     "synthetic_prediction_server",
+    "train_test_evaluate",
 ]

@@ -1,49 +1,68 @@
-"""Columnar ridge regression for MOS, byte-identical to the record path.
+"""§5's MOS predictor: ridge regression from engagement + network columns.
 
-:class:`ColumnarMosPredictor` is the training/inference half of the
-prediction tentpole: it fits the same standardised ridge model as
-:class:`repro.engagement.predictor.MosPredictor` but reads its features
-straight out of a :class:`~repro.perf.columnar.ParticipantColumns`
-block — network aggregates via :meth:`ParticipantColumns.metric` and
-engagement percentages via the block's attribute arrays — so neither
-training nor inference ever touches a record object.
+The paper mentions (*"omitted for brevity"*) using AI/ML to predict MOS
+from user engagement and network conditions — the piece that lets USaaS
+turn abundant implicit signals into the sparse explicit metric every
+stakeholder already understands.  :class:`ColumnarMosPredictor` is that
+model: ridge regression with standardised features (closed-form, numpy
+only), fitted on the sparse ``rating`` column of a
+:class:`~repro.perf.columnar.ParticipantColumns` block and predicting
+for every row in one vectorized call.  Network aggregates come from
+:meth:`ParticipantColumns.metric` and engagement percentages from the
+block's attribute arrays, so neither training nor inference touches a
+record object.
 
-Equivalence is a hard contract, pinned the way ``test_columnar.py``
-pins the analysis paths: the design matrix is assembled with the exact
-same numpy construction as the record reference (a ``(k, n)``
-C-contiguous stack of feature columns, transposed), the rated-row
-filter selects the same rows in the same order as the reference's
-``p.rating is not None`` list comprehension, and the normal-equation
-solve runs the identical op sequence.  Weights and predictions are
-therefore ``tobytes``-identical, not merely close — which is what lets
-the serving layer swap the columnar engine in without changing a single
-answer.
+The design matrix is a ``(k, n)`` C-contiguous stack of feature columns,
+transposed, and the normal-equation solve is one fixed op sequence, so
+results are a pure function of the rows and their order.
+``tests/prediction/test_model.py`` pins weights and predictions
+``tobytes``-equal to a record-at-a-time oracle.
 
-Column *extraction* is zero-copy (the feature arrays are the block's
-own buffers); only the final stack into the design matrix copies, which
-BLAS needs anyway.
+:func:`kfold_evaluate` and :func:`train_test_evaluate` grade the model
+on held-out ratings, comparing a network-only feature set against
+network+engagement to quantify how much signal the user actions add.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engagement.predictor import ALL_FEATURES, NETWORK_FEATURES
+from repro.core.stats import pearson
 from repro.errors import AnalysisError, InsufficientRatingsError
-from repro.perf.columnar import ParticipantColumns
+from repro.perf.columnar import ParticipantColumns, participant_columns
+from repro.rng import derive
+from repro.telemetry.schema import (
+    ENGAGEMENT_METRICS,
+    NETWORK_METRICS,
+    ParticipantRecord,
+)
+
+NETWORK_FEATURES: Tuple[str, ...] = NETWORK_METRICS
+ENGAGEMENT_FEATURES: Tuple[str, ...] = ENGAGEMENT_METRICS
+ALL_FEATURES: Tuple[str, ...] = NETWORK_FEATURES + ENGAGEMENT_FEATURES
+
+
+@dataclass(frozen=True)
+class PredictionReport:
+    """Held-out evaluation of a fitted predictor."""
+
+    mae: float
+    rmse: float
+    correlation: float
+    n_train: int
+    n_test: int
+    features: Tuple[str, ...]
 
 
 class ColumnarMosPredictor:
     """Ridge regression from columnar session features to the 1–5 rating.
 
-    Mirrors :class:`~repro.engagement.predictor.MosPredictor` exactly —
-    same features, same ``l2``, same standardisation, same closed-form
-    solve — but fits and predicts on column blocks.  ``fit_columns`` on
-    a block built from a record dataset yields ``tobytes``-identical
-    weights to the record reference fitted on the same sessions, and
-    ``predict_columns`` yields ``tobytes``-identical predictions.
+    Features are standardised on the training rows; the closed-form
+    solution ``(X'X + lambda I)^-1 X'y`` keeps the implementation free of
+    external ML dependencies.
     """
 
     def __init__(
@@ -85,11 +104,10 @@ class ColumnarMosPredictor:
         cols: ParticipantColumns,
         rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        # Identical construction to the record reference: stack the k
-        # feature columns into a (k, n) C-contiguous array, then view it
-        # transposed.  Keeping the construction (not just the values)
-        # identical is what makes the downstream reductions and BLAS
-        # calls bit-for-bit reproducible against the record path.
+        # Stack the k feature columns into a (k, n) C-contiguous array,
+        # then view it transposed.  The construction (not just the
+        # values) fixes the downstream reductions and BLAS calls, which
+        # is what keeps fits bit-for-bit reproducible.
         columns = []
         for name in self._features:
             col = self._feature_column(cols, name)
@@ -167,3 +185,92 @@ class ColumnarMosPredictor:
         if not self.is_fitted:
             raise AnalysisError("predictor is not fitted")
         return dict(zip(self._features, (float(w) for w in self._weights)))
+
+
+def _report(
+    predictions: np.ndarray,
+    actual: np.ndarray,
+    n_train: int,
+    features: Sequence[str],
+) -> PredictionReport:
+    errors = predictions - actual
+    correlation = pearson(predictions, actual) if len(actual) >= 2 else 0.0
+    return PredictionReport(
+        mae=float(np.abs(errors).mean()),
+        rmse=float(np.sqrt((errors**2).mean())),
+        correlation=correlation,
+        n_train=n_train,
+        n_test=len(actual),
+        features=tuple(features),
+    )
+
+
+def kfold_evaluate(
+    sessions: Iterable[ParticipantRecord],
+    features: Sequence[str] = ALL_FEATURES,
+    k: int = 5,
+    l2: float = 1.0,
+    seed: int = 0,
+) -> PredictionReport:
+    """K-fold cross-validated evaluation (pooled out-of-fold predictions).
+
+    More stable than a single split for the modest rated-session counts
+    realistic sampling rates produce.  The fold assignment comes from
+    the ``derive(seed, "predictor", "kfold")`` substream, so a given
+    seed yields a byte-identical split (and report) across runs and
+    across worker counts — the same discipline every other seeded path
+    in the repo follows.  Each fold trains on a block of the remaining
+    rated sessions in their original order and predicts a block of the
+    fold's sessions in fold order.
+    """
+    if k < 2:
+        raise AnalysisError("k must be >= 2")
+    rated = [p for p in sessions if p.rating is not None]
+    if len(rated) < 4 * k:
+        raise InsufficientRatingsError(len(rated), 4 * k)
+    rng = derive(seed, "predictor", "kfold")
+    order = rng.permutation(len(rated))
+    folds = np.array_split(order, k)
+
+    predictions = np.empty(len(rated))
+    for fold in folds:
+        test_idx = set(fold.tolist())
+        train = [p for i, p in enumerate(rated) if i not in test_idx]
+        model = ColumnarMosPredictor(features=features, l2=l2)
+        model.fit_columns(participant_columns(train))
+        test = [rated[i] for i in fold.tolist()]
+        predictions[fold] = model.predict_columns(participant_columns(test))
+
+    actual = np.array([float(p.rating) for p in rated])
+    return _report(predictions, actual, len(rated) - len(folds[0]), features)
+
+
+def train_test_evaluate(
+    sessions: Iterable[ParticipantRecord],
+    features: Sequence[str] = ALL_FEATURES,
+    test_share: float = 0.3,
+    l2: float = 1.0,
+    seed: int = 0,
+) -> PredictionReport:
+    """Split the rated sessions, fit, and evaluate on the held-out part.
+
+    The split comes from the ``derive(seed, "predictor", "split")``
+    substream, so it is byte-identical across runs and worker counts.
+    Both halves keep the permutation's row order.
+    """
+    if not 0 < test_share < 1:
+        raise AnalysisError("test_share must be in (0, 1)")
+    rated = [p for p in sessions if p.rating is not None]
+    if len(rated) < 20:
+        raise InsufficientRatingsError(len(rated), 20)
+    rng = derive(seed, "predictor", "split")
+    order = rng.permutation(len(rated)).tolist()
+    n_test = max(1, int(len(rated) * test_share))
+    test = [rated[i] for i in order[:n_test]]
+    train = [rated[i] for i in order[n_test:]]
+
+    model = ColumnarMosPredictor(features=features, l2=l2)
+    model.fit_columns(participant_columns(train))
+    predictions = model.predict_columns(participant_columns(test))
+    actual = np.array([float(p.rating) for p in test])
+    return _report(predictions, actual, len(train), features)

@@ -119,7 +119,7 @@ def starlink_report(corpus, n_peaks: int = 3) -> str:
     ))
 
     lines += _section("Outage-keyword monitor (Fig. 6)")
-    outages = outage_keyword_series(corpus, scores=timeline.scores)
+    outages = outage_keyword_series(corpus)
     rows = [[str(d), int(v)] for d, v in outages.top_spike_days(3)]
     lines.append(format_table(["day", "keyword occurrences"], rows))
 
@@ -133,8 +133,7 @@ def starlink_report(corpus, n_peaks: int = 3) -> str:
             f"{100 * track.max_subsample_deviation():.1f}%."
         )
         try:
-            fulcrum = pos_vs_speed(corpus, track.median,
-                                   scores=timeline.scores)
+            fulcrum = pos_vs_speed(corpus, track.median)
             lines.append(
                 f"corr(Pos, speed) = {fulcrum.correlation():+.2f}"
             )

@@ -36,14 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError, QueryRejectedError
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.clock import Clock, ManualClock
 from repro.serving.admission import Ticket
 from repro.serving.hashring import HashRing
-from repro.serving.server import QueryOutcome, ServingMetrics, UsaasServer
+from repro.serving.server import (
+    QueryOutcome,
+    ServingMetrics,
+    UsaasServer,
+    _percentile,
+)
 
 
 @dataclass(frozen=True)
@@ -290,12 +293,6 @@ class ClusterMetrics:
             if i == 0:
                 lines.append("  ".join("-" * w for w in widths))
         return "\n".join(lines)
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    if not values:
-        return None
-    return round(float(np.percentile(np.asarray(values, dtype=float), q)), 9)
 
 
 class UsaasCluster:

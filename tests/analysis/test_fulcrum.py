@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.fulcrum import pos_vs_speed
-from repro.analysis.sentiment_timeline import sentiment_timeline
 from repro.analysis.speed_tracker import track_speeds
 from repro.errors import AnalysisError
 
 
 @pytest.fixture(scope="module")
 def fulcrum(full_corpus):
-    timeline = sentiment_timeline(full_corpus)
     track = track_speeds(full_corpus)
-    return pos_vs_speed(full_corpus, track.median, scores=timeline.scores)
+    return pos_vs_speed(full_corpus, track.median)
 
 
 class TestPosVsSpeed:

@@ -16,7 +16,7 @@ def scored(full_corpus):
 
 @pytest.fixture(scope="module")
 def series(full_corpus, scored):
-    return outage_keyword_series(full_corpus, scores=scored.scores)
+    return outage_keyword_series(full_corpus)
 
 
 class TestOutageSeries:
@@ -40,10 +40,8 @@ class TestOutageSeries:
         assert len(transients) > 50
 
     def test_negative_filter_reduces_counts(self, full_corpus, scored):
-        filtered = outage_keyword_series(full_corpus, scores=scored.scores,
-                                         negative_only=True)
-        unfiltered = outage_keyword_series(full_corpus, scores=scored.scores,
-                                           negative_only=False)
+        filtered = outage_keyword_series(full_corpus, negative_only=True)
+        unfiltered = outage_keyword_series(full_corpus, negative_only=False)
         assert unfiltered.occurrences.values.sum() > (
             filtered.occurrences.values.sum()
         )

@@ -8,10 +8,11 @@ from repro.engagement.cohort import (
     PAPER_CONTROL_WINDOWS,
     CohortFilter,
     ConditionWindow,
-    apply_windows,
     control_windows_except,
 )
 from repro.errors import AnalysisError
+from repro.perf.columnar import participant_columns
+from tests.engagement.oracle import apply_windows
 from tests.telemetry.test_schema import network_agg, participant
 
 
@@ -92,3 +93,7 @@ class TestApplyWindows:
         assert len(kept) == 1
         tight = [ConditionWindow("latency_ms", 0, 5)]
         assert apply_windows([participant()], tight) == []
+        # The columnar mask the curves use agrees with the oracle.
+        cols = participant_columns([participant()])
+        assert cols.window_mask(windows).tolist() == [True]
+        assert cols.window_mask(tight).tolist() == [False]

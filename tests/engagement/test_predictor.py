@@ -1,53 +1,59 @@
 """Tests for the §5 MOS predictor."""
 
-import numpy as np
 import pytest
 
-from repro.engagement.predictor import (
+from repro.errors import AnalysisError
+from repro.perf.columnar import participant_columns
+from repro.prediction import (
     ALL_FEATURES,
     NETWORK_FEATURES,
-    MosPredictor,
+    ColumnarMosPredictor,
     train_test_evaluate,
 )
-from repro.errors import AnalysisError
 
 
 class TestMosPredictor:
     def test_fit_predict_in_range(self, small_dataset):
-        rated = small_dataset.rated_participants()
-        model = MosPredictor().fit(rated)
-        predictions = model.predict(rated)
+        rated = participant_columns(small_dataset.rated_participants())
+        model = ColumnarMosPredictor().fit_columns(rated)
+        predictions = model.predict_columns(rated)
         assert (predictions >= 1).all() and (predictions <= 5).all()
 
     def test_unfitted_predict_raises(self, small_dataset):
         with pytest.raises(AnalysisError):
-            MosPredictor().predict(list(small_dataset.participants())[:3])
+            ColumnarMosPredictor().predict_columns(
+                participant_columns(list(small_dataset.participants())[:3])
+            )
 
     def test_weights_exposed(self, small_dataset):
-        model = MosPredictor().fit(small_dataset.rated_participants())
+        model = ColumnarMosPredictor().fit_columns(
+            participant_columns(small_dataset.rated_participants())
+        )
         weights = model.weights()
         assert set(weights) == set(ALL_FEATURES)
 
     def test_rejects_unknown_feature(self):
         with pytest.raises(AnalysisError):
-            MosPredictor(features=["shoe_size"])
+            ColumnarMosPredictor(features=["shoe_size"])
 
     def test_rejects_empty_features(self):
         with pytest.raises(AnalysisError):
-            MosPredictor(features=[])
+            ColumnarMosPredictor(features=[])
 
     def test_rejects_negative_l2(self):
         with pytest.raises(AnalysisError):
-            MosPredictor(l2=-1)
+            ColumnarMosPredictor(l2=-1)
 
     def test_needs_enough_rated_sessions(self, small_dataset):
         rated = small_dataset.rated_participants()[:3]
         with pytest.raises(AnalysisError):
-            MosPredictor().fit(rated)
+            ColumnarMosPredictor().fit_columns(participant_columns(rated))
 
     def test_predict_empty_returns_empty(self, small_dataset):
-        model = MosPredictor().fit(small_dataset.rated_participants())
-        assert model.predict([]).shape == (0,)
+        model = ColumnarMosPredictor().fit_columns(
+            participant_columns(small_dataset.rated_participants())
+        )
+        assert model.predict_columns(participant_columns([])).shape == (0,)
 
 
 class TestTrainTestEvaluate:

@@ -14,13 +14,16 @@ from repro.integrity import (
     ESTIMATORS,
     median_of_means,
     robust_mos,
-    robust_mos_columns,
     robust_polarity,
-    robust_polarity_columns,
     trimmed_mean,
     winsorized_mean,
 )
 from repro.rng import derive
+from tests.integrity.oracle import (
+    rated_weights_records,
+    robust_mos_records,
+    robust_polarity_records,
+)
 
 SEEDS = (101, 202, 303)
 
@@ -100,7 +103,7 @@ class TestEstimatorTable:
 
 
 class TestRecordColumnarEquality:
-    """The soak pins these per ε; here they are pinned in isolation."""
+    """The soak test pins these per ε; here they are pinned in isolation."""
 
     @pytest.mark.parametrize("statistic",
                              ["mean", "trimmed_mean", "median_of_means"])
@@ -108,9 +111,9 @@ class TestRecordColumnarEquality:
         from repro.perf.columnar import ParticipantColumns
 
         cols = ParticipantColumns.from_dataset(small_dataset)
-        assert robust_mos(small_dataset, statistic) == robust_mos_columns(
-            cols, statistic
-        )
+        expected = robust_mos_records(small_dataset, statistic)
+        assert robust_mos(cols, statistic) == expected
+        assert robust_mos(small_dataset, statistic) == expected
 
     def test_polarity_paths_agree_exactly(self, small_corpus):
         from repro.nlp.sentiment import SentimentAnalyzer
@@ -118,21 +121,27 @@ class TestRecordColumnarEquality:
 
         analyzer = SentimentAnalyzer()
         cols = CorpusColumns.from_corpus(small_corpus)
-        assert robust_polarity(
+        expected = robust_polarity_records(
             small_corpus, analyzer, "trimmed_mean"
-        ) == robust_polarity_columns(cols, analyzer, "trimmed_mean")
+        )
+        assert robust_polarity(cols, analyzer, "trimmed_mean") == expected
+        assert robust_polarity(small_corpus, None, "trimmed_mean") == expected
 
     def test_weighted_paths_agree_exactly(self, small_dataset):
-        from repro.integrity import rated_weights, rated_weights_columns, score_raters
+        from repro.integrity import rated_weights, score_raters
         from repro.perf.columnar import ParticipantColumns
 
         scores = score_raters(small_dataset)
         cols = ParticipantColumns.from_dataset(small_dataset)
+        weights = rated_weights(cols, scores)
+        assert weights.tobytes() == rated_weights_records(
+            small_dataset, scores
+        ).tobytes()
         assert robust_mos(
+            cols, "mean", weights=weights,
+        ) == robust_mos_records(
             small_dataset, "mean",
-            weights=rated_weights(small_dataset, scores),
-        ) == robust_mos_columns(
-            cols, "mean", weights=rated_weights_columns(cols, scores)
+            weights=rated_weights_records(small_dataset, scores),
         )
 
 

@@ -4,17 +4,30 @@ Small scale (120 calls, 2 corpus weeks) keeps the sweep fast; the CLI
 defaults run the full grid.
 """
 
+import datetime as dt
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.integrity import run_integrity_soak
+from repro.integrity import run_integrity_soak, score_authors, score_raters
+from repro.nlp.sentiment import SentimentAnalyzer
+from repro.resilience.faults import DataFaultSpec, FaultPlan
+from repro.social.corpus import CorpusConfig, CorpusGenerator
+from repro.telemetry.generator import CallDatasetGenerator, GeneratorConfig
+from tests.integrity.oracle import (
+    post_weights_records,
+    rated_weights_records,
+    robust_mos_records,
+    robust_polarity_records,
+)
 
+SEED = 20231128
 SOAK_KW = dict(n_calls=120, mos_sample_rate=0.3, corpus_weeks=2)
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_integrity_soak(seed=20231128, **SOAK_KW)
+    return run_integrity_soak(seed=SEED, **SOAK_KW)
 
 
 class TestContract:
@@ -42,7 +55,46 @@ class TestContract:
         assert clean.mos_naive_dev == 0.0
 
     def test_columnar_path_pinned_at_every_eps(self, report):
-        assert all(row.columnar_match for row in report.rows)
+        """Each row's aggregates equal the record oracles, exactly, on
+        the same seeded tainted inputs the soak built."""
+        dataset = CallDatasetGenerator(GeneratorConfig(
+            n_calls=SOAK_KW["n_calls"], seed=SEED,
+            mos_sample_rate=SOAK_KW["mos_sample_rate"],
+        )).generate()
+        start = dt.date(2021, 1, 1)
+        corpus = CorpusGenerator(CorpusConfig(
+            seed=SEED, span_start=start,
+            span_end=start + dt.timedelta(
+                days=7 * SOAK_KW["corpus_weeks"] - 1
+            ),
+        )).generate()
+        analyzer = SentimentAnalyzer()
+        for row in report.rows:
+            injector = FaultPlan(seed=SEED).data_faults(
+                f"eps-{row.eps:g}", DataFaultSpec(
+                    brigade_fraction=row.eps, fraud_fraction=row.eps,
+                    fraud_rating=1, drift_fraction=row.eps / 2,
+                ),
+            )
+            calls = injector.contaminate_calls(dataset).dataset
+            posts = injector.contaminate_corpus(corpus).corpus
+            raters = score_raters(calls)
+            authors = score_authors(posts.posts())
+            assert row.mos_naive == robust_mos_records(calls, "mean")
+            assert row.mos_trimmed == robust_mos_records(
+                calls, "trimmed_mean"
+            )
+            assert row.mos_mom == robust_mos_records(calls, "median_of_means")
+            assert row.mos_trust == robust_mos_records(
+                calls, "mean", weights=rated_weights_records(calls, raters)
+            )
+            assert row.polarity_naive == robust_polarity_records(
+                posts, analyzer, "mean"
+            )
+            assert row.polarity_trust == robust_polarity_records(
+                posts, analyzer, "mean",
+                weights=post_weights_records(posts, authors),
+            )
 
     def test_boundary_leaked_nothing(self, report):
         assert sum(report.boundary_quarantined.values()) > 0
@@ -54,7 +106,7 @@ class TestDeterminism:
     def test_counters_byte_identical_across_runs(self, report):
         import json
 
-        again = run_integrity_soak(seed=20231128, **SOAK_KW)
+        again = run_integrity_soak(seed=SEED, **SOAK_KW)
         assert json.dumps(
             report.counters_dict(), sort_keys=True
         ) == json.dumps(again.counters_dict(), sort_keys=True)

@@ -14,6 +14,7 @@ from repro.integrity import (
     text_fingerprint,
 )
 from repro.resilience.faults import DataFaultSpec, FaultPlan
+from tests.integrity.oracle import post_weights_records, rated_weights_records
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,9 @@ class TestWeights:
         assert weights.shape == (n_rated,)
         assert np.all((weights >= 0) & (weights <= 1))
         assert np.any(weights == 0.0)
+        assert weights.tobytes() == rated_weights_records(
+            fraud_calls.dataset, scores
+        ).tobytes()
 
     def test_post_weights_zero_for_ring(self, brigade_corpus):
         scores = score_authors(brigade_corpus.corpus.posts())
@@ -149,6 +153,9 @@ class TestWeights:
         for post, w in zip(posts, weights):
             if post.author in ring:
                 assert w == 0.0
+        assert weights.tobytes() == post_weights_records(
+            brigade_corpus.corpus, scores
+        ).tobytes()
 
     def test_unknown_units_default_to_full_trust(self, small_corpus_module):
         weights = post_weights(small_corpus_module, {})

@@ -1,12 +1,13 @@
 """Tier-1 equivalence contracts for the columnar query layer.
 
 The whole point of ``repro.perf.columnar`` is that it is a *pure*
-optimisation: every columnar read path must produce results
-float-for-float identical to its record-at-a-time reference
-implementation.  These tests pin that contract across seeds —
-``.tobytes()`` comparisons, not ``allclose`` — plus the serialization
-round trips, the artifact-cache integration, the shared sentiment
-block, and the min-work auto-serial heuristic's byte identity.
+optimisation: every analysis built on it must produce results
+float-for-float identical to the record-at-a-time loop it replaced,
+which lives on in ``tests/`` as an oracle.  These tests pin that
+contract across seeds — ``.tobytes()`` comparisons, not ``allclose`` —
+plus the serialization round trips, the artifact-cache integration, the
+shared sentiment block, and the min-work auto-serial heuristic's byte
+identity.
 """
 
 import datetime as dt
@@ -22,9 +23,7 @@ from repro.core.timeline import MonthlySeries
 from repro.core.usaas import (
     FallbackSentimentChain,
     social_signals,
-    social_signals_records,
     telemetry_signals,
-    telemetry_signals_records,
 )
 from repro.engagement import (
     DEFAULT_EDGES,
@@ -32,8 +31,7 @@ from repro.engagement import (
     curve_matrix,
     engagement_curve,
 )
-from repro.errors import SchemaError
-from repro.nlp.sentiment import SentimentAnalyzer
+from repro.errors import QueryError, SchemaError
 from repro.perf import ArtifactCache
 from repro.perf.columnar import (
     CorpusColumns,
@@ -44,22 +42,18 @@ from repro.perf.columnar import (
 from repro.social import CorpusConfig, CorpusGenerator
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
 from repro.telemetry.schema import ENGAGEMENT_METRICS
+from tests.analysis.oracle import (
+    outage_keyword_series_records,
+    pos_vs_speed_records,
+    sentiment_timeline_records,
+)
+from tests.engagement.oracle import engagement_curve_records
+from tests.usaas.oracle import (
+    social_signals_records,
+    telemetry_signals_records,
+)
 
 SEEDS = (101, 202, 303)
-
-
-class _RecordPathAnalyzer:
-    """Same scores as the default analyzer, but a different type — so
-    dispatchers must take their record-at-a-time reference path."""
-
-    def __init__(self):
-        self._inner = SentimentAnalyzer()
-
-    def score(self, text):
-        return self._inner.score(text)
-
-    def score_many(self, texts):
-        return self._inner.score_many(texts)
 
 #: 43 days — under the 200-day sharding floor, so a workers=2 corpus
 #: run must take the auto-serial path.
@@ -94,7 +88,7 @@ def _assert_curves_equal(a, b, label):
 
 
 class TestCurveBitIdentity:
-    """curve_matrix == engagement_curve == the record loop, bit for bit."""
+    """curve_matrix == engagement_curve == the record oracle, bit for bit."""
 
     def test_matrix_matches_per_curve_loop_across_seeds(self, datasets):
         windows = {m: control_windows_except(m) for m in DEFAULT_EDGES}
@@ -107,7 +101,7 @@ class TestCurveBitIdentity:
             )
             for nm in DEFAULT_EDGES:
                 for em in ENGAGEMENT_METRICS:
-                    ref = engagement_curve(
+                    ref = engagement_curve_records(
                         records, nm, em, DEFAULT_EDGES[nm],
                         control_windows=windows[nm], min_bin_count=5,
                     )
@@ -119,13 +113,16 @@ class TestCurveBitIdentity:
         ds = datasets[101]
         records = [p for call in ds for p in call.participants]
         for nm in ("latency_ms", "loss_pct"):
-            col = engagement_curve(
-                ds, nm, "mic_on_pct", DEFAULT_EDGES[nm]
-            )  # CallDataset -> columnar
-            rec = engagement_curve(
+            col = engagement_curve(ds, nm, "mic_on_pct", DEFAULT_EDGES[nm])
+            rec = engagement_curve_records(
                 records, nm, "mic_on_pct", DEFAULT_EDGES[nm]
-            )  # plain list -> record path
+            )
             _assert_curves_equal(col, rec, nm)
+            # A plain record list goes through participant_columns too.
+            listed = engagement_curve(
+                records, nm, "mic_on_pct", DEFAULT_EDGES[nm]
+            )
+            _assert_curves_equal(listed, rec, nm)
 
     def test_dropped_early_and_p95_agree(self, datasets):
         ds = datasets[202]
@@ -134,7 +131,7 @@ class TestCurveBitIdentity:
             ds, "jitter_ms", "dropped_early", DEFAULT_EDGES["jitter_ms"],
             network_stat="p95", statistic="median",
         )
-        rec = engagement_curve(
+        rec = engagement_curve_records(
             records, "jitter_ms", "dropped_early", DEFAULT_EDGES["jitter_ms"],
             network_stat="p95", statistic="median",
         )
@@ -145,14 +142,14 @@ class TestCurveBitIdentity:
         records = [p for call in ds for p in call.participants]
         matrix = curve_matrix(ds, {"latency_ms": DEFAULT_EDGES["latency_ms"]})
         for em in ENGAGEMENT_METRICS:
-            ref = engagement_curve(
+            ref = engagement_curve_records(
                 records, "latency_ms", em, DEFAULT_EDGES["latency_ms"]
             )
             _assert_curves_equal(matrix["latency_ms"][em], ref, em)
 
 
 class TestSignalEquivalence:
-    """Bulk columnar exports equal the record-loop reference, signal for
+    """Bulk columnar exports equal the record-loop oracle, signal for
     signal — same order, same kinds, same attrs."""
 
     def test_telemetry_signals_across_seeds(self, datasets):
@@ -181,29 +178,46 @@ class TestSignalEquivalence:
         )
         assert cols.rating[rated].tobytes() == expected.tobytes()
 
-    def test_network_of_falls_back_to_records(self, datasets):
+    def test_per_row_network_labels_match_records(self, datasets):
+        # The same mobile/fixed split, once as labels in
+        # participant_columns row order and once as the oracle's
+        # per-participant attribution function.
+        def split(platform):
+            return "mobile" if "mobile" in platform else "fixed"
+
+        for seed, ds in datasets.items():
+            labels = [split(p) for p in participant_columns(ds).platform]
+            col = telemetry_signals(ds, network=labels)
+            rec = telemetry_signals_records(
+                ds, network="", network_of=lambda p: split(p.platform)
+            )
+            assert list(col) == list(rec), f"seed={seed}"
+
+    def test_per_row_network_labels_must_cover_every_session(self, datasets):
         ds = datasets[101]
-        rec = telemetry_signals_records(
-            ds, network="", network_of=lambda p: p.platform
-        )
-        col = telemetry_signals(
-            ds, network="", network_of=lambda p: p.platform
-        )
-        assert list(col) == list(rec)
+        with pytest.raises(QueryError, match="labels for"):
+            telemetry_signals(ds, network=["starlink"])
 
     def test_social_signals_match_records(self, corpus):
         rec = social_signals_records(corpus, network="starlink")
         col = social_signals(corpus, network="starlink")
         assert list(col) == list(rec)
 
-    def test_social_custom_scorer_takes_record_path(self, corpus):
-        # FallbackSentimentChain only exposes .score; the dispatcher
-        # must not try to bulk-score through it — and the offline chain
-        # still produces the exact same signals.
-        chain = FallbackSentimentChain()
+    def test_fallback_chain_scores_through_columns(self, corpus):
+        # Every post falls back past a primary scorer that always
+        # raises, and the offline lexicon still produces the exact same
+        # signals as the default path, one fallback per post.
+        def down(text):
+            raise ConnectionError("sentiment API unreachable")
+
+        chain = FallbackSentimentChain(("hosted", down))
         rec = social_signals(corpus, network="starlink", analyzer=chain)
         col = social_signals(corpus, network="starlink")
         assert list(col) == list(rec)
+        assert chain.served_by == {
+            "hosted": 0, FallbackSentimentChain.OFFLINE: len(corpus)
+        }
+        assert chain.fallback_calls == len(corpus)
 
 
 class TestExtendColumns:
@@ -361,7 +375,7 @@ class TestSharedSentimentBlock:
 
     def test_timeline_matches_record_path(self, corpus):
         col = sentiment_timeline(corpus)
-        rec = sentiment_timeline(corpus, analyzer=_RecordPathAnalyzer())
+        rec = sentiment_timeline_records(corpus)
         assert (
             col.strong_positive.values.tobytes()
             == rec.strong_positive.values.tobytes()
@@ -373,10 +387,20 @@ class TestSharedSentimentBlock:
         assert col.scores == rec.scores
 
     def test_outage_series_matches_record_path(self, corpus):
-        col = outage_keyword_series(corpus)
-        rec = outage_keyword_series(
-            corpus, analyzer=FallbackSentimentChain()
-        )
+        rec = outage_keyword_series_records(corpus)
+        for analyzer in (None, FallbackSentimentChain()):
+            col = outage_keyword_series(corpus, analyzer=analyzer)
+            assert (
+                col.occurrences.values.tobytes()
+                == rec.occurrences.values.tobytes()
+            )
+            assert (
+                col.threads.values.tobytes() == rec.threads.values.tobytes()
+            )
+
+    def test_unfiltered_outage_series_matches_record_path(self, corpus):
+        col = outage_keyword_series(corpus, negative_only=False)
+        rec = outage_keyword_series_records(corpus, negative_only=False)
         assert (
             col.occurrences.values.tobytes()
             == rec.occurrences.values.tobytes()
@@ -387,11 +411,8 @@ class TestSharedSentimentBlock:
         speed = MonthlySeries.from_mapping(
             {(2022, 2): 100.0, (2022, 3): 90.0}
         )
-        timeline = sentiment_timeline(corpus)
         col = pos_vs_speed(corpus, speed, min_strong_posts=1)
-        rec = pos_vs_speed(
-            corpus, speed, scores=timeline.scores, min_strong_posts=1
-        )
+        rec = pos_vs_speed_records(corpus, speed, min_strong_posts=1)
         assert col.pos.values.tobytes() == rec.pos.values.tobytes()
 
 

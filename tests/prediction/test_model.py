@@ -1,20 +1,25 @@
-"""Columnar fit/predict must be byte-identical to the record reference."""
+"""Columnar fit/predict and the evaluators must equal the record oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engagement.predictor import (
+from repro.errors import AnalysisError, ConfigError, InsufficientRatingsError
+from repro.perf.columnar import ParticipantColumns, participant_columns
+from repro.prediction import (
     ALL_FEATURES,
-    MosPredictor,
+    NETWORK_FEATURES,
+    ColumnarMosPredictor,
     kfold_evaluate,
     train_test_evaluate,
 )
-from repro.errors import AnalysisError, ConfigError, InsufficientRatingsError
-from repro.perf.columnar import ParticipantColumns
-from repro.prediction import ColumnarMosPredictor
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+from tests.prediction.oracle import (
+    MosPredictor,
+    kfold_evaluate_records,
+    train_test_evaluate_records,
+)
 
 
 def _pair(seed):
@@ -107,6 +112,9 @@ class TestInsufficientRatings:
         parts = list(CallDatasetGenerator(config).generate().participants())
         with pytest.raises(InsufficientRatingsError):
             MosPredictor().fit(parts)
+        # Records routed through participant_columns hit the same floor.
+        with pytest.raises(InsufficientRatingsError):
+            ColumnarMosPredictor().fit_columns(participant_columns(parts))
 
 
 class TestSplitDeterminism:
@@ -126,3 +134,32 @@ class TestSplitDeterminism:
         b = train_test_evaluate(parts, seed=11)
         assert a == b
         assert a != train_test_evaluate(parts, seed=12)
+
+
+@pytest.fixture(scope="module")
+def sessions_by_seed():
+    return {seed: _pair(seed)[0] for seed in (101, 202, 303)}
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+@pytest.mark.parametrize("features", [ALL_FEATURES, NETWORK_FEATURES],
+                         ids=["all", "network"])
+@pytest.mark.parametrize("split_seed", [0, 11])
+class TestEvaluatorsMatchOracle:
+    """Each split's block keeps the record path's row order, so the
+    reports are ``==`` the oracle's — an order-changing block (e.g. an
+    ``exclude=`` mask over the full block) differs in the last ulp."""
+
+    def test_kfold(self, sessions_by_seed, seed, features, split_seed):
+        parts = sessions_by_seed[seed]
+        assert kfold_evaluate(
+            parts, features=features, seed=split_seed
+        ) == kfold_evaluate_records(parts, features=features, seed=split_seed)
+
+    def test_train_test(self, sessions_by_seed, seed, features, split_seed):
+        parts = sessions_by_seed[seed]
+        assert train_test_evaluate(
+            parts, features=features, seed=split_seed
+        ) == train_test_evaluate_records(
+            parts, features=features, seed=split_seed
+        )

@@ -198,7 +198,30 @@ class TestServingFlags:
         out = capsys.readouterr().out
         assert "exit codes: 0 = served" in out
         assert "2 = hard degradation" in out
+        assert "privacy floor" in out
         assert "deadline exceeded" in out
+
+    @pytest.mark.parametrize("serving", [[], ["--deadline-s", "300"]],
+                             ids=["direct", "serving"])
+    def test_privacy_floor_refusal_exits_2(self, calls_path, tmp_path,
+                                           capsys, serving):
+        # One call with three participants: the pool is below the
+        # 10-user floor however the query is served.
+        import json
+
+        for line in calls_path.read_text().splitlines():
+            if len(json.loads(line)["participants"]) == 3:
+                break
+        else:
+            pytest.fail("no three-participant call in the fixture")
+        one_call = tmp_path / "one_call.jsonl"
+        one_call.write_text(line + "\n")
+        code = main(["usaas", "--calls", str(one_call)] + serving)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("query refused: ")
+        assert "floor is 10" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestUsaasSoak:
@@ -437,7 +460,7 @@ class TestUsaasIntegritySoak:
         out = capsys.readouterr().out
         assert "exit codes: 0" in out
         assert "naive mean broke" in out
-        assert "columnar path diverged" in out
+        assert "stream boundary leaked" in out
 
 
 class TestUsaasPredict:

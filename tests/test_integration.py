@@ -23,7 +23,7 @@ from repro.core.usaas import (
     telemetry_signals,
 )
 from repro.engagement import CohortFilter, fig1_curves, mos_by_engagement
-from repro.engagement.predictor import train_test_evaluate
+from repro.prediction import train_test_evaluate
 
 
 class TestSection3Chain:
@@ -68,7 +68,7 @@ class TestSection4Chain:
         timeline = sentiment_timeline(small_corpus)
         assert len(timeline.scores) == len(small_corpus)
 
-        outages = outage_keyword_series(small_corpus, scores=timeline.scores)
+        outages = outage_keyword_series(small_corpus)
         # Both 2022 H1 headline outages visible.
         assert outages.occurrences[dt.date(2022, 1, 7)] > 0
         assert outages.occurrences[dt.date(2022, 4, 22)] > 0

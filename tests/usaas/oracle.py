@@ -1,12 +1,14 @@
-"""Record-at-a-time oracles for the columnar USaaS answer path.
+"""Record-at-a-time oracles for the columnar USaaS paths.
 
 These are the per-``Signal`` loops that ``SignalSeries``,
 ``BiasCorrector``, ``PrivacyGuard``, ``correlate_series``,
 ``score_signal_units`` and ``UsaasService`` ran before their reads moved
-onto columns.  They live here only so tests can pin the columnar
-results ``==`` against them; nothing in ``src/`` calls them.  Each one
-takes and returns plain lists of ``Signal`` objects, so no columnar
-code runs inside an oracle.
+onto columns, plus the per-record signal exports
+(:func:`telemetry_signals_records`, :func:`social_signals_records`) that
+``telemetry_signals`` / ``social_signals`` replaced.  They live here
+only so tests can pin the columnar results ``==`` against them; nothing
+in ``src/`` calls them.  Each one takes and returns plain records or
+lists of ``Signal`` objects, so no columnar code runs inside an oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +18,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.signals import Signal, SignalKind
+from repro.core.signals import (
+    ExplicitSignal,
+    ImplicitSignal,
+    Signal,
+    SignalKind,
+    SignalSeries,
+)
 from repro.core.stats import pearson, trimmed_mean
 from repro.core.usaas.correlator import CorrelationFinding
 from repro.core.usaas.insights import Insight, confidence_from
-from repro.core.usaas.privacy import PrivacyGuard, is_scrubbed
+from repro.core.usaas.privacy import PrivacyGuard, is_scrubbed, scrub_author
 from repro.core.usaas.query import UsaasQuery
 from repro.core.usaas.service import (
     ComparisonReport,
@@ -45,6 +53,74 @@ from repro.integrity.trust import (
     TrustScore,
     contamination_estimate,
 )
+from repro.nlp.sentiment import SentimentAnalyzer
+
+
+def telemetry_signals_records(
+    dataset, network: str, service: str = "teams", network_of=None
+) -> SignalSeries:
+    """Per-participant export; ``network_of(p)`` overrides ``network``."""
+    series = SignalSeries()
+    for call in dataset:
+        for p in call.participants:
+            net = network_of(p) if network_of is not None else network
+            author = scrub_author(p.user_id)
+            common = dict(
+                service=service,
+                platform=p.platform,
+                country=p.country,
+                user=author,
+            )
+            ts = call.start
+            series.append(ImplicitSignal(ts, net, "presence", p.presence_pct, **common))
+            series.append(ImplicitSignal(ts, net, "cam_on", p.cam_on_pct, **common))
+            series.append(ImplicitSignal(ts, net, "mic_on", p.mic_on_pct, **common))
+            series.append(
+                ImplicitSignal(ts, net, "drop_off", 100.0 * p.dropped_early, **common)
+            )
+            if p.rating is not None:
+                series.append(
+                    ExplicitSignal(ts, net, "rating", float(p.rating), **common)
+                )
+    return series
+
+
+def social_signals_records(
+    corpus,
+    network: str = "starlink",
+    analyzer=None,
+    service_of_topic=None,
+) -> SignalSeries:
+    """Per-post export, scoring each post with ``analyzer.score``."""
+    analyzer = analyzer or SentimentAnalyzer()
+    series = SignalSeries()
+    for post in corpus:
+        s = analyzer.score(post.full_text)
+        service = (service_of_topic or {}).get(post.topic)
+        series.append(
+            ExplicitSignal(
+                post.created,
+                network,
+                "sentiment_polarity",
+                s.polarity,
+                service=service,
+                weight=max(1.0, post.popularity),
+                user=scrub_author(post.author),
+                topic=post.topic,
+            )
+        )
+        if post.speed_test is not None:
+            series.append(
+                ExplicitSignal(
+                    post.created,
+                    network,
+                    "reported_downlink_mbps",
+                    post.speed_test.download_mbps,
+                    user=scrub_author(post.author),
+                    topic=post.topic,
+                )
+            )
+    return series
 
 
 def filter_records(

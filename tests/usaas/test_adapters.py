@@ -25,11 +25,12 @@ class TestTelemetrySignals:
         series = telemetry_signals(small_dataset, network="starlink")
         PrivacyGuard().assert_scrubbed(series)
 
-    def test_network_attribution_function(self, small_dataset):
-        series = telemetry_signals(
-            small_dataset, network="",
-            network_of=lambda p: "mobile" if "mobile" in p.platform else "fixed",
-        )
+    def test_network_attribution_per_row(self, small_dataset):
+        labels = [
+            "mobile" if "mobile" in p.platform else "fixed"
+            for p in small_dataset.participants()
+        ]
+        series = telemetry_signals(small_dataset, network=labels)
         assert len(series.filter(network="mobile")) > 0
         assert len(series.filter(network="fixed")) > 0
 
