@@ -166,6 +166,15 @@ def _timed_vec(fn: Callable[[], Any]) -> Dict[str, Any]:
     return best
 
 
+def _hold(name: str, verdict) -> None:
+    """Raise unless a soak report's verdict passed, with its lines."""
+    if verdict.exit_code:
+        raise AssertionError(
+            f"{name} soak exit {verdict.exit_code}: "
+            + "; ".join(verdict.lines)
+        )
+
+
 def run_perf_suite(
     scale: PerfScale,
     cache_root: Path,
@@ -436,14 +445,7 @@ def run_perf_suite(
 
     soak = _timed(soak_once)
     report = soak["value"]
-    if not report.accounted:
-        raise AssertionError(
-            "soak accounting violated: submitted != sum of terminal states"
-        )
-    if not report.drain.clean:
-        raise AssertionError(
-            f"soak drain left work behind: {report.drain.summary()}"
-        )
+    _hold("serving", report.verdict())
     results["serving_soak_wall_s"] = soak["seconds"]
     results["serving_arrivals_n"] = report.arrivals
     results["serving_served"] = report.served
@@ -502,16 +504,7 @@ def run_perf_suite(
 
     cluster_soak = _timed(cluster_soak_once)
     cluster_report = cluster_soak["value"]
-    if not cluster_report.accounted:
-        raise AssertionError(
-            "cluster soak accounting violated: the cluster-wide ledger "
-            "did not close exactly once per query"
-        )
-    if cluster_report.drain["leftover"]:
-        raise AssertionError(
-            f"cluster drain left {cluster_report.drain['leftover']} "
-            f"queries behind"
-        )
+    _hold("cluster", cluster_report.verdict())
     results["cluster_soak_wall_s"] = cluster_soak["seconds"]
     results["cluster_replicas_n"] = n_replicas
     results["cluster_arrivals_n"] = cluster_report.arrivals
@@ -550,17 +543,7 @@ def run_perf_suite(
         rate_per_s=stream_rate,
     ))
     stream_report = stream_soak["value"]
-    if not stream_report.ledger_closed:
-        raise AssertionError(
-            "stream soak accounting violated: the exactly-once ledger "
-            "did not close"
-        )
-    if stream_report.blind_rate > 0:
-        raise AssertionError(
-            f"stream soak detector blind: "
-            f"{stream_report.detected}/{len(stream_report.degradations)} "
-            f"injected degradations detected"
-        )
+    _hold("stream", stream_report.verdict())
     results["streaming_soak_wall_s"] = stream_soak["seconds"]
     results["streaming_deliveries_n"] = stream_report.n_deliveries
     results["streaming_records_per_wall_s"] = (
@@ -744,25 +727,11 @@ def run_perf_suite(
             )
             for i, t in enumerate(at_s)
         ]
-        return run_prediction_soak(server, arrivals), batch_cost
+        return run_prediction_soak(server, arrivals)
 
     soak_timing = _timed(prediction_soak_once)
-    prediction_report, batch_cost = soak_timing["value"]
-    if not prediction_report.accounted:
-        raise AssertionError(
-            "prediction soak accounting violated: submitted != sum of "
-            "terminal states"
-        )
-    if prediction_report.deadline_exceeded:
-        raise AssertionError(
-            f"{prediction_report.deadline_exceeded} prediction(s) were "
-            f"answered past their deadline instead of degrading"
-        )
-    if prediction_report.max_overrun_s > batch_cost:
-        raise AssertionError(
-            f"prediction answered {prediction_report.max_overrun_s:.4f}s "
-            f"over budget (> one batch cost {batch_cost:.4f}s)"
-        )
+    prediction_report = soak_timing["value"]
+    _hold("prediction", prediction_report.verdict())
     results["prediction_soak_wall_s"] = soak_timing["seconds"]
     results["prediction_soak_submitted"] = prediction_report.submitted
     results["prediction_soak_served"] = prediction_report.served

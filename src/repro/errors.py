@@ -55,6 +55,16 @@ class InsufficientRatingsError(ConfigError, AnalysisError):
         return (InsufficientRatingsError, (self.n_rated, self.n_required))
 
 
+class LedgerViolationError(ConfigError):
+    """An exactly-once ledger failed to close: an outcome was lost or
+    counted twice.
+
+    Raised by the server's double-account guard and by the cluster and
+    stream ledger checks.  It is a bug, not load, so each soak command
+    maps it to its documented accounting exit instead of a traceback.
+    """
+
+
 class QueryError(ReproError):
     """A USaaS query was malformed or referenced unknown signals."""
 

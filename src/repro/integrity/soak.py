@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.rng import DEFAULT_SEED, derive
+from repro.verdict import Verdict
 
 __all__ = ["EpsOutcome", "IntegritySoakReport", "run_integrity_soak"]
 
@@ -103,9 +104,12 @@ class IntegritySoakReport:
             return 3
         return 0
 
-    @property
-    def ok(self) -> bool:
-        return self.exit_code == 0
+    def verdict(self) -> Verdict:
+        """The exit code, with one stderr line per violation and miss."""
+        return Verdict(self.exit_code, tuple(
+            [f"integrity violation: {v}" for v in self.violations]
+            + [f"sweep ineffective: {miss}" for miss in self.ineffective]
+        ))
 
     def counters_dict(self) -> Dict[str, object]:
         """Flat, rounded, deterministic-per-seed counter map."""

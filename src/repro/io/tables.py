@@ -1,4 +1,4 @@
-"""ASCII table/series rendering for the benchmark harness.
+"""ASCII table/series rendering for the benchmarks and the CLI.
 
 Every benchmark prints the rows/series its paper figure reports; these
 helpers keep that output aligned and consistent.
@@ -43,6 +43,24 @@ def format_table(
     for row in row_list:
         lines.append("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def format_left_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[str]],
+) -> str:
+    """Left-aligned fixed-width table of string cells with a header rule.
+
+    The CLI / log layout of the serving, cluster, prediction and source
+    health tables: trailing blanks are stripped from every line.
+    """
+    lines = [tuple(headers)] + [tuple(row) for row in rows]
+    widths = [max(len(row[i]) for row in lines) for i in range(len(headers))]
+    lines.insert(1, tuple("-" * w for w in widths))
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in lines
+    )
 
 
 def format_series(

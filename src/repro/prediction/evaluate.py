@@ -13,12 +13,13 @@ the signed error columns reduce against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.stats import bin_grouping
 from repro.errors import AnalysisError
+from repro.io.tables import format_left_table
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,12 @@ class GroundTruthReport:
 
     def table(self) -> str:
         """Fixed-width per-platform error table (CLI / log friendly)."""
-        headers = ("platform", "mae", "bias", "n")
-        rows: List[Tuple[str, ...]] = [headers]
-        for p in self.per_platform + (
-            PlatformErrors("(all)", self.mae, self.bias, self.n),
-        ):
-            rows.append((
-                p.platform, f"{p.mae:.4f}", f"{p.bias:+.4f}", str(p.n),
-            ))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(
-                cell.ljust(widths[col]) for col, cell in enumerate(row)
-            ).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return format_left_table(("platform", "mae", "bias", "n"), (
+            (p.platform, f"{p.mae:.4f}", f"{p.bias:+.4f}", str(p.n))
+            for p in self.per_platform + (
+                PlatformErrors("(all)", self.mae, self.bias, self.n),
+            )
+        ))
 
 
 def evaluate_ground_truth(

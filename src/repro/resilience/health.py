@@ -10,7 +10,9 @@ injected clock — so the same seeded run produces byte-identical records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
+
+from repro.io.tables import format_left_table
 
 
 @dataclass
@@ -131,22 +133,12 @@ class HealthLedger:
 
 def health_table(records: "Iterator[SourceHealth]") -> str:
     """Render health records as a fixed-width text table."""
-    headers = ("source", "status", "breaker", "attempts", "fail",
-               "shed", "last error")
-    rows: List[Tuple[str, ...]] = [headers]
-    for r in sorted(records, key=lambda r: r.name):
-        rows.append((
-            r.name, r.status, r.breaker_state, str(r.attempts),
-            str(r.failures), str(r.shed), r.last_error or "-",
-        ))
-    widths = [
-        max(len(row[col]) for row in rows) for col in range(len(headers))
-    ]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(
-            cell.ljust(widths[col]) for col, cell in enumerate(row)
-        ).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return format_left_table(
+        ("source", "status", "breaker", "attempts", "fail", "shed",
+         "last error"),
+        (
+            (r.name, r.status, r.breaker_state, str(r.attempts),
+             str(r.failures), str(r.shed), r.last_error or "-")
+            for r in sorted(records, key=lambda r: r.name)
+        ),
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.usaas.service import UsaasQuery
-from repro.errors import ConfigError, QueryRejectedError
+from repro.errors import ConfigError, LedgerViolationError, QueryRejectedError
 from repro.resilience.clock import ManualClock
 from repro.resilience.faults import FaultPlan, ReplicaFaultEvent
 from repro.serving.cluster import (
@@ -28,6 +28,7 @@ from repro.serving.cluster import (
     UsaasCluster,
 )
 from repro.serving.server import UsaasServer
+from repro.verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,27 @@ class ClusterSoakReport:
         """Cluster-wide exact-once ledger closed (post drain)."""
         try:
             self.metrics.check_exact_once()
-        except ConfigError:
+        except LedgerViolationError:
             return False
         return True
 
     @property
     def shed_rate(self) -> float:
         return self.shed / self.submitted if self.submitted else 0.0
+
+    def verdict(self) -> Verdict:
+        """Exit 2 on an open ledger or leftover work, 3 on total outage."""
+        if not self.accounted:
+            return Verdict(2, (
+                "accounting violation: cluster ledger did not close",
+            ))
+        if self.drain["leftover"]:
+            return Verdict(2, (
+                f"drain left {self.drain['leftover']} queries behind",
+            ))
+        if self.submitted and not (self.served + self.served_degraded):
+            return Verdict(3, ("total outage: nothing was served",))
+        return Verdict()
 
     def counters_dict(self) -> Dict[str, object]:
         """Stable dict for byte-identity assertions across runs."""
@@ -163,16 +178,10 @@ def run_cluster_soak(
             continue
     drain = cluster.drain()
     metrics = cluster.metrics()
-    totals = metrics.totals()
     return ClusterSoakReport(
         arrivals=n_arrivals,
         fault_events=len(fault_events),
-        submitted=totals["submitted"],
-        served=totals["served"],
-        served_degraded=totals["served_degraded"],
-        shed=totals["shed"],
-        deadline_exceeded=totals["deadline_exceeded"],
-        failed=totals["failed"],
+        **metrics.totals(),
         router_shed=metrics.router_shed,
         drain=drain,
         metrics=metrics,

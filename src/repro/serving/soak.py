@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import QueryRejectedError
-from repro.serving.server import DrainReport, ServingMetrics, UsaasServer
+from repro.serving.admission import Ticket
+from repro.serving.server import (
+    DrainReport,
+    ServingMetrics,
+    UsaasServer,
+    terminal_total,
+)
+from repro.verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -39,14 +46,23 @@ class SoakReport:
     @property
     def accounted(self) -> bool:
         """Every submitted query landed in exactly one terminal state."""
-        return self.submitted == (
-            self.served + self.served_degraded + self.shed
-            + self.deadline_exceeded + self.failed
-        )
+        return self.submitted == terminal_total(self.counters_dict())
 
     @property
     def shed_rate(self) -> float:
         return self.shed / self.submitted if self.submitted else 0.0
+
+    def verdict(self) -> Verdict:
+        """Exit 2 when the books stay open or the drain left work."""
+        if not self.accounted:
+            return Verdict(2, (
+                "accounting violation: submitted != sum(terminal states)",
+            ))
+        if not self.drain.clean:
+            return Verdict(2, (
+                "drain left work behind: " + self.drain.summary(),
+            ))
+        return Verdict()
 
     def counters_dict(self) -> Dict[str, object]:
         """Stable dict for byte-identity assertions across runs."""
@@ -74,6 +90,49 @@ class SoakReport:
         )
 
 
+def replay(
+    server: UsaasServer,
+    arrivals: Sequence,
+    query_for: Callable[[Any], Any],
+) -> Tuple[List[Tuple[Any, Ticket]], DrainReport]:
+    """Submit time-ordered ``arrivals`` into ``server`` on its clock, drain.
+
+    Between arrivals the server works off its queue; executing a query
+    advances the clock, so this is where overload builds up.  While
+    idle, the clock moves to the next arrival — in steps of half the
+    coalescer's ``max_delay_s`` when the server has one, so age-due
+    batches flush promptly instead of an arbitrary interval late.
+
+    Shedding is part of normal operation: a rejected submission is
+    already accounted by the server, and the replay moves on.  Returns
+    the admitted ``(arrival, ticket)`` pairs and the drain report.
+    """
+    clock = server.clock
+    advance = getattr(clock, "advance", clock.sleep)
+    tick = None
+    if server.coalescer is not None:
+        delay = server.coalescer.config.max_delay_s
+        tick = delay / 2 if delay > 0 else None
+    admitted: List[Tuple[Any, Ticket]] = []
+    for arrival in sorted(arrivals, key=lambda a: a.at_s):
+        while clock.now() < arrival.at_s:
+            if server.has_pending():
+                server.run_next()
+            else:
+                step = arrival.at_s - clock.now()
+                advance(step if tick is None else min(step, tick))
+        try:
+            ticket = server.submit(
+                query_for(arrival),
+                priority=arrival.priority,
+                deadline_s=getattr(arrival, "deadline_s", None),
+            )
+        except QueryRejectedError:
+            continue
+        admitted.append((arrival, ticket))
+    return admitted, server.drain()
+
+
 def run_soak(
     server: UsaasServer,
     arrivals: Sequence,
@@ -83,63 +142,19 @@ def run_soak(
 
     ``arrivals`` are objects with ``at_s`` / ``priority`` /
     ``deadline_s`` (see :class:`repro.resilience.faults.Arrival`);
-    ``query_for`` maps an arrival to the query it submits (default: the
-    server must have been built with a callable default via
-    ``query_for``; passing None uses ``arrival.query`` when present).
-
-    Shedding is part of normal operation here: a rejected submission is
-    caught, already accounted by the server, and the loop moves on.
+    ``query_for`` maps an arrival to the query it submits (None uses
+    ``arrival.query``).
     """
-    clock = server.clock
-    advance = getattr(clock, "advance", clock.sleep)
-    ordered = sorted(arrivals, key=lambda a: a.at_s)
-    for arrival in ordered:
-        # Work off the queue while the next arrival is still in the
-        # future; executing a query advances the clock, so this is where
-        # overload builds up: at 5x capacity the queue outgrows the
-        # bound and the admission controller starts shedding.
-        while server.has_pending() and clock.now() < arrival.at_s:
-            server.run_next()
-        if clock.now() < arrival.at_s:
-            advance(arrival.at_s - clock.now())
-        query = (
-            query_for(arrival) if query_for is not None
-            else getattr(arrival, "query")
-        )
-        try:
-            server.submit(
-                query,
-                priority=arrival.priority,
-                deadline_s=getattr(arrival, "deadline_s", None),
-            )
-        except QueryRejectedError:
-            # Accounted as shed by the server; soak keeps going.
-            continue
-    drain = server.drain()
+    _, drain = replay(
+        server, arrivals, query_for or (lambda arrival: arrival.query)
+    )
     metrics = server.metrics()
-    totals = {
-        status: 0 for status in (
-            "served", "served_degraded", "shed", "deadline_exceeded",
-            "failed",
-        )
-    }
-    for _, counters in metrics.per_class:
-        totals["served"] += counters.served
-        totals["served_degraded"] += counters.served_degraded
-        totals["shed"] += counters.shed
-        totals["deadline_exceeded"] += counters.deadline_exceeded
-        totals["failed"] += counters.failed
     return SoakReport(
-        arrivals=len(ordered),
-        submitted=metrics.submitted,
-        served=totals["served"],
-        served_degraded=totals["served_degraded"],
-        shed=totals["shed"],
-        deadline_exceeded=totals["deadline_exceeded"],
-        failed=totals["failed"],
+        arrivals=len(arrivals),
+        **metrics.totals(),
         drain=drain,
         metrics=metrics,
-        final_clock_s=clock.now(),
+        final_clock_s=server.clock.now(),
     )
 
 

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, LedgerViolationError
 from repro.perf.checkpoint import CheckpointStore
 from repro.perf.parallel import Shard
 from repro.resilience.clock import Clock, ManualClock
@@ -142,9 +142,10 @@ class StreamCounters:
         )
 
     def check_exact_once(self) -> None:
-        """Raise unless the ledger closes (call after ``finish``)."""
+        """Raise :class:`LedgerViolationError` unless the ledger closes
+        (call after ``finish``)."""
         if self.emitted != self.accounted:
-            raise ConfigError(
+            raise LedgerViolationError(
                 f"exact-once ledger violated: emitted={self.emitted} != "
                 f"aggregated={self.aggregated} + "
                 f"late_dropped={self.late_dropped} + "

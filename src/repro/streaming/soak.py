@@ -38,6 +38,7 @@ from repro.streaming.sources import (
     default_degradations,
     synthetic_stream,
 )
+from repro.verdict import Verdict
 
 PathLike = Union[str, Path]
 
@@ -89,6 +90,22 @@ class StreamSoakReport:
         if not self.degradations:
             return 0.0
         return 1.0 - self.detected / len(self.degradations)
+
+    def verdict(self, blind_threshold: float = 0.0) -> Verdict:
+        """Exit 3 when the detector missed more than ``blind_threshold``
+        of the injected degradations.
+
+        An open ledger never reaches a report: ``StreamPipeline.finish``
+        raises :class:`~repro.errors.LedgerViolationError` first.
+        """
+        if self.blind_rate > blind_threshold:
+            return Verdict(3, (
+                f"detector blind: {self.detected}/"
+                f"{len(self.degradations)} injected degradations "
+                f"detected (blind rate {self.blind_rate:.2f} > "
+                f"{blind_threshold:.2f})",
+            ))
+        return Verdict()
 
     def counters_dict(self) -> Dict[str, int]:
         merged = dict(self.counters)

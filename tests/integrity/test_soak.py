@@ -4,6 +4,7 @@ Small scale (120 calls, 2 corpus weeks) keeps the sweep fast; the CLI
 defaults run the full grid.
 """
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -14,6 +15,7 @@ from repro.nlp.sentiment import SentimentAnalyzer
 from repro.resilience.faults import DataFaultSpec, FaultPlan
 from repro.social.corpus import CorpusConfig, CorpusGenerator
 from repro.telemetry.generator import CallDatasetGenerator, GeneratorConfig
+from repro.verdict import Verdict
 from tests.integrity.oracle import (
     post_weights_records,
     rated_weights_records,
@@ -138,3 +140,22 @@ class TestValidation:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_integrity_soak(eps_grid=(0.2, 0.1), **SOAK_KW)
+
+
+class TestVerdict:
+    def test_holding_sweep_exits_0(self, report):
+        assert report.verdict() == Verdict()
+
+    def test_violations_exit_2_with_every_miss_listed(self, report):
+        broken = dataclasses.replace(
+            report, violations=("a", "b"), ineffective=("c",),
+        )
+        assert broken.verdict() == Verdict(2, (
+            "integrity violation: a",
+            "integrity violation: b",
+            "sweep ineffective: c",
+        ))
+
+    def test_ineffective_sweep_exits_3(self, report):
+        broken = dataclasses.replace(report, ineffective=("c",))
+        assert broken.verdict() == Verdict(3, ("sweep ineffective: c",))

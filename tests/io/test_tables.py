@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.io.tables import format_series, format_table
+from repro.io.tables import format_left_table, format_series, format_table
 
 
 class TestFormatTable:
@@ -42,3 +42,18 @@ class TestFormatSeries:
         text = format_series([(1, 10.0), (2, 20.0)], "month", "mbps")
         assert "month" in text and "mbps" in text
         assert "20.00" in text
+
+
+class TestFormatLeftTable:
+    def test_left_aligned_with_rule_and_no_trailing_blanks(self):
+        text = format_left_table(("name", "n", "note"),
+                                 [("a", "10", "-"), ("longer", "2", "")])
+        assert text.splitlines() == [
+            "name    n   note",
+            "------  --  ----",
+            "a       10  -",
+            "longer  2",
+        ]
+
+    def test_header_only(self):
+        assert format_left_table(("x", "yy"), []) == "x  yy\n-  --"

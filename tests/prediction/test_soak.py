@@ -3,6 +3,8 @@ byte-determinism on a ManualClock."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.prediction import (
@@ -13,6 +15,7 @@ from repro.prediction import (
 from repro.prediction.soak import PredictionSoakReport
 from repro.resilience.faults import Arrival
 from repro.rng import derive
+from repro.verdict import Verdict
 
 
 def _overload_arrivals(seed, n_queries=80, deadline_scale=10.0):
@@ -126,3 +129,48 @@ class TestRoomyCapacity:
         assert report.served == report.submitted == 20
         assert report.served_degraded == report.shed == 0
         assert report.max_overrun_s == 0.0
+
+
+class TestVerdict:
+    @pytest.fixture(scope="class")
+    def soak(self, rated_columns, fitted_model):
+        return _run(rated_columns, fitted_model)
+
+    def test_bound_is_one_full_coalesced_batch(self, soak):
+        report, _, engine = soak
+        assert report.one_batch_s == engine.cost_model.batch_cost_s(
+            16 * engine.n_rows
+        )
+
+    def test_contract_held_exits_0(self, soak):
+        report, _, _ = soak
+        assert report.verdict() == Verdict()
+
+    def test_open_books_exit_3(self, soak):
+        report, _, _ = soak
+        broken = dataclasses.replace(report, failed=report.failed + 1)
+        assert broken.verdict() == Verdict(3, (
+            "accounting violation: submitted != sum(terminal states) "
+            "for predict_mos",
+        ))
+
+    def test_blown_deadline_exits_3(self, soak):
+        report, _, _ = soak
+        broken = dataclasses.replace(
+            report, shed=report.shed - 2, deadline_exceeded=2,
+        )
+        assert broken.verdict() == Verdict(3, (
+            "deadline violation: 2 prediction(s) answered past their "
+            "budget",
+        ))
+
+    def test_overrun_past_one_batch_exits_3(self, soak):
+        report, _, _ = soak
+        broken = dataclasses.replace(
+            report, max_overrun_s=report.one_batch_s + 0.5,
+        )
+        assert broken.verdict() == Verdict(3, (
+            f"deadline violation: answered "
+            f"{report.one_batch_s + 0.5:.4f}s over budget (> one batch "
+            f"cost {report.one_batch_s:.4f}s)",
+        ))

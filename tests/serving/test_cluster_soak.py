@@ -1,10 +1,12 @@
 """Cluster soak: seeded overload + replica faults, byte-identical."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.usaas import UsaasQuery
+from repro.errors import LedgerViolationError
 from repro.resilience import ReplicaFaultSpec
 from repro.resilience.faults import LoadSpikeSpec
 from repro.serving import (
@@ -14,6 +16,7 @@ from repro.serving import (
     synthetic_cluster,
 )
 from repro.serving.soak import estimated_service_time_s
+from repro.verdict import Verdict
 
 QUERY = UsaasQuery(network="starlink", service="teams")
 SLOW_S = 0.05
@@ -249,3 +252,39 @@ class TestTenants:
                 state.admitted + state.shed_quota + state.shed_fair
                 + state.shed_no_replica + state.shed_replica
             )
+
+
+class TestVerdict:
+    def test_clean_soak_exits_0(self, crash_run):
+        assert crash_run.verdict() == Verdict()
+
+    def test_open_ledger_exits_2(self, crash_run):
+        metrics = dataclasses.replace(
+            crash_run.metrics, submitted=crash_run.metrics.submitted + 1,
+        )
+        broken = dataclasses.replace(crash_run, metrics=metrics)
+        assert not broken.accounted
+        assert broken.verdict() == Verdict(2, (
+            "accounting violation: cluster ledger did not close",
+        ))
+
+    def test_leftover_work_exits_2(self, crash_run):
+        broken = dataclasses.replace(
+            crash_run, drain={**crash_run.drain, "leftover": 3},
+        )
+        assert broken.verdict() == Verdict(2, (
+            "drain left 3 queries behind",
+        ))
+
+    def test_total_outage_exits_3(self, crash_run):
+        broken = dataclasses.replace(crash_run, served=0, served_degraded=0)
+        assert broken.verdict() == Verdict(3, (
+            "total outage: nothing was served",
+        ))
+
+    def test_open_ledger_raises_the_typed_error(self, crash_run):
+        metrics = dataclasses.replace(
+            crash_run.metrics, submitted=crash_run.metrics.submitted + 1,
+        )
+        with pytest.raises(LedgerViolationError, match="router-shed"):
+            metrics.check_exact_once()

@@ -140,6 +140,17 @@ class TestSheddingAccounting:
                 ticket_id=0, priority="interactive", status="served",
             ))
 
+    def test_double_account_is_a_typed_ledger_violation(self):
+        from repro.errors import LedgerViolationError
+        from repro.serving.server import QueryOutcome
+
+        server, _ = make_server()
+        server.serve(QUERY)
+        with pytest.raises(LedgerViolationError):
+            server._record(QueryOutcome(
+                ticket_id=0, priority="interactive", status="failed",
+            ))
+
 
 class TestDrain:
     def test_drain_finishes_queued_work_and_stops_admission(self):

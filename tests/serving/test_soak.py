@@ -8,6 +8,8 @@ timeout, (c) drain to zero in-flight work, and (d) reproduce the exact
 same counters from the same seed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.usaas import UsaasQuery
@@ -18,6 +20,7 @@ from repro.serving.soak import (
     estimated_service_time_s,
     synthetic_soak_service,
 )
+from repro.verdict import Verdict
 
 SLOW_S = 0.05
 ATTEMPT_TIMEOUT_S = 0.2
@@ -153,3 +156,32 @@ class TestSoakLoopMechanics:
         report = run_soak(server, arrivals, query_for=lambda a: QUERY)
         assert report.submitted == 3
         assert report.accounted
+
+
+class TestVerdict:
+    def test_clean_soak_exits_0(self, soak):
+        report, _ = soak
+        assert report.verdict() == Verdict()
+
+    def test_open_books_exit_2(self, soak):
+        report, _ = soak
+        broken = dataclasses.replace(report, failed=report.failed + 1)
+        assert broken.verdict() == Verdict(2, (
+            "accounting violation: submitted != sum(terminal states)",
+        ))
+
+    def test_dirty_drain_exits_2(self, soak):
+        report, _ = soak
+        drain = dataclasses.replace(report.drain, in_flight=1)
+        verdict = dataclasses.replace(report, drain=drain).verdict()
+        assert verdict == Verdict(2, (
+            "drain left work behind: " + drain.summary(),
+        ))
+
+    def test_open_books_win_over_a_dirty_drain(self, soak):
+        report, _ = soak
+        broken = dataclasses.replace(
+            report, failed=report.failed + 1,
+            drain=dataclasses.replace(report.drain, in_flight=1),
+        )
+        assert broken.verdict().lines[0].startswith("accounting violation")

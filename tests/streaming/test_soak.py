@@ -1,10 +1,14 @@
 """Deterministic stream soak: chaos, crashes, ledger closure, detection."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import LedgerViolationError
 from repro.resilience.faults import StreamFaultSpec
 from repro.streaming import DegradationSpec, run_stream_soak
 from repro.streaming.soak import DEFAULT_STREAM_FAULTS
+from repro.verdict import Verdict
 
 SOAK_KW = dict(seed=77, duration_s=600.0, rate_per_s=6.0)
 
@@ -131,3 +135,30 @@ class TestDegradationSpec:
             DegradationSpec(at_s=-1.0, duration_s=10.0)
         with pytest.raises(Exception):
             DegradationSpec(at_s=0.0, duration_s=0.0)
+
+
+class TestSoakVerdict:
+    def test_detected_degradations_exit_0(self, baseline):
+        assert baseline.verdict() == Verdict()
+
+    def test_blind_detector_exits_3(self, baseline):
+        blind = dataclasses.replace(baseline, detected=0)
+        injected = len(baseline.degradations)
+        assert blind.verdict() == Verdict(3, (
+            f"detector blind: 0/{injected} injected degradations "
+            f"detected (blind rate 1.00 > 0.00)",
+        ))
+
+    def test_threshold_tolerates_misses_up_to_it(self, baseline):
+        blind = dataclasses.replace(baseline, detected=0)
+        assert blind.verdict(blind_threshold=1.0) == Verdict()
+
+    def test_open_ledger_raises_before_any_report(self, monkeypatch):
+        from repro.streaming.pipeline import StreamCounters
+
+        accounted = StreamCounters.accounted
+        monkeypatch.setattr(StreamCounters, "accounted", property(
+            lambda counters: accounted.fget(counters) + 1
+        ))
+        with pytest.raises(LedgerViolationError, match="emitted="):
+            run_stream_soak(seed=77, duration_s=60.0, rate_per_s=2.0)
