@@ -113,13 +113,24 @@ def test_clock_seam_is_exempt(tmp_path):
     assert tool.check_file(seam) == []
 
 
-def test_uncovered_code_may_use_time(tmp_path):
+def test_exempt_module_may_use_time(tmp_path):
+    """Only the table's exemptions escape the rule: io/locks.py compares
+    a lock file's mtime against wall time."""
     tool = _load_tool()
-    target = tmp_path / "repro" / "telemetry"
+    target = tmp_path / "repro" / "io"
     target.mkdir(parents=True)
-    ok = target / "x.py"
-    ok.write_text("import time\ntime.time()\n")
-    assert tool.check_file(ok) == []
+    exempt = target / "locks.py"
+    exempt.write_text("import time\ntime.time()\n")
+    assert tool.check_file(exempt) == []
+
+
+def test_every_module_under_repro_is_covered_by_default(tmp_path):
+    """A package nobody listed anywhere is covered the day it lands."""
+    tool = _load_tool()
+    for subdir in (("repro",), ("repro", "telemetry"),
+                   ("repro", "brand_new_pkg", "deep")):
+        path = _covered(tmp_path, "import time\ntime.time()\n", subdir)
+        assert len(tool.check_file(path)) == 1, subdir
 
 
 def test_clock_methods_are_not_flagged(tmp_path):

@@ -111,12 +111,30 @@ def test_vectorized_modules_are_strict_anywhere_under_repro(tmp_path):
 
 
 def test_strict_rule_does_not_apply_elsewhere(tmp_path):
+    """Outside a repro package, and in the table's exempt modules, a
+    narrow swallow is allowed."""
     tool = _load_tool()
+    swallow = "try:\n    x()\nexcept OSError:\n    pass\n"
+    outside = tmp_path / "scripts"
+    outside.mkdir()
+    (outside / "x.py").write_text(swallow)
+    assert tool.check_file(outside / "x.py") == []
     target = tmp_path / "repro" / "io"
     target.mkdir(parents=True)
-    ok = target / "x.py"
-    ok.write_text("try:\n    x()\nexcept OSError:\n    pass\n")
-    assert tool.check_file(ok) == []
+    (target / "jsonl.py").write_text(swallow)
+    assert tool.check_file(target / "jsonl.py") == []
+
+
+def test_every_module_under_repro_is_strict_by_default(tmp_path):
+    """A package nobody listed anywhere is strict the day it lands."""
+    tool = _load_tool()
+    for subdir in (("repro", "io"), ("repro", "telemetry"),
+                   ("repro", "brand_new_pkg")):
+        target = tmp_path.joinpath(*subdir)
+        target.mkdir(parents=True, exist_ok=True)
+        bad = target / "x.py"
+        bad.write_text("try:\n    x()\nexcept OSError:\n    pass\n")
+        assert len(tool.check_file(bad)) == 1, subdir
 
 
 def test_strict_dirs_allow_handled_narrow_excepts(tmp_path):
