@@ -1,4 +1,4 @@
-"""Perf timing suite: cold/warm generation, throughput, parallel speedup.
+"""Perf timing suite: cold/warm generation, throughput, per-phase speedups.
 
 The suite measures the three levers this repo pulls for scale:
 
@@ -16,11 +16,6 @@ The suite measures the three levers this repo pulls for scale:
   both speedups at full scale;
 * **sentiment throughput** — per-text scoring against the batch
   (memoised) path, in posts/sec over a generated corpus;
-* **parallel speedup** — serial against ``workers=N`` sharded
-  generation (byte-identical output, so the comparison is honest).
-  When the min-work heuristic collapses a run to one shard the
-  executor reports ``auto-serial`` and the speedup is 1.0 by
-  definition — it ran the identical serial code path;
 * **analysis phase** — the columnar read paths
   (:mod:`repro.perf.columnar`) against the record-at-a-time oracles
   kept in ``tests/``: column-block build cost, the single-pass
@@ -106,7 +101,6 @@ class PerfScale:
     corpus_start: dt.date
     corpus_end: dt.date
     author_pool_size: int
-    workers: int
     seed: int = 20231128
     soak_duration_s: float = 4.0
 
@@ -119,7 +113,6 @@ class PerfScale:
             corpus_start=dt.date(2022, 1, 1),
             corpus_end=dt.date(2022, 12, 31),
             author_pool_size=1500,
-            workers=2,
             soak_duration_s=20.0,
         )
 
@@ -132,7 +125,6 @@ class PerfScale:
             corpus_start=dt.date(2022, 3, 1),
             corpus_end=dt.date(2022, 3, 21),
             author_pool_size=120,
-            workers=2,
             soak_duration_s=4.0,
         )
 
@@ -192,7 +184,7 @@ def run_perf_suite(
     cache = ArtifactCache(cache_root)
     results: Dict[str, Any] = {}
 
-    # --- call dataset: cold (serial), parallel, warm --------------------
+    # --- call dataset: cold, vectorized, warm ----------------------------
     calls_config = GeneratorConfig(n_calls=scale.n_calls, seed=scale.seed)
     cold = _timed(lambda: CallDatasetGenerator(calls_config).generate())
     calls_dataset = cold["value"]
@@ -227,20 +219,6 @@ def run_perf_suite(
     # must not inherit its heap.
     del calls_cols, vec_calls
 
-    par_config = GeneratorConfig(
-        n_calls=scale.n_calls, seed=scale.seed, workers=scale.workers
-    )
-    par_gen = CallDatasetGenerator(par_config)
-    par = _timed(par_gen.generate)
-    results["calls_parallel_s"] = par["seconds"]
-    results["calls_parallel_workers"] = scale.workers
-    results["calls_parallel_mode"] = (
-        par_gen.last_execution.mode if par_gen.last_execution else "serial"
-    )
-    results["calls_parallel_speedup"] = cold["seconds"] / max(
-        1e-9, par["seconds"]
-    )
-
     prime = _timed(
         lambda: CallDatasetGenerator(calls_config).generate(cache=cache)
     )
@@ -251,7 +229,7 @@ def run_perf_suite(
     results["calls_warm_s"] = warm["seconds"]
     results["calls_warm_speedup"] = cold["seconds"] / max(1e-9, warm["seconds"])
 
-    # --- corpus: cold (serial), parallel, warm --------------------------
+    # --- corpus: cold, vectorized, warm ----------------------------------
     corpus_config = CorpusConfig(
         seed=scale.seed,
         span_start=scale.corpus_start,
@@ -283,32 +261,6 @@ def run_perf_suite(
         1e-9, vec_corpus["seconds"]
     )
     del corpus_cols, vec_corpus  # see the calls phase note
-
-    par_corpus_config = CorpusConfig(
-        seed=scale.seed,
-        span_start=scale.corpus_start,
-        span_end=scale.corpus_end,
-        author_pool_size=scale.author_pool_size,
-        workers=scale.workers,
-    )
-    par_corpus_gen = CorpusGenerator(par_corpus_config)
-    par = _timed(par_corpus_gen.generate)
-    results["corpus_parallel_s"] = par["seconds"]
-    corpus_mode = (
-        par_corpus_gen.last_execution.mode
-        if par_corpus_gen.last_execution
-        else "serial"
-    )
-    results["corpus_parallel_mode"] = corpus_mode
-    if corpus_mode == "auto-serial":
-        # The min-work heuristic decided the span is too small to shard
-        # and ran the identical serial code path; the honest speedup is
-        # 1.0 by definition (raw seconds stay recorded above).
-        results["corpus_parallel_speedup"] = 1.0
-    else:
-        results["corpus_parallel_speedup"] = cold["seconds"] / max(
-            1e-9, par["seconds"]
-        )
 
     prime = _timed(lambda: CorpusGenerator(corpus_config).generate(cache=cache))
     results["corpus_prime_s"] = prime["seconds"]
@@ -839,7 +791,6 @@ def make_entry(scale: PerfScale, results: Dict[str, Any]) -> Dict[str, Any]:
             "corpus_start": scale.corpus_start.isoformat(),
             "corpus_end": scale.corpus_end.isoformat(),
             "author_pool_size": scale.author_pool_size,
-            "workers": scale.workers,
             "seed": scale.seed,
             "soak_duration_s": scale.soak_duration_s,
         },
@@ -884,7 +835,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks.perf.harness",
         description="Measure cold/warm generation, sentiment throughput "
-                    "and parallel speedup; append to the BENCH trajectory.",
+                    "and per-phase speedups; append to the BENCH trajectory.",
     )
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     parser.add_argument("--out", default=str(DEFAULT_TRAJECTORY),

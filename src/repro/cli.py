@@ -2,9 +2,9 @@
 
 Subcommands mirror the two data pipelines and the analyses on top:
 
-* ``generate-calls`` / ``generate-corpus`` — produce datasets (JSONL),
-  optionally sharded across processes (``--workers``) and persisted
-  through the content-addressed artifact cache (``--cache-dir``);
+* ``generate-calls`` / ``generate-corpus`` — produce datasets (JSONL)
+  in-process, optionally persisted through the content-addressed
+  artifact cache (``--cache-dir``);
 * ``analyze-teams`` — the §3 summary over a call dataset;
 * ``analyze-starlink`` — the §4 summary over a social corpus;
 * ``usaas`` — answer the §5 query over both;
@@ -14,7 +14,7 @@ Subcommands mirror the two data pipelines and the analyses on top:
 Usage::
 
     python -m repro.cli generate-calls --n-calls 500 --out calls.jsonl
-    python -m repro.cli generate-calls --n-calls 500 --workers 4 \\
+    python -m repro.cli generate-calls --n-calls 500 \\
         --cache-dir ~/.cache/repro --out calls.jsonl
     python -m repro.cli cache stats --cache-dir ~/.cache/repro
     python -m repro.cli analyze-teams --calls calls.jsonl
@@ -39,93 +39,26 @@ def _open_cache(args: argparse.Namespace):
     return ArtifactCache(args.cache_dir)
 
 
-def _execution_policy(args: argparse.Namespace):
-    """The ExecutionPolicy the generate flags describe (None = defaults)."""
-    retries = getattr(args, "max_shard_retries", None)
-    timeout = getattr(args, "shard_timeout", None)
-    if retries is None and timeout is None:
-        return None
-    from repro.perf import ExecutionPolicy
-
-    kwargs = {}
-    if retries is not None:
-        kwargs["max_shard_retries"] = retries
-    if timeout is not None:
-        kwargs["shard_timeout_s"] = timeout
-    return ExecutionPolicy(**kwargs)
-
-
-def _checkpoint_dir(args: argparse.Namespace) -> Optional[str]:
-    """Where per-shard progress persists (None = checkpointing off).
-
-    Checkpointing turns on when either ``--resume`` or an explicit
-    ``--checkpoint-dir`` is given; the default directory sits next to
-    the output file so resume "just works" after a crash.
-    """
-    explicit = getattr(args, "checkpoint_dir", None)
-    if explicit:
-        return explicit
-    if getattr(args, "resume", False):
-        return f"{args.out}.ckpt"
-    return None
-
-
-def _report_execution(gen, keep_checkpoint: bool) -> None:
-    """Print the run's execution/resume stats; drop a finished checkpoint."""
-    report = getattr(gen, "last_execution", None)
-    if report is not None:
-        print(f"execution: {report.summary()}")
-    store = getattr(gen, "last_checkpoint", None)
-    if store is None:
-        return
-    if keep_checkpoint:
-        print(f"checkpoint kept: {store.summary()}")
-    else:
-        store.discard()
-
-
-def _reject_checkpoint_flags(args: argparse.Namespace) -> Optional[int]:
-    """The vectorized engines stream whole blocks — no per-shard
-    checkpoints to resume from, so surface the mismatch instead of
-    silently ignoring the flags."""
-    if getattr(args, "resume", False) or getattr(args, "checkpoint_dir", None):
-        print(
-            "error: --resume/--checkpoint-dir require --engine record",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
 def _cmd_generate_calls(args: argparse.Namespace) -> int:
     from repro.telemetry import CallDatasetGenerator, GeneratorConfig
 
     config = GeneratorConfig(
         n_calls=args.n_calls, seed=args.seed,
         mos_sample_rate=args.mos_sample_rate,
-        workers=args.workers,
     )
     cache = _open_cache(args)
     gen = CallDatasetGenerator(config)
     if args.engine == "vectorized":
-        bad = _reject_checkpoint_flags(args)
-        if bad is not None:
-            return bad
         columns = gen.generate_columns(cache=cache)
         columns.to_jsonl(args.out)
         print(f"wrote {len(columns)} participant rows (columns) to {args.out}")
         if cache is not None:
             print(f"cache: {cache.stats().summary()}")
         return 0
-    dataset = gen.generate(
-        cache=cache,
-        execution=_execution_policy(args),
-        checkpoint_dir=_checkpoint_dir(args),
-    )
+    dataset = gen.generate(cache=cache)
     dataset.to_jsonl(args.out)
     print(f"wrote {len(dataset)} calls / {dataset.n_participants} sessions "
           f"to {args.out}")
-    _report_execution(gen, keep_checkpoint=bool(args.keep_checkpoint))
     if cache is not None:
         print(f"cache: {cache.stats().summary()}")
     return 0
@@ -139,28 +72,19 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
         span_start=dt.date.fromisoformat(args.start),
         span_end=dt.date.fromisoformat(args.end),
         author_pool_size=args.authors,
-        workers=args.workers,
     )
     cache = _open_cache(args)
     gen = CorpusGenerator(config)
     if args.engine == "vectorized":
-        bad = _reject_checkpoint_flags(args)
-        if bad is not None:
-            return bad
         columns = gen.generate_columns(cache=cache)
         columns.to_jsonl(args.out)
         print(f"wrote {len(columns)} post rows (columns) to {args.out}")
         if cache is not None:
             print(f"cache: {cache.stats().summary()}")
         return 0
-    corpus = gen.generate(
-        cache=cache,
-        execution=_execution_policy(args),
-        checkpoint_dir=_checkpoint_dir(args),
-    )
+    corpus = gen.generate(cache=cache)
     corpus.to_jsonl(args.out)
     print(f"wrote {len(corpus)} posts to {args.out}")
-    _report_execution(gen, keep_checkpoint=bool(args.keep_checkpoint))
     if cache is not None:
         print(f"cache: {cache.stats().summary()}")
     return 0
@@ -763,28 +687,6 @@ def _cmd_tune_mitigation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_robustness_flags(p: argparse.ArgumentParser) -> None:
-    """The crash-safety knobs shared by both generate subcommands."""
-    p.add_argument("--max-shard-retries", type=int, default=None,
-                   metavar="N",
-                   help="requeue a failed shard up to N times before the "
-                        "run fails with a ShardExecutionError (default 2)")
-    p.add_argument("--shard-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-shard watchdog budget; hung workers are "
-                        "reclaimed and the shard requeued (default: off)")
-    p.add_argument("--resume", action="store_true",
-                   help="checkpoint per-shard progress next to --out and "
-                        "re-execute only shards a previous (interrupted) "
-                        "run did not complete")
-    p.add_argument("--checkpoint-dir", default=None,
-                   help="explicit checkpoint directory (implies --resume "
-                        "semantics; default: <out>.ckpt when --resume)")
-    p.add_argument("--keep-checkpoint", action="store_true",
-                   help="keep the checkpoint directory after a "
-                        "successful run instead of discarding it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Flags shared across subcommands, each defined once.
     seed_flag = argparse.ArgumentParser(add_help=False)
@@ -832,14 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record = per-call objects (reference path); "
                         "vectorized = block simulation emitting columns "
                         "JSONL (~10x faster, statistically equivalent)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="generation processes (1 = serial, 0 = one per "
-                        "CPU); output is byte-identical either way")
     p.add_argument("--cache-dir",
                    help="content-addressed artifact cache directory; "
                         "matching configs load instead of resimulating")
     p.add_argument("--out", required=True)
-    _add_robustness_flags(p)
     p.set_defaults(fn=_cmd_generate_calls)
 
     p = sub.add_parser("generate-corpus", parents=[seed_flag],
@@ -853,14 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "vectorized = per-day block simulation emitting "
                         "columns JSONL (~8x faster, statistically "
                         "equivalent)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="generation processes (1 = serial, 0 = one per "
-                        "CPU); output is byte-identical either way")
     p.add_argument("--cache-dir",
                    help="content-addressed artifact cache directory; "
                         "matching configs load instead of resimulating")
     p.add_argument("--out", required=True)
-    _add_robustness_flags(p)
     p.set_defaults(fn=_cmd_generate_corpus)
 
     p = sub.add_parser("cache", help="inspect or drop cached artifacts")
@@ -1124,9 +1018,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.errors import ConfigError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        # A flag value argparse accepted but a config rejected is a
+        # usage error like any other: one line and exit 2.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

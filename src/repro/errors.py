@@ -77,38 +77,6 @@ class PrivacyError(ReproError):
     """An operation would have violated an aggregation/privacy floor."""
 
 
-class ShardExecutionError(ReproError):
-    """One shard of a parallel run failed every attempt it was given.
-
-    Carries the shard index so operators (and tests) can see exactly
-    which slice of the work list died, instead of a bare pool traceback.
-    """
-
-    def __init__(
-        self,
-        shard_index: int,
-        attempts: int,
-        last_error: "BaseException | None" = None,
-    ) -> None:
-        self.shard_index = int(shard_index)
-        self.attempts = int(attempts)
-        self.last_error = last_error
-        detail = (
-            f" (last: {type(last_error).__name__}: {last_error})"
-            if last_error is not None else ""
-        )
-        super().__init__(
-            f"shard {self.shard_index} failed after "
-            f"{self.attempts} attempt(s){detail}"
-        )
-
-    def __reduce__(self):
-        return (
-            ShardExecutionError,
-            (self.shard_index, self.attempts, self.last_error),
-        )
-
-
 class LockTimeoutError(ReproError):
     """An advisory file lock could not be acquired within its budget."""
 

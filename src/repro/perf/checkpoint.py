@@ -1,45 +1,39 @@
-"""Checkpointed resume for sharded generation runs.
+"""Checkpointed resume: durable, verified progress in numbered shards.
 
-A long parallel run should not lose everything to one crash, power cut
-or Ctrl-C.  The :class:`CheckpointStore` gives
-:class:`~repro.perf.parallel.ParallelMap` durable progress: each
-completed shard is written to its own JSONL file (atomically, via
-``.tmp`` + ``os.replace``) and recorded in a ``manifest.json`` that is
-itself rewritten atomically after every commit — so at any instant the
+The stream pipeline (:mod:`repro.streaming.pipeline`) commits each
+epoch's snapshot through a :class:`CheckpointStore`, so a crashed
+stream resumes from its last epoch.  Each committed :class:`Shard` is
+written to its own JSONL file (atomically, via ``.tmp`` +
+``os.replace``) and recorded in a ``manifest.json`` that is itself
+rewritten atomically after every commit — so at any instant the
 directory holds a consistent set of fully-written shards.  A restarted
-run passes the same store back in and re-executes only the shards the
-manifest does not vouch for.
+run passes the same store back in and loads only the shards the
+manifest vouches for.
 
 The manifest vouches with two hashes per shard (format documented in
 DESIGN.md §7):
 
 * the **shard fingerprint** — SHA-256 over ``run_key : index : start :
-  stop``, where ``run_key`` is the artifact's config fingerprint
-  (:func:`repro.perf.cache.config_fingerprint`).  Any change to the
-  config, the schema version or the shard plan (e.g. a different
-  ``--workers``) changes the fingerprint, so stale checkpoints are
-  silently re-executed, never wrongly reused;
+  stop``, where ``run_key`` is the run's config fingerprint.  Any change
+  to the config or the schema version changes the fingerprint, so stale
+  checkpoints are dropped, never wrongly reused;
 * the **output digest** — SHA-256 over the shard file's exact bytes,
   computed while writing.  A shard file that was truncated, edited or
   torn after commit fails verification and is dropped.
 
-Resume is therefore safe by construction: a kept shard is byte-for-byte
-the shard the original run produced, and the substream RNG contract
-guarantees the re-executed shards are byte-identical to what the
-interrupted run *would* have produced — so a resumed run's merged output
-equals an uninterrupted run's, exactly.
+A kept shard is therefore byte-for-byte the shard the original run
+committed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.io.jsonl import atomic_writer, json_default
-from repro.perf.parallel import Shard
 
 PathLike = Union[str, Path]
 
@@ -49,6 +43,21 @@ PathLike = Union[str, Path]
 CHECKPOINT_SCHEMA_VERSION = "1"
 
 MANIFEST_NAME = "manifest.json"
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One committed unit of progress (a stream epoch).
+
+    Attributes:
+        index: position in the commit order.
+        start / stop: half-open range the shard covers; bound into its
+            fingerprint.
+    """
+
+    index: int
+    start: int
+    stop: int
 
 
 def shard_fingerprint(run_key: str, shard: Shard) -> str:
@@ -63,15 +72,12 @@ def shard_fingerprint(run_key: str, shard: Shard) -> str:
 
 
 class CheckpointStore:
-    """Durable per-shard progress for one (run_key, shard plan) run.
+    """Durable per-shard progress for one run.
 
     Args:
         root: checkpoint directory (created on first commit).
-        run_key: identity of the run — use the artifact's config
-            fingerprint so resume can never mix configs.
-        encode: maps one in-memory record to a JSON-serialisable value
-            (default: identity).
-        decode: inverse of ``encode`` (default: identity).
+        run_key: identity of the run — use the config fingerprint so
+            resume can never mix configs.
 
     Counters:
         committed: shards written by this store object.
@@ -80,17 +86,9 @@ class CheckpointStore:
             fingerprint mismatch, wrong record count) and re-executed.
     """
 
-    def __init__(
-        self,
-        root: PathLike,
-        run_key: str,
-        encode: Optional[Callable[[Any], Any]] = None,
-        decode: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
+    def __init__(self, root: PathLike, run_key: str) -> None:
         self._root = Path(root)
         self._run_key = str(run_key)
-        self._encode = encode
-        self._decode = decode
         self.committed = 0
         self.resumed = 0
         self.invalid = 0
@@ -169,8 +167,7 @@ class CheckpointStore:
         digest = hashlib.sha256()
         with atomic_writer(path) as f:
             for record in records:
-                value = self._encode(record) if self._encode else record
-                line = json.dumps(value, default=json_default) + "\n"
+                line = json.dumps(record, default=json_default) + "\n"
                 digest.update(line.encode("utf-8"))
                 f.write(line)
         self._shards[shard.index] = {
@@ -216,8 +213,6 @@ class CheckpointStore:
         if len(records) != entry.get("n_records"):
             self._drop(shard.index)
             return None
-        if self._decode:
-            records = [self._decode(r) for r in records]
         self.resumed += 1
         return records
 
@@ -225,38 +220,6 @@ class CheckpointStore:
         self._shards.pop(index, None)
         self.invalid += 1
 
-    # -- inspection / cleanup ---------------------------------------------
-
     def completed_indices(self) -> List[int]:
         """Shard indices the manifest currently vouches for."""
         return sorted(self._shards)
-
-    def discard(self) -> int:
-        """Delete the checkpoint's contents (run finished); returns leftovers.
-
-        Foreign files (or a raced delete) are left in place and counted,
-        never raised over — discarding a finished checkpoint must not be
-        able to fail the run it just completed.
-        """
-        self._shards.clear()
-        if not self._root.is_dir():
-            return 0
-        leftovers = 0
-        for path in self._root.iterdir():
-            try:
-                os.unlink(path)
-            except OSError:
-                leftovers += 1
-        if leftovers == 0:
-            try:
-                os.rmdir(self._root)
-            except OSError:
-                leftovers += 1
-        return leftovers
-
-    def summary(self) -> str:
-        return (
-            f"checkpoint {self._root}: {len(self._shards)} shard(s) held, "
-            f"{self.committed} committed, {self.resumed} resumed, "
-            f"{self.invalid} invalid"
-        )

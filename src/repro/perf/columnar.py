@@ -235,42 +235,6 @@ class ParticipantColumns:
             network=network,
         )
 
-    @classmethod
-    def concat(cls, chunks: Sequence["ParticipantColumns"]) -> "ParticipantColumns":
-        """Stitch shard-built chunks back into one block, in chunk order.
-
-        The vectorized generator builds one chunk per ParallelMap shard;
-        concatenating in submission order reproduces dataset row order.
-        """
-        if not chunks:
-            return cls.from_records([])
-        if len(chunks) == 1:
-            return chunks[0]
-        network: Dict[str, Dict[str, np.ndarray]] = {
-            m: {
-                s: np.concatenate([c.network[m][s] for c in chunks])
-                for s in AGGREGATES
-            }
-            for m in NETWORK_METRICS
-        }
-        return cls(
-            call_id=[x for c in chunks for x in c.call_id],
-            user_id=[x for c in chunks for x in c.user_id],
-            platform=[x for c in chunks for x in c.platform],
-            country=[x for c in chunks for x in c.country],
-            call_start=[x for c in chunks for x in c.call_start],
-            session_duration_s=np.concatenate(
-                [c.session_duration_s for c in chunks]
-            ),
-            presence_pct=np.concatenate([c.presence_pct for c in chunks]),
-            cam_on_pct=np.concatenate([c.cam_on_pct for c in chunks]),
-            mic_on_pct=np.concatenate([c.mic_on_pct for c in chunks]),
-            conditioning=np.concatenate([c.conditioning for c in chunks]),
-            dropped_early=np.concatenate([c.dropped_early for c in chunks]),
-            rating=np.concatenate([c.rating for c in chunks]),
-            network=network,
-        )
-
     # -- persistence -----------------------------------------------------
 
     def to_jsonl(self, path) -> None:
@@ -492,44 +456,6 @@ class CorpusColumns:
             speed_indices=np.fromiter(
                 (i for i, p in enumerate(posts) if p.speed_test is not None),
                 dtype=np.int64,
-            ),
-            posts=posts,
-        )
-
-    @classmethod
-    def concat(cls, chunks: Sequence["CorpusColumns"]) -> "CorpusColumns":
-        """Stitch shard-built chunks into one block, in chunk order.
-
-        All chunks must share the span (they are slices of one corpus
-        config); ``speed_indices`` are re-offset into the merged row
-        space.  ``posts`` merge only when every chunk carries them.
-        Chunk order is preserved — callers that need corpus order
-        (sorted by ``created``) sort afterwards.
-        """
-        if not chunks:
-            raise SchemaError("CorpusColumns.concat needs at least one chunk")
-        if len(chunks) == 1:
-            return chunks[0]
-        spans = {(c.span_start, c.span_end) for c in chunks}
-        if len(spans) > 1:
-            raise SchemaError(f"chunks span different ranges: {sorted(spans)}")
-        offsets = np.cumsum([0] + [len(c) for c in chunks[:-1]])
-        posts: Optional[List[Any]] = None
-        if all(c.posts is not None for c in chunks):
-            posts = [p for c in chunks for p in c.posts]
-        return cls(
-            span_start=chunks[0].span_start,
-            span_end=chunks[0].span_end,
-            post_id=[x for c in chunks for x in c.post_id],
-            author=[x for c in chunks for x in c.author],
-            topic=[x for c in chunks for x in c.topic],
-            full_text=[x for c in chunks for x in c.full_text],
-            created=[x for c in chunks for x in c.created],
-            day_index=np.concatenate([c.day_index for c in chunks]),
-            month=[x for c in chunks for x in c.month],
-            popularity=np.concatenate([c.popularity for c in chunks]),
-            speed_indices=np.concatenate(
-                [c.speed_indices + off for c, off in zip(chunks, offsets)]
             ),
             posts=posts,
         )

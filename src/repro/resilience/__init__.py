@@ -38,8 +38,6 @@ from repro.resilience.faults import (
     LoadSpikeSpec,
     ReplicaFaultEvent,
     ReplicaFaultSpec,
-    ShardFaultInjector,
-    WorkerFaultSpec,
 )
 from repro.resilience.health import HealthLedger, SourceHealth, health_table
 from repro.resilience.policy import (
@@ -69,10 +67,8 @@ __all__ = [
     "ReplicaFaultSpec",
     "ResilienceConfig",
     "RetryPolicy",
-    "ShardFaultInjector",
     "SourceExecutor",
     "SourceHealth",
-    "WorkerFaultSpec",
     "call_with_retry",
     "health_table",
 ]

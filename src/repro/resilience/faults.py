@@ -603,105 +603,6 @@ class DataFaultInjector:
         )
 
 
-#: The sentinel a corrupt-output fault substitutes for a shard's result
-#: list — deliberately not a list, so the executor's integrity check
-#: (a worker must return a list) trips and requeues the shard.
-CORRUPT_SHARD_OUTPUT = "\x00corrupt-shard-output\x00"
-
-
-def _fault_matches(entries: Tuple, shard_index: int, attempt: int) -> bool:
-    """True when ``(shard_index, attempt)`` is scheduled in ``entries``.
-
-    An entry is either a bare shard index (fault fires on *every*
-    attempt of that shard) or an ``(index, attempt)`` pair (attempts
-    count from 1 — fault fires on exactly that attempt).
-    """
-    for entry in entries:
-        if isinstance(entry, tuple):
-            if tuple(entry) == (shard_index, attempt):
-                return True
-        elif int(entry) == shard_index:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class WorkerFaultSpec:
-    """How pool workers should misbehave, keyed by shard and attempt.
-
-    The four production failure modes of a parallel run, made
-    schedulable: a worker that *crashes* (raises / is OOM-killed), one
-    that *hangs* (never returns — only the watchdog reclaims it), one
-    that is merely *slow* (finishes past its budget), and one that
-    returns *corrupt output* (a truncated/garbled result instead of the
-    shard's record list).
-
-    Each ``*_on`` tuple holds bare shard indices ("every attempt") or
-    ``(shard_index, attempt)`` pairs (attempts count from 1), so a test
-    can express "crash shard 3 on its first attempt only" and prove the
-    retry produces byte-identical output.
-    """
-
-    crash_on: Tuple = ()
-    hang_on: Tuple = ()
-    slow_on: Tuple = ()
-    corrupt_on: Tuple = ()
-    slow_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.slow_s < 0:
-            raise ConfigError("slow_s must be non-negative")
-
-    def action(self, shard_index: int, attempt: int) -> str:
-        """The scheduled action for this (shard, attempt): most severe wins."""
-        if _fault_matches(self.crash_on, shard_index, attempt):
-            return "crash"
-        if _fault_matches(self.hang_on, shard_index, attempt):
-            return "hang"
-        if _fault_matches(self.slow_on, shard_index, attempt):
-            return "slow"
-        return "ok"
-
-    def corrupts(self, shard_index: int, attempt: int) -> bool:
-        return _fault_matches(self.corrupt_on, shard_index, attempt)
-
-
-class ShardFaultInjector:
-    """The chaos seam :class:`repro.perf.parallel.ParallelMap` consumes.
-
-    Produced by :meth:`FaultPlan.worker_faults`; shares the plan's
-    :class:`ManualClock` and appends every injected fault to the plan's
-    log as ``(name, "shard<k>.<action>")`` so tests can assert the exact
-    fault sequence.
-    """
-
-    def __init__(self, plan: "FaultPlan", name: str, spec: WorkerFaultSpec) -> None:
-        self._plan = plan
-        self._name = name
-        self.spec = spec
-
-    @property
-    def clock(self) -> ManualClock:
-        return self._plan.clock
-
-    @property
-    def slow_s(self) -> float:
-        return self.spec.slow_s
-
-    def action(self, shard_index: int, attempt: int) -> str:
-        action = self.spec.action(shard_index, attempt)
-        if action != "ok":
-            self._plan.log.append((self._name, f"shard{shard_index}.{action}"))
-        return action
-
-    def deliver(self, shard_index: int, attempt: int, result: Any) -> Any:
-        """Pass a shard result through, corrupting it when scheduled."""
-        if self.spec.corrupts(shard_index, attempt):
-            self._plan.log.append((self._name, f"shard{shard_index}.corrupt"))
-            return CORRUPT_SHARD_OUTPUT
-        return result
-
-
 def always_slow(slow_s: float) -> FaultSpec:
     """A spec that stalls every call for ``slow_s`` simulated seconds."""
     return FaultSpec(slow_rate=1.0, slow_s=slow_s)
@@ -787,17 +688,6 @@ class FaultPlan:
                 yield line[: max(1, len(line) // 2)]
             else:
                 yield line
-
-    def worker_faults(
-        self, name: str, spec: WorkerFaultSpec
-    ) -> ShardFaultInjector:
-        """A worker-level injector for the sharded executor.
-
-        Pass the result as ``ParallelMap(chaos=...)``; the executor then
-        runs deterministically in-process, simulating worker crashes,
-        hangs, slowness and corrupt output on this plan's clock.
-        """
-        return ShardFaultInjector(self, name, spec)
 
     def data_faults(
         self, name: str, spec: DataFaultSpec

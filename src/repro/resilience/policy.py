@@ -54,16 +54,6 @@ class RetryPolicy:
         if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
             raise ConfigError("attempt_timeout_s must be positive")
 
-    def with_attempts(self, max_attempts: int) -> "RetryPolicy":
-        """This policy's backoff shape under a different attempt budget.
-
-        The sharded executor reuses one policy object for every shard but
-        sizes the attempt count from its own ``max_shard_retries`` knob.
-        """
-        import dataclasses
-
-        return dataclasses.replace(self, max_attempts=max_attempts)
-
     def schedule(self, key: str) -> Tuple[float, ...]:
         """The full backoff schedule (``max_attempts - 1`` delays).
 

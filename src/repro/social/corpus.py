@@ -41,27 +41,17 @@ from repro.starlink.subscribers import SubscriberModel
 
 if TYPE_CHECKING:
     from repro.perf.cache import ArtifactCache
-    from repro.perf.checkpoint import CheckpointStore
     from repro.perf.columnar import CorpusColumns
-    from repro.perf.parallel import ExecutionPolicy, ExecutionReport
-    from repro.resilience.faults import ShardFaultInjector
-
-#: A corpus day renders in well under a millisecond, so a shard needs
-#: a few hundred of them before pool dispatch + pickling pays for
-#: itself; smaller plans collapse to one in-process shard
-#: (``last_execution.mode == "auto-serial"``), which is byte-identical
-#: to the pool path by the substream contract.
-MIN_DAYS_PER_SHARD = 200
 
 
 @dataclass(frozen=True)
 class CorpusConfig:
     """Corpus generation knobs (defaults match the paper's §4.1 stats).
 
-    ``workers`` shards the day loop across processes (1 = serial,
-    0 = one per CPU).  Every day draws from its own RNG substream
-    (``derive(seed, "day", iso_date)``), so serial and parallel runs
-    produce byte-identical corpora; workers never changes the artifact.
+    ``workers`` must be 1; any other value raises ``ConfigError``.  The
+    day loop runs in-process, each day on its own RNG substream
+    (``derive(seed, "day", iso_date)``).  The field is excluded from
+    the artifact identity.
     """
 
     seed: int = DEFAULT_SEED
@@ -76,8 +66,8 @@ class CorpusConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = one per CPU)")
+        if self.workers != 1:
+            raise ConfigError("workers must be 1 (generation is in-process)")
         if self.conditioning_mode not in ("cohort", "single"):
             raise ConfigError(
                 f"conditioning_mode must be 'cohort' or 'single', "
@@ -288,10 +278,6 @@ class CorpusGenerator:
         self._share_rate = config.speed_share_count / max(
             1.0, config.posts_per_week * n_days / 7.0
         )
-        #: ExecutionReport / CheckpointStore of the last generate() call
-        #: (None until a run executes, and on cache hits).
-        self.last_execution: Optional["ExecutionReport"] = None
-        self.last_checkpoint: Optional["CheckpointStore"] = None
 
     # -- day-level ingredients -------------------------------------------
 
@@ -399,41 +385,19 @@ class CorpusGenerator:
     # -- main loop ---------------------------------------------------------
 
     def generate(
-        self,
-        cache: Optional["ArtifactCache"] = None,
-        execution: Optional["ExecutionPolicy"] = None,
-        checkpoint_dir: Optional[str] = None,
-        chaos: Optional["ShardFaultInjector"] = None,
+        self, cache: Optional["ArtifactCache"] = None
     ) -> RedditCorpus:
         """Generate the full corpus (deterministic in the config).
 
-        Each day is rendered independently on its own RNG substream —
-        sharded across ``config.workers`` processes when asked, with
-        byte-identical output either way.  With ``cache``, the corpus is
-        loaded from (or persisted to) the content-addressed artifact
-        cache instead of resimulating.
-
-        ``execution`` tunes the fault-tolerance layer (shard retries,
-        watchdog timeout, in-process fallback); ``checkpoint_dir``
-        enables checkpointed resume, keyed by this config's fingerprint;
-        ``chaos`` injects deterministic worker faults (tests only).
-        After a run, :attr:`last_execution` holds the
-        :class:`~repro.perf.parallel.ExecutionReport` and
-        :attr:`last_checkpoint` the store (both None on a cache hit).
+        Each day is rendered independently on its own RNG substream.
+        With ``cache``, the corpus is loaded from (or persisted to) the
+        content-addressed artifact cache instead of resimulating.
         """
-        from functools import partial
-
-        self.last_execution = None
-        self.last_checkpoint = None
-        build = partial(
-            self._generate,
-            execution=execution, checkpoint_dir=checkpoint_dir, chaos=chaos,
-        )
         if cache is not None:
             return cache.load_or_build(
                 "corpus",
                 self._config,
-                build=build,
+                build=self._generate,
                 # The JSONL header only carries seed + span, so re-attach
                 # the full config the caller actually asked for.
                 load=lambda path: RedditCorpus(
@@ -441,7 +405,7 @@ class CorpusGenerator:
                 ),
                 dump=lambda corpus, path: corpus.to_jsonl(path),
             )
-        return build()
+        return self._generate()
 
     def generate_columns(
         self, cache: Optional["ArtifactCache"] = None
@@ -462,46 +426,11 @@ class CorpusGenerator:
         engine = VectorizedCorpusEngine(self._config, generator=self)
         return engine.generate_columns(cache=cache)
 
-    def _generate(
-        self,
-        execution: Optional["ExecutionPolicy"] = None,
-        checkpoint_dir: Optional[str] = None,
-        chaos: Optional["ShardFaultInjector"] = None,
-    ) -> RedditCorpus:
-        from repro.perf.parallel import ParallelMap
-
-        store = None
-        if checkpoint_dir is not None:
-            from repro.perf.cache import config_fingerprint
-            from repro.perf.checkpoint import CheckpointStore
-            from repro.social.schema import post_from_record, post_to_record
-
-            store = CheckpointStore(
-                checkpoint_dir,
-                run_key=config_fingerprint("corpus", self._config),
-                encode=post_to_record,
-                decode=post_from_record,
-            )
-        days = list(self._base_volume.items())
-        pm = ParallelMap(
-            self._config.workers,
-            policy=execution,
-            chaos=chaos,
-            min_items_per_shard=MIN_DAYS_PER_SHARD,
-        )
-        posts = pm.map_shards(self._generate_day_shard, days, checkpoint=store)
-        self.last_execution = pm.last_report
-        self.last_checkpoint = store
-        return RedditCorpus(posts, self._config)
-
-    def _generate_day_shard(
-        self, items: List[Tuple[dt.date, float]]
-    ) -> List[Post]:
-        """Render one shard of independent days (pool worker body)."""
+    def _generate(self) -> RedditCorpus:
         posts: List[Post] = []
-        for day, base in items:
+        for day, base in self._base_volume.items():
             posts.extend(self._generate_day(day, base))
-        return posts
+        return RedditCorpus(posts, self._config)
 
     def _generate_day(self, day: dt.date, base: float) -> List[Post]:
         """Render one day of the corpus on its own RNG substream.

@@ -107,11 +107,8 @@ class Post:
 
 
 def post_to_record(post: Post) -> dict:
-    """The canonical JSONL record for one post.
-
-    Shared by :meth:`RedditCorpus.to_jsonl` and the checkpoint layer, so
-    a resumed shard serialises byte-identically to a regenerated one.
-    """
+    """The canonical JSONL record for one post (what
+    :meth:`RedditCorpus.to_jsonl` writes per line)."""
     return {
         "post_id": post.post_id,
         "created": post.created.isoformat(),

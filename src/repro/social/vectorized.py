@@ -11,8 +11,8 @@ Per-day draw order
 ------------------
 
 Every day keeps its own substream (``derive(seed, "day", iso_date)``),
-exactly like the record path, so shard plans and worker counts never
-change the output.  The first two draws *byte-match* the record path —
+exactly like the record path, so no day's draws depend on any other
+day.  The first two draws *byte-match* the record path —
 the day's post count and its verbosity-weighted author sample are the
 identical ``rng.poisson`` / ``rng.choice`` calls — after which draws
 happen in documented block order:
@@ -40,8 +40,8 @@ processes, same parameters, same per-day substreams; daily post counts
 and author identity match it exactly — but not byte-identical beyond
 those first two draws (documented order above, inverse-CDF categorical
 draws; subscriber swap-ins are re-drawn in block order, so a swapped
-post's final author can differ).  Within the vectorized path, output is byte-identical across
-worker counts, shard plans and cache round-trips (pinned by tests).
+post's final author can differ).  Within the vectorized path, output
+is byte-identical across runs and cache round-trips (pinned by tests).
 Two scope cuts, both documented: outage me-too *comment texts* are not
 rendered (``full_text`` never includes comments; ``n_comments`` still
 reflects the confirmation flood, so ``popularity`` matches the
@@ -60,7 +60,6 @@ from repro.core.timeline import month_of
 from repro.perf.columnar import CorpusColumns
 from repro.rng import derive
 from repro.social.corpus import (
-    MIN_DAYS_PER_SHARD,
     CorpusConfig,
     CorpusGenerator,
     _strongest_event,
@@ -221,25 +220,8 @@ class VectorizedCorpusEngine:
         return self._build()
 
     def _build(self) -> CorpusColumns:
-        from repro.perf.parallel import ParallelMap
-
         days = list(self._gen._base_volume.items())
-        if self._config.workers <= 1:
-            merged = self._simulate_days(days)
-        else:
-            pm = ParallelMap(
-                self._config.workers,
-                min_items_per_shard=MIN_DAYS_PER_SHARD,
-            )
-            chunks = pm.map_shards(self._days_shard, days)
-            merged = CorpusColumns.concat(chunks)
-        return _sorted_by_created(merged)
-
-    def _days_shard(
-        self, items: List[Tuple[dt.date, float]]
-    ) -> List[CorpusColumns]:
-        """Pool worker body: one shard of days → one columns chunk."""
-        return [self._simulate_days(items)]
+        return _sorted_by_created(self._simulate_days(days))
 
     def _simulate_days(
         self, items: Sequence[Tuple[dt.date, float]]
@@ -557,7 +539,7 @@ class VectorizedCorpusEngine:
 
 
 def _sorted_by_created(cols: CorpusColumns) -> CorpusColumns:
-    """Reorder a merged block into corpus order (stable by ``created``).
+    """Reorder a day-ordered block into corpus order (stable by ``created``).
 
     The record path sorts posts by timestamp with Python's stable sort;
     same-minute ties keep day-generation order, which is exactly what a

@@ -39,8 +39,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError, LedgerViolationError
-from repro.perf.checkpoint import CheckpointStore
-from repro.perf.parallel import Shard
+from repro.perf.checkpoint import CheckpointStore, Shard
 from repro.resilience.clock import Clock, ManualClock
 from repro.streaming.dedup import DedupFilter
 from repro.streaming.detector import ChangePoint, OnlineChangePointDetector

@@ -137,10 +137,3 @@ def _call_from_dict(data: dict) -> CallRecord:
         is_enterprise=data["is_enterprise"],
         participants=participants,
     )
-
-
-#: Public record codec for one call — the checkpoint layer persists
-#: per-shard progress in exactly the serialisation `to_jsonl` uses, so a
-#: resumed shard is byte-identical to a regenerated one.
-call_to_record = _call_to_dict
-call_from_record = _call_from_dict

@@ -40,7 +40,6 @@ class TestHarnessSmoke:
         results, _ = smoke_run
         for key in (
             "calls_cold_s", "calls_warm_s", "calls_warm_speedup",
-            "calls_parallel_s", "calls_parallel_speedup",
             "corpus_cold_s", "corpus_warm_s", "corpus_warm_speedup",
             "calls_vec_s", "calls_vec_speedup",
             "corpus_vec_s", "corpus_vec_speedup",
@@ -102,15 +101,6 @@ class TestHarnessSmoke:
         # The incremental operator must beat stateless recomputation
         # even at smoke scale; the 5x floor binds at full scale only.
         assert results["streaming_incremental_speedup"] > 1.0
-
-    def test_parallel_modes_reported(self, smoke_run):
-        results, _ = smoke_run
-        valid = {"serial", "pool", "in-process", "auto-serial"}
-        assert results["calls_parallel_mode"] in valid
-        assert results["corpus_parallel_mode"] in valid
-        if results["corpus_parallel_mode"] == "auto-serial":
-            # Identical code path ran — the honest speedup is 1.0.
-            assert results["corpus_parallel_speedup"] == 1.0
 
     def test_analysis_counts(self, smoke_run):
         results, _ = smoke_run

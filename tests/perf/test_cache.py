@@ -41,13 +41,10 @@ class TestFingerprint:
         assert config_fingerprint("x", FakeConfig(), schema_version="99") != base
 
     def test_workers_is_execution_only(self):
-        """Parallelism never changes the artifact identity."""
+        """``workers`` is excluded from the artifact identity."""
         assert config_fingerprint("x", FakeConfig(workers=1)) == (
             config_fingerprint("x", FakeConfig(workers=8))
         )
-        assert config_fingerprint(
-            "calls", GeneratorConfig(n_calls=5, workers=1)
-        ) == config_fingerprint("calls", GeneratorConfig(n_calls=5, workers=4))
 
     def test_nested_dataclasses_and_dates_fingerprint(self):
         # GeneratorConfig holds BehaviorParams / QoeModel / date mappings.

@@ -5,9 +5,8 @@ optimisation: every analysis built on it must produce results
 float-for-float identical to the record-at-a-time loop it replaced,
 which lives on in ``tests/`` as an oracle.  These tests pin that
 contract across seeds — ``.tobytes()`` comparisons, not ``allclose`` —
-plus the serialization round trips, the artifact-cache integration, the
-shared sentiment block, and the min-work auto-serial heuristic's byte
-identity.
+plus the serialization round trips, the artifact-cache integration and
+the shared sentiment block.
 """
 
 import datetime as dt
@@ -55,8 +54,7 @@ from tests.usaas.oracle import (
 
 SEEDS = (101, 202, 303)
 
-#: 43 days — under the 200-day sharding floor, so a workers=2 corpus
-#: run must take the auto-serial path.
+#: A 43-day corpus: small enough for tier-1.
 CORPUS_KW = dict(
     span_start=dt.date(2022, 2, 1),
     span_end=dt.date(2022, 3, 15),
@@ -414,24 +412,6 @@ class TestSharedSentimentBlock:
         col = pos_vs_speed(corpus, speed, min_strong_posts=1)
         rec = pos_vs_speed_records(corpus, speed, min_strong_posts=1)
         assert col.pos.values.tobytes() == rec.pos.values.tobytes()
-
-
-class TestAutoSerial:
-    def test_small_span_collapses_to_auto_serial(self, tmp_path):
-        serial_gen = CorpusGenerator(CorpusConfig(seed=303, **CORPUS_KW))
-        serial = serial_gen.generate()
-        par_gen = CorpusGenerator(
-            CorpusConfig(seed=303, workers=2, **CORPUS_KW)
-        )
-        parallel = par_gen.generate()
-        assert par_gen.last_execution is not None
-        assert par_gen.last_execution.mode == "auto-serial"
-        serial.to_jsonl(tmp_path / "serial.jsonl")
-        parallel.to_jsonl(tmp_path / "parallel.jsonl")
-        assert (
-            (tmp_path / "serial.jsonl").read_bytes()
-            == (tmp_path / "parallel.jsonl").read_bytes()
-        )
 
 
 class TestColumnsSmoke:

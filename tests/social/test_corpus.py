@@ -23,6 +23,11 @@ class TestCorpusConfig:
         with pytest.raises(ConfigError):
             CorpusConfig(conditioning_mode="vibes")
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_must_be_one(self, workers):
+        with pytest.raises(ConfigError, match="workers must be 1"):
+            CorpusConfig(workers=workers)
+
     def test_single_mode_generates(self):
         config = CorpusConfig(
             seed=4,

@@ -4,7 +4,7 @@ Contract (see :mod:`repro.social.vectorized`): per-day substreams keep
 the daily post counts draw-identical to the record path; everything
 downstream of the first two draws is re-ordered into block form, so the
 corpus is *statistically* equivalent — and *byte-identical* within the
-vectorized path across worker counts and cache round-trips.
+vectorized path across runs and cache round-trips.
 """
 
 import datetime as dt
@@ -15,19 +15,18 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.perf.cache import ArtifactCache
-from repro.perf.columnar import CorpusColumns
 from repro.social.corpus import CorpusConfig, CorpusGenerator
 
 SPAN = dict(span_start=dt.date(2022, 3, 1), span_end=dt.date(2022, 4, 30))
 
 
-def config_for(seed, workers=1, **kwargs):
+def config_for(seed, **kwargs):
     kwargs.setdefault("author_pool_size", 200)
-    return CorpusConfig(seed=seed, workers=workers, **SPAN, **kwargs)
+    return CorpusConfig(seed=seed, **SPAN, **kwargs)
 
 
-def columns_for(seed, workers=1, cache=None, **kwargs):
-    gen = CorpusGenerator(config_for(seed, workers=workers, **kwargs))
+def columns_for(seed, cache=None, **kwargs):
+    gen = CorpusGenerator(config_for(seed, **kwargs))
     return gen.generate_columns(cache=cache)
 
 
@@ -46,9 +45,6 @@ class TestDeterminism:
 
     def test_seed_changes_output(self):
         assert columns_for(11).post_id != columns_for(12).post_id
-
-    def test_workers_are_invisible(self):
-        assert_columns_identical(columns_for(11), columns_for(11, workers=3))
 
     def test_cache_round_trip_preserves_columns_without_posts(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
@@ -113,46 +109,3 @@ class TestRecordEquivalence:
         corpus, cols = pair
         rec = np.mean([p.popularity for p in corpus])
         assert cols.popularity.mean() == pytest.approx(rec, rel=0.15)
-
-
-class TestConcat:
-    def _chunk(self, day0, n, speed_at=()):
-        created = [
-            dt.datetime(2022, 3, 1 + day0, 10 + i % 6, 0) for i in range(n)
-        ]
-        return CorpusColumns(
-            span_start=dt.date(2022, 3, 1),
-            span_end=dt.date(2022, 3, 10),
-            post_id=[f"d{day0}_{i}" for i in range(n)],
-            author=["a"] * n,
-            topic=["experience"] * n,
-            full_text=["text"] * n,
-            created=created,
-            day_index=np.full(n, day0, dtype=np.int64),
-            month=[(2022, 3)] * n,
-            popularity=np.arange(n, dtype=float),
-            speed_indices=np.array(sorted(speed_at), dtype=np.int64),
-        )
-
-    def test_rejects_empty_chunk_list(self):
-        with pytest.raises(SchemaError):
-            CorpusColumns.concat([])
-
-    def test_rejects_span_mismatch(self):
-        a = self._chunk(0, 2)
-        b = self._chunk(1, 2)
-        b.span_end = dt.date(2022, 3, 11)
-        with pytest.raises(SchemaError):
-            CorpusColumns.concat([a, b])
-
-    def test_single_chunk_passthrough(self):
-        a = self._chunk(0, 3)
-        assert CorpusColumns.concat([a]) is a
-
-    def test_speed_indices_are_reoffset(self):
-        a = self._chunk(0, 3, speed_at=(1,))
-        b = self._chunk(1, 4, speed_at=(0, 2))
-        merged = CorpusColumns.concat([a, b])
-        assert len(merged) == 7
-        assert merged.speed_indices.tolist() == [1, 3, 5]
-        assert merged.post_id == a.post_id + b.post_id

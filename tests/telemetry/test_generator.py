@@ -19,6 +19,11 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             GeneratorConfig(mos_sample_rate=1.5)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_must_be_one(self, workers):
+        with pytest.raises(ConfigError, match="workers must be 1"):
+            GeneratorConfig(workers=workers)
+
 
 class TestGenerate:
     def test_deterministic(self):

@@ -3,8 +3,8 @@
 The contract (see :mod:`repro.telemetry.vectorized`): output is
 *statistically* equivalent to the record path — same population model,
 same per-call substreams, documented different draw order — and
-*byte-identical* within the vectorized path across worker counts and
-cache round-trips.
+*byte-identical* within the vectorized path across runs and cache
+round-trips.
 """
 
 import numpy as np
@@ -18,10 +18,8 @@ from repro.telemetry.vectorized import VectorizedCallEngine
 SEEDS = (101, 202, 303)
 
 
-def columns_for(seed, n_calls=60, workers=1, **kwargs):
-    config = GeneratorConfig(
-        n_calls=n_calls, seed=seed, workers=workers, **kwargs
-    )
+def columns_for(seed, n_calls=60, **kwargs):
+    config = GeneratorConfig(n_calls=n_calls, seed=seed, **kwargs)
     return CallDatasetGenerator(config).generate_columns()
 
 
@@ -49,12 +47,6 @@ class TestDeterminism:
     def test_seed_changes_output(self):
         a, b = columns_for(101), columns_for(202)
         assert a.session_duration_s.tobytes() != b.session_duration_s.tobytes()
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_are_invisible(self, workers):
-        assert_columns_identical(
-            columns_for(101), columns_for(101, workers=workers)
-        )
 
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
         config = GeneratorConfig(n_calls=24, seed=101)

@@ -118,49 +118,39 @@ class TestParser:
             main(["frobnicate"])
 
 
-class TestRobustnessFlags:
-    def _generate(self, out, *extra):
-        return main([
-            "generate-calls", "--n-calls", "12", "--seed", "7",
-            "--workers", "2", "--out", str(out), *extra,
-        ])
+class TestUsageErrors:
+    """Every bad argument is one stderr line and exit 2, never a traceback."""
 
-    def test_execution_summary_printed(self, tmp_path, capsys):
-        out = tmp_path / "calls.jsonl"
-        assert self._generate(out, "--max-shard-retries", "1",
-                              "--shard-timeout", "30") == 0
-        text = capsys.readouterr().out
-        assert "execution:" in text
-        assert "shards executed" in text
+    @pytest.mark.parametrize("argv", [
+        ["generate-calls", "--n-calls", "-1"],
+        ["generate-calls", "--mos-sample-rate", "2"],
+        ["generate-corpus", "--authors", "0"],
+        ["usaas", "soak", "--max-pending", "0"],
+    ], ids=["negative-calls", "sample-rate", "no-authors", "max-pending"])
+    def test_rejected_config_value_exits_2(self, argv, tmp_path, capsys):
+        if argv[0].startswith("generate"):
+            argv = argv + ["--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert "Traceback" not in captured.err
 
-    def test_resume_checkpoint_discarded_after_success(self, tmp_path, capsys):
-        out = tmp_path / "calls.jsonl"
-        assert self._generate(out, "--resume") == 0
-        # The default checkpoint directory sits next to --out and is
-        # discarded once the run lands.
-        assert not (tmp_path / "calls.jsonl.ckpt").exists()
-
-    def test_kept_checkpoint_serves_resumed_run(self, tmp_path, capsys):
-        out = tmp_path / "calls.jsonl"
-        assert self._generate(out, "--resume", "--keep-checkpoint") == 0
-        first = capsys.readouterr().out
-        assert "checkpoint kept:" in first
-        ckpt = tmp_path / "calls.jsonl.ckpt"
-        assert (ckpt / "manifest.json").exists()
-        first_bytes = out.read_bytes()
-
-        assert self._generate(out, "--resume") == 0
-        second = capsys.readouterr().out
-        assert "resumed:" in second          # every shard came from disk
-        assert out.read_bytes() == first_bytes
-        assert not ckpt.exists()             # discarded after the rerun
-
-    def test_explicit_checkpoint_dir(self, tmp_path, capsys):
-        out = tmp_path / "calls.jsonl"
-        ckpt = tmp_path / "elsewhere"
-        assert self._generate(out, "--checkpoint-dir", str(ckpt),
-                              "--keep-checkpoint") == 0
-        assert (ckpt / "manifest.json").exists()
+    @pytest.mark.parametrize("command", ["generate-calls", "generate-corpus"])
+    @pytest.mark.parametrize("flag", [
+        ["--workers", "2"], ["--max-shard-retries", "1"],
+        ["--shard-timeout", "30"], ["--resume"],
+        ["--checkpoint-dir", "ckpt"], ["--keep-checkpoint"],
+    ], ids=lambda flag: flag[0])
+    def test_removed_generate_flags_are_usage_errors(self, command, flag,
+                                                     tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--out", str(tmp_path / "out.jsonl"), *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestServingFlags:
