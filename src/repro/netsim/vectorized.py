@@ -358,8 +358,8 @@ def condition_blocks(
     spike magnitudes, queueing uniforms, latency noise, the three loss
     draws, bandwidth steps), with every shape a function of
     ``(rows, n_intervals)`` alone — so a block's stream consumption
-    never depends on the values drawn, which is what keeps shard plans
-    byte-identical.
+    never depends on the values drawn, which is what keeps the output
+    byte-identical however the rows are blocked.
     """
     return condition_blocks_from_draws(
         [condition_draws(rng, profiles, n_intervals)]

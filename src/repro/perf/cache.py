@@ -37,9 +37,8 @@ PathLike = Union[str, Path]
 ARTIFACT_SCHEMA_VERSION = "1"
 
 #: Config fields that select *how* an artifact is computed, not *what*
-#: it is.  They are excluded from the fingerprint so a parallel run and
-#: a serial run share one cache entry (their outputs are byte-identical
-#: by contract).
+#: it is, and so are excluded from the fingerprint.  ``workers`` now has
+#: one legal value; excluding it keeps every cache key unchanged.
 EXECUTION_ONLY_FIELDS = frozenset({"workers"})
 
 

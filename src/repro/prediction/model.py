@@ -217,11 +217,11 @@ def kfold_evaluate(
     More stable than a single split for the modest rated-session counts
     realistic sampling rates produce.  The fold assignment comes from
     the ``derive(seed, "predictor", "kfold")`` substream, so a given
-    seed yields a byte-identical split (and report) across runs and
-    across worker counts — the same discipline every other seeded path
-    in the repo follows.  Each fold trains on a block of the remaining
-    rated sessions in their original order and predicts a block of the
-    fold's sessions in fold order.
+    seed yields a byte-identical split (and report) across runs — the
+    same discipline every other seeded path in the repo follows.  Each
+    fold trains on a block of the remaining rated sessions in their
+    original order and predicts a block of the fold's sessions in fold
+    order.
     """
     if k < 2:
         raise AnalysisError("k must be >= 2")
@@ -255,7 +255,7 @@ def train_test_evaluate(
     """Split the rated sessions, fit, and evaluate on the held-out part.
 
     The split comes from the ``derive(seed, "predictor", "split")``
-    substream, so it is byte-identical across runs and worker counts.
+    substream, so it is byte-identical across runs.
     Both halves keep the permutation's row order.
     """
     if not 0 < test_share < 1:

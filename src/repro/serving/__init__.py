@@ -1,9 +1,8 @@
 """Overload-safe serving for USaaS (§5 as a *service*, not a function).
 
-PR 1 made ingestion fault-isolated and PR 3 made parallel execution
-crash-safe; this package makes the *query front-end* overload-safe —
-the discipline crowdsourced QoE platforms live or die on.  Seven
-pieces:
+:mod:`repro.resilience` makes ingestion fault-isolated; this package
+makes the *query front-end* overload-safe — the discipline
+crowdsourced QoE platforms live or die on.  Seven pieces:
 
 * :mod:`repro.serving.deadline` — :class:`Deadline`, a monotonic
   per-query budget on the injectable clock; the ingestion executor
