@@ -102,6 +102,7 @@ class TestSoakCrashRecovery:
         assert crashed.counters["resumes"] == 2
         assert crashed.digest == baseline.digest
         assert crashed.change_points == baseline.change_points
+        assert crashed.fault_outcomes == baseline.fault_outcomes
         assert crashed.ledger_closed
 
     def test_crash_before_first_checkpoint_restarts_clean(self, baseline):
@@ -118,6 +119,30 @@ class TestSoakCrashRecovery:
         )
         assert crashed.crashes == 1
         assert crashed.digest == baseline.digest
+
+
+class TestSimulatedTimePins:
+    """Seed-derived figures on the soak's simulated clock, pinned
+    exactly: host speed cannot move them, a detector change does."""
+
+    def test_holdout_seed_detection_lag_and_digest(self):
+        report = run_stream_soak(
+            seed=20231128, duration_s=300.0, rate_per_s=8.0,
+        )
+        # Onset to the first in-horizon experience change point.
+        lags = [
+            min(
+                cp.at_s - spec.at_s
+                for cp in report.change_points
+                if cp.role == "experience"
+                and spec.at_s <= cp.at_s <= spec.at_s + spec.detect_within_s
+            )
+            for spec in report.degradations
+        ]
+        assert sum(lags) / len(lags) == 50.0
+        assert report.digest == (
+            "4e45ce5956daf1a36e01cb55b2fb13695fa72540815b692d26c1250a7442ada4"
+        )
 
 
 class TestDegradationSpec:

@@ -13,6 +13,12 @@ SOAK_KW = dict(seed=77, duration_s=600.0, rate_per_s=6.0)
 #: tests below exercise the quarantine *mechanics*, not tuning.
 GATE_KW = dict(burst_limit=5, repeat_limit=3)
 
+#: Where the gated soak's injected faults end up, by ledger bucket.
+GATED_FAULT_OUTCOMES = {
+    "duplicate": {"deduped": 184},
+    "reorder": {"aggregated": 51, "quarantined": 843},
+}
+
 
 @pytest.fixture(scope="module")
 def gated():
@@ -106,4 +112,6 @@ class TestGateCheckpointing:
         assert crashed.counters["quarantined"] == (
             gated.counters["quarantined"]
         )
+        assert crashed.fault_outcomes == gated.fault_outcomes
+        assert gated.fault_outcomes == GATED_FAULT_OUTCOMES
         assert crashed.ledger_closed
