@@ -25,6 +25,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Tuple
 
@@ -220,9 +221,11 @@ def _reject_reason(data) -> str:
         return "missing_field"
     try:
         event_time = float(data["event_time_s"])
-        float(data["value"])
+        value = float(data["value"])
     except (TypeError, ValueError):
         return "bad_value"
-    if event_time < 0:
+    if not math.isfinite(event_time) or event_time < 0:
         return "bad_event_time"
+    if not math.isfinite(value):
+        return "bad_value"
     return "other"

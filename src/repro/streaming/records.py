@@ -15,6 +15,7 @@ measurements (different source, key, time or value) never collide.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
@@ -72,8 +73,15 @@ class StreamRecord:
             raise SchemaError(
                 f"role must be one of {RECORD_ROLES}, got {self.role!r}"
             )
+        # A NaN event time never passes the watermark and an infinite
+        # one overflows the operators' window arithmetic, so either
+        # would stall or crash the whole stream, not just this record.
+        if not math.isfinite(self.event_time_s):
+            raise SchemaError("event_time_s must be finite")
         if self.event_time_s < 0:
             raise SchemaError("event_time_s must be non-negative")
+        if not math.isfinite(self.value):
+            raise SchemaError("value must be finite")
 
     @property
     def fingerprint(self) -> str:
