@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.signals import SignalKind, SignalSeries
-from repro.core.usaas.privacy import scrub_author
+from repro.core.usaas.privacy import scrub_all
 from repro.errors import QueryError, SchemaError
 from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.perf.columnar import corpus_columns, participant_columns
@@ -133,19 +133,12 @@ def telemetry_signals(
     vmat[3] = 100.0 * cols.dropped_early
     vmat[4] = cols.rating  # NaN rows are never selected (pos 4 needs rated)
 
-    scrubbed: Dict[str, str] = {}
-    attrs_rows = []
-    for i in range(n):
-        uid = cols.user_id[i]
-        author = scrubbed.get(uid)
-        if author is None:
-            author = scrub_author(uid)
-            scrubbed[uid] = author
-        attrs_rows.append((
-            ("country", cols.country[i]),
-            ("platform", cols.platform[i]),
-            ("user", author),
-        ))
+    attrs_rows = [
+        (("country", country), ("platform", platform), ("user", author))
+        for country, platform, author in zip(
+            cols.country, cols.platform, scrub_all(cols.user_id)
+        )
+    ]
 
     row_list = row.tolist()
     series.extend_columns(
@@ -212,16 +205,11 @@ def social_signals(
     wmat[1] = 1.0
 
     topic_service = service_of_topic or {}
-    scrubbed: Dict[str, str] = {}
-    attrs_rows = []
-    services_row = []
-    for i in range(n):
-        author = scrubbed.get(cols.author[i])
-        if author is None:
-            author = scrub_author(cols.author[i])
-            scrubbed[cols.author[i]] = author
-        attrs_rows.append((("topic", cols.topic[i]), ("user", author)))
-        services_row.append(topic_service.get(cols.topic[i]))
+    attrs_rows = [
+        (("topic", topic), ("user", author))
+        for topic, author in zip(cols.topic, scrub_all(cols.author))
+    ]
+    services_row = [topic_service.get(topic) for topic in cols.topic]
 
     row_list = row.tolist()
     pos_list = pos.tolist()

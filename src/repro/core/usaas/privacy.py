@@ -5,7 +5,8 @@ analyses"* and §5 insists insights be *aggregated*.  Two mechanisms:
 
 * :func:`scrub_author` — identifiers are one-way hashed before they ever
   enter a signal series, so joins are possible but re-identification
-  from the service's outputs is not;
+  from the service's outputs is not (:func:`scrub_all` scrubs a whole
+  column, hashing each distinct identifier once);
 * :class:`PrivacyGuard` — any aggregate released by the service must
   cover at least ``min_users`` distinct (hashed) users.  A query whose
   whole pool falls short raises :class:`~repro.errors.PrivacyError`;
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -34,6 +35,22 @@ def scrub_author(identifier: str) -> str:
         raise PrivacyError("cannot scrub an empty identifier")
     digest = hashlib.sha256(identifier.encode("utf-8")).hexdigest()[:12]
     return f"{_SCRUB_PREFIX}{digest}"
+
+
+def scrub_all(identifiers: Iterable[str]) -> List[str]:
+    """:func:`scrub_author` over a column of identifiers, in order.
+
+    A user recurs across sessions and posts, so each distinct
+    identifier is hashed once and reused.
+    """
+    scrubbed: Dict[str, str] = {}
+    out: List[str] = []
+    for identifier in identifiers:
+        key = scrubbed.get(identifier)
+        if key is None:
+            key = scrubbed[identifier] = scrub_author(identifier)
+        out.append(key)
+    return out
 
 
 def is_scrubbed(identifier: str) -> bool:

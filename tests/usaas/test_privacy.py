@@ -6,7 +6,12 @@ import pytest
 
 from repro.core.signals import ExplicitSignal, ImplicitSignal, SignalSeries
 from repro.core.usaas import UsaasQuery, UsaasService
-from repro.core.usaas.privacy import PrivacyGuard, is_scrubbed, scrub_author
+from repro.core.usaas.privacy import (
+    PrivacyGuard,
+    is_scrubbed,
+    scrub_all,
+    scrub_author,
+)
 from repro.errors import PrivacyError
 
 TS = dt.datetime(2022, 1, 1, 12)
@@ -34,6 +39,21 @@ class TestScrubAuthor:
     def test_rejects_empty(self):
         with pytest.raises(PrivacyError):
             scrub_author("")
+        with pytest.raises(PrivacyError):
+            scrub_all(["alice", ""])
+
+    def test_scrub_all_hashes_each_distinct_id_once(self, monkeypatch):
+        from repro.core.usaas import privacy
+
+        calls = []
+        real = privacy.scrub_author
+        monkeypatch.setattr(
+            privacy, "scrub_author", lambda i: calls.append(i) or real(i)
+        )
+        ids = ["alice", "bob", "alice", "carol", "bob"]
+        assert scrub_all(ids) == [real(i) for i in ids]
+        assert calls == ["alice", "bob", "carol"]
+        assert scrub_all([]) == []
 
 
 class TestPrivacyGuard:
