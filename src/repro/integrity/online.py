@@ -77,10 +77,12 @@ class OnlineTrustGate:
         self.observed += 1
         t = float(record.event_time_s)
         key = f"{record.source}/{record.key}"
-        state = self._keys.pop(key, None)
+        state = self._keys.get(key)
         if state is None:
             state = {"times": deque(), "token": "", "run": 0}
-        self._keys[key] = state
+            self._keys[key] = state
+        else:
+            self._keys.move_to_end(key)
         while len(self._keys) > self.max_keys:
             self._keys.popitem(last=False)
         times: Deque[float] = state["times"]

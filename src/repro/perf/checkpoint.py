@@ -37,10 +37,11 @@ from repro.io.jsonl import atomic_writer, json_default
 
 PathLike = Union[str, Path]
 
-#: Bump when the manifest layout or shard file framing changes; old
-#: checkpoint directories then re-execute cleanly instead of
-#: deserialising into garbage.
-CHECKPOINT_SCHEMA_VERSION = "1"
+#: Bump when the manifest layout, the shard file framing or the layout
+#: of a stream epoch changes; old checkpoint directories then
+#: re-execute cleanly instead of deserialising into garbage.  "2":
+#: reorder-buffer rows are positional and carry their fault tags.
+CHECKPOINT_SCHEMA_VERSION = "2"
 
 MANIFEST_NAME = "manifest.json"
 

@@ -1,10 +1,13 @@
 """Exactly-once admission: fingerprint-keyed duplicate suppression.
 
 Sits *after* the reorder buffer, so it sees records in event-time
-order — which makes eviction trivial: fingerprints older than
-``watermark - horizon_s`` can never collide with a future on-time
-record (anything that old would be declared late first), so the table
-stays bounded without ever forgetting a fingerprint it still needs.
+order.  The late check runs before the buffer and rejects every
+delivery older than the watermark, and the watermark never moves
+back.  So once the watermark passes a fingerprint's event time, no
+future delivery carrying that fingerprint can reach this stage, and
+the fingerprint is forgotten.  The table holds only records at the
+watermark's own instant: it stays a handful of entries however long
+the stream runs, and it never forgets a fingerprint it still needs.
 """
 
 from __future__ import annotations
@@ -12,24 +15,22 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Tuple
 
-from repro.errors import ConfigError
 from repro.streaming.records import StreamRecord
 
 
 class DedupFilter:
-    """Bounded-memory duplicate detector keyed on record fingerprints.
+    """Duplicate detector keyed on record fingerprints.
 
-    ``horizon_s`` must be at least the pipeline's allowed lateness:
-    a duplicate can only be delivered on-time within the lateness
-    window, so remembering fingerprints for the horizon guarantees
-    every admissible duplicate is caught.
+    Every copy of a record shares its event time, and a copy older
+    than the watermark is late before it gets here.  Remembering each
+    fingerprint until the watermark passes its event time therefore
+    catches every admissible duplicate.
     """
 
-    def __init__(self, horizon_s: float) -> None:
-        if horizon_s <= 0:
-            raise ConfigError("dedup horizon_s must be positive")
-        self.horizon_s = float(horizon_s)
+    def __init__(self) -> None:
         self._seen: Dict[str, float] = {}
+        # (event_time_s, fingerprint) in arrival order, which is
+        # event-time order downstream of the reorder buffer.
         self._order: Deque[Tuple[float, str]] = deque()
         self.evicted = 0
 
@@ -49,12 +50,15 @@ class DedupFilter:
         return False
 
     def evict(self, watermark_s: float) -> int:
-        """Forget fingerprints older than the horizon; returns the count."""
-        cutoff = watermark_s - self.horizon_s
+        """Forget fingerprints older than the watermark; returns the count.
+
+        Entries at or above the watermark stay: a delivery with event
+        time exactly at the watermark is still on time.
+        """
+        order = self._order
         dropped = 0
-        while self._order and self._order[0][0] < cutoff:
-            _, fp = self._order.popleft()
-            self._seen.pop(fp, None)
+        while order and order[0][0] < watermark_s:
+            del self._seen[order.popleft()[1]]
             dropped += 1
         self.evicted += dropped
         return dropped

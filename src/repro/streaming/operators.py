@@ -1,12 +1,8 @@
 """Incremental stream operators: no full recompute, ever.
 
 Each operator consumes event-time-ordered records, folds them into O(1)
-per-record state, and emits closed aggregates when the watermark passes
-them.  Emissions are appended to the operator's
-:class:`~repro.core.signals.SignalSeries` through ``extend_columns`` —
-one bulk columnar append per watermark advance, never a per-signal
-dataclass round-trip — so the live series stays query-compatible with
-everything the batch analyses already consume.
+per-record state, and returns closed aggregates when the watermark
+passes them; the pipeline sequences those emissions into its log.
 
 Operator state is a plain JSON-safe dict (``state_dict`` /
 ``load_state``): Python's JSON round-trips binary64 floats exactly, so
@@ -15,12 +11,10 @@ a checkpointed operator resumes bit-for-bit where it left off.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.signals import SignalKind, SignalSeries
 from repro.errors import ConfigError
 from repro.streaming.records import StreamRecord
 
@@ -63,36 +57,14 @@ class Emission:
         )
 
 
-def _series_extend(
-    series: SignalSeries,
-    epoch: dt.datetime,
-    network: str,
-    emissions: List[Emission],
-) -> None:
-    """Bulk-append closed aggregates as signals (one columnar call)."""
-    if not emissions:
-        return
-    series.extend_columns(
-        [
-            SignalKind.EXPLICIT if e.role == "experience"
-            else SignalKind.IMPLICIT
-            for e in emissions
-        ],
-        [epoch + dt.timedelta(seconds=e.at_s) for e in emissions],
-        network,
-        [f"{e.metric}:{e.operator}" for e in emissions],
-        [e.value for e in emissions],
-        weight=[float(e.count) for e in emissions],
-    )
-
-
 class SlidingWindowAggregate:
     """Per-metric sliding-window means over event time.
 
     Windows are ``[end - window_s, end)`` with ends at integer multiples
     of ``slide_s``.  A record lands in every window covering its event
-    time — amortised ``window_s / slide_s`` dict updates, independent of
-    history length.  A window closes (emits and frees its state) once
+    time — amortised ``window_s / slide_s`` cell updates, independent of
+    history length, with a new cell only for a window's first record.
+    A window closes (emits and frees its state) once
     the watermark passes its end; the release order downstream of the
     reorder buffer guarantees no on-time record for a closed window can
     still arrive.
@@ -103,8 +75,6 @@ class SlidingWindowAggregate:
         window_s: float,
         slide_s: float,
         name: str = "win_mean",
-        epoch: Optional[dt.datetime] = None,
-        network: str = "starlink",
     ) -> None:
         if window_s <= 0 or slide_s <= 0:
             raise ConfigError("window_s and slide_s must be positive")
@@ -113,22 +83,33 @@ class SlidingWindowAggregate:
         self.window_s = float(window_s)
         self.slide_s = float(slide_s)
         self.name = name
-        self.epoch = epoch or dt.datetime(2023, 11, 28)
-        self.network = network
-        self.series = SignalSeries()
-        # (metric, window index k) -> [sum, count]; role per metric.
-        self._windows: Dict[Tuple[str, int], List[float]] = {}
+        # metric -> window index k -> [sum, count]; role per metric.
+        self._windows: Dict[str, Dict[int, List[float]]] = {}
         self._roles: Dict[str, str] = {}
         self.closed_windows = 0
 
     def on_record(self, record: StreamRecord) -> None:
-        self._roles.setdefault(record.metric, record.role)
+        metric = record.metric
+        cells = self._windows.get(metric)
+        if cells is None:
+            # Only a metric's first record sets its role, and that record
+            # always takes this branch.
+            self._roles.setdefault(metric, record.role)
+            cells = self._windows[metric] = {}
         t = record.event_time_s
-        k = math.floor(t / self.slide_s) + 1
-        while k * self.slide_s <= t + self.window_s:
-            cell = self._windows.setdefault((record.metric, k), [0.0, 0.0])
-            cell[0] += record.value
-            cell[1] += 1.0
+        value = record.value
+        slide_s = self.slide_s
+        top_s = t + self.window_s
+        k = math.floor(t / slide_s) + 1
+        while k * slide_s <= top_s:
+            cell = cells.get(k)
+            if cell is None:
+                # ``0.0 + value``, not ``value``: the sum starts at 0.0
+                # (which turns a -0.0 value into 0.0).
+                cells[k] = [0.0 + value, 1.0]
+            else:
+                cell[0] += value
+                cell[1] += 1.0
             k += 1
 
     def process(
@@ -156,24 +137,29 @@ class SlidingWindowAggregate:
     ) -> List[Emission]:
         """Close every window whose end the watermark has passed."""
         closed: List[Emission] = []
-        for (metric, k) in sorted(self._windows):
-            end_s = k * self.slide_s
-            passed = (
-                end_s <= watermark_s if inclusive else end_s < watermark_s
-            )
-            if passed:
-                total, count = self._windows.pop((metric, k))
+        slide_s = self.slide_s
+        for metric, cells in self._windows.items():
+            role = self._roles.get(metric, "network")
+            passed = [
+                k for k in cells
+                if (
+                    k * slide_s <= watermark_s if inclusive
+                    else k * slide_s < watermark_s
+                )
+            ]
+            for k in passed:
+                total, count = cells.pop(k)
                 closed.append(Emission(
-                    at_s=end_s,
+                    at_s=k * slide_s,
                     operator=self.name,
                     metric=metric,
                     value=total / count,
                     count=int(count),
-                    role=self._roles.get(metric, "network"),
+                    role=role,
                 ))
+        # (at_s, metric) is unique per window, so this order is total.
         closed.sort(key=lambda e: (e.at_s, e.metric))
         self.closed_windows += len(closed)
-        _series_extend(self.series, self.epoch, self.network, closed)
         return closed
 
     # -- checkpointing ----------------------------------------------------
@@ -181,18 +167,20 @@ class SlidingWindowAggregate:
     def state_dict(self) -> Dict[str, Any]:
         return {
             "windows": [
-                [metric, k, cell[0], cell[1]]
-                for (metric, k), cell in sorted(self._windows.items())
+                [metric, k, cells[k][0], cells[k][1]]
+                for metric, cells in sorted(self._windows.items())
+                for k in sorted(cells)
             ],
             "roles": dict(sorted(self._roles.items())),
             "closed_windows": self.closed_windows,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        self._windows = {
-            (str(metric), int(k)): [float(total), float(count)]
-            for metric, k, total, count in state.get("windows", [])
-        }
+        self._windows = {}
+        for metric, k, total, count in state.get("windows", []):
+            self._windows.setdefault(str(metric), {})[int(k)] = [
+                float(total), float(count),
+            ]
         self._roles = {
             str(m): str(r) for m, r in state.get("roles", {}).items()
         }
@@ -213,8 +201,6 @@ class DecayedAggregate:
         half_life_s: float,
         sample_every_s: float,
         name: str = "decayed_mean",
-        epoch: Optional[dt.datetime] = None,
-        network: str = "starlink",
     ) -> None:
         if half_life_s <= 0:
             raise ConfigError("half_life_s must be positive")
@@ -223,9 +209,6 @@ class DecayedAggregate:
         self.half_life_s = float(half_life_s)
         self.sample_every_s = float(sample_every_s)
         self.name = name
-        self.epoch = epoch or dt.datetime(2023, 11, 28)
-        self.network = network
-        self.series = SignalSeries()
         # metric -> [num, den, last_t, count]
         self._state: Dict[str, List[float]] = {}
         self._roles: Dict[str, str] = {}
@@ -300,7 +283,6 @@ class DecayedAggregate:
         while i < len(records):
             self.on_record(records[i])
             i += 1
-        _series_extend(self.series, self.epoch, self.network, emissions)
         return emissions
 
     def flush(self, final_s: float) -> List[Emission]:
@@ -327,7 +309,6 @@ class DecayedAggregate:
                     role=self._roles.get(metric, "network"),
                 ))
             self._next_sample_s = s + self.sample_every_s
-        _series_extend(self.series, self.epoch, self.network, emissions)
         return emissions
 
     # -- checkpointing ----------------------------------------------------

@@ -8,8 +8,9 @@ Stages, in delivery order:
 2. **reorder buffer** — on-time records wait (bounded) until the
    watermark passes them, then release in event-time order.  Overflow
    force-releases the oldest record and raises the watermark floor;
-3. **dedup filter** — fingerprint-keyed, horizon-bounded; sees an
-   ordered stream so eviction is exact;
+3. **dedup filter** — fingerprint-keyed; sees an ordered stream and
+   forgets a fingerprint once the watermark passes its event time, since
+   every later copy of it is late;
 4. **bounded queues with backpressure** — between ingest and the
    operators, and between the operators and the detector.  A full
    queue drains its consumer synchronously (counted), so memory is
@@ -66,6 +67,8 @@ class StreamConfig:
     seed: int = 20231128
     allowed_lateness_s: float = 30.0
     reorder_capacity: int = 256
+    #: No longer read: dedup forgets a fingerprint at the watermark.
+    #: Kept because callers pass it and it is part of the run key.
     dedup_horizon_s: float = 120.0
     late_policy: str = "drop"
     queue_capacity: int = 64
@@ -261,7 +264,7 @@ class StreamPipeline:
         self.counters = StreamCounters()
         self.watermark = WatermarkTracker(config.allowed_lateness_s)
         self.buffer = ReorderBuffer(config.reorder_capacity)
-        self.dedup = DedupFilter(config.dedup_horizon_s)
+        self.dedup = DedupFilter()
         self.window_op = SlidingWindowAggregate(
             config.window_s, config.slide_s
         )
@@ -288,12 +291,6 @@ class StreamPipeline:
         self._epoch = 0
         self._next_checkpoint_s = config.checkpoint_every_s
         self._finished = False
-        #: fingerprint -> FIFO of fault-tag tuples for deliveries still
-        #: in flight (pushed at ingest, popped when the delivery reaches
-        #: its terminal bucket).  A FIFO because duplicate deliveries
-        #: share a fingerprint and each carries its own tags; in-flight
-        #: occupancy is bounded by the reorder buffer, so this is too.
-        self._pending_tags: Dict[str, List[Tuple[str, ...]]] = {}
         #: fault kind -> terminal bucket -> count; the soak's per-kind
         #: dedup/quarantine attribution.
         self.fault_outcomes: Dict[str, Dict[str, int]] = {}
@@ -313,44 +310,47 @@ class StreamPipeline:
         ``tags`` names the injected fault kinds that shaped this
         delivery (a soak passes ``delivery.injected``); the pipeline
         attributes the record's terminal bucket to each tag in
-        :attr:`fault_outcomes`.
+        :attr:`fault_outcomes`.  The tags travel with the delivery
+        through the reorder buffer.
         """
         if self._finished:
             raise ConfigError("cannot ingest into a finished pipeline")
-        self.counters.emitted += 1
-        if self.watermark.is_late(record.event_time_s):
+        counters = self.counters
+        counters.emitted += 1
+        watermark = self.watermark
+        before_s = watermark.watermark_s
+        if record.event_time_s < before_s:
             if self.config.late_policy == "side":
-                self.counters.late_side += 1
+                counters.late_side += 1
                 self._tag_outcome(tuple(tags), "late_side")
                 self.side_channel.append(record)
             else:
-                self.counters.late_dropped += 1
+                counters.late_dropped += 1
                 self._tag_outcome(tuple(tags), "late_dropped")
             return
-        fp = self.buffer.push(record)
-        self._pending_tags.setdefault(fp, []).append(tuple(tags))
-        self.watermark.observe(record.event_time_s)
-        while self.buffer.overflowing:
-            oldest, oldest_fp = self.buffer.pop_oldest()
-            self.watermark.advance_floor(oldest.event_time_s)
-            self.counters.forced_flushes += 1
-            self._route(oldest, oldest_fp)
-        for released, released_fp in self.buffer.release(
-            self.watermark.watermark_s
-        ):
-            self._route(released, released_fp)
-        self.dedup.evict(self.watermark.watermark_s)
+        buffer = self.buffer
+        buffer.push(record, tuple(tags))
+        wm = watermark.observe(record.event_time_s)
+        while buffer.overflowing:
+            oldest = buffer.pop_oldest()
+            wm = watermark.advance_floor(oldest[0].event_time_s)
+            counters.forced_flushes += 1
+            self._route(*oldest)
+        if buffer.due(wm):
+            for released in buffer.release(wm):
+                self._route(*released)
+        # Dedup already forgot every fingerprint below ``before_s``;
+        # only a watermark that moved can make it forget more.
+        if wm > before_s:
+            self.dedup.evict(wm)
         self._maybe_checkpoint()
 
-    def _route(self, record: StreamRecord, fp: str) -> None:
-        """Dedup and trust-gate one ordered record (``fp`` is its
-        fingerprint, hashed at ingest), then queue it."""
-        queue = self._pending_tags.get(fp)
-        tags: Tuple[str, ...] = ()
-        if queue:
-            tags = queue.pop(0)
-            if not queue:
-                del self._pending_tags[fp]
+    def _route(
+        self, record: StreamRecord, fp: str, tags: Tuple[str, ...]
+    ) -> None:
+        """Dedup and trust-gate one ordered delivery (``fp`` is its
+        fingerprint, hashed at ingest; ``tags`` its fault tags), then
+        queue it."""
         if self.dedup.seen(record, fp):
             self.counters.deduped += 1
             self._tag_outcome(tags, "deduped")
@@ -448,10 +448,6 @@ class StreamPipeline:
             "clock_s": self.clock.now(),
             "epoch": self._epoch,
             "next_checkpoint_s": self._next_checkpoint_s,
-            "pending_tags": [
-                [fp, [list(tags) for tags in queue]]
-                for fp, queue in self._pending_tags.items()
-            ],
             "fault_outcomes": {
                 kind: dict(buckets)
                 for kind, buckets in self.fault_outcomes.items()
@@ -481,10 +477,6 @@ class StreamPipeline:
         self._next_checkpoint_s = float(
             state.get("next_checkpoint_s", self.config.checkpoint_every_s)
         )
-        self._pending_tags = {
-            str(fp): [tuple(str(t) for t in tags) for tags in queue]
-            for fp, queue in state.get("pending_tags", [])
-        }
         self.fault_outcomes = {
             str(kind): {str(b): int(n) for b, n in buckets.items()}
             for kind, buckets in state.get("fault_outcomes", {}).items()
@@ -562,8 +554,8 @@ class StreamPipeline:
             raise ConfigError("pipeline already finished")
         final_wm = self.watermark.max_event_time_s
         self.watermark.advance_floor(final_wm)
-        for released, fp in self.buffer.release(final_wm):
-            self._route(released, fp)
+        for released in self.buffer.release(final_wm):
+            self._route(*released)
         self.pump()
         # In-stream drains are strictly-before-watermark; the stream is
         # over now, so close the boundary inclusively: complete windows

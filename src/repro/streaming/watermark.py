@@ -30,6 +30,11 @@ from repro.streaming.records import StreamRecord
 #: Watermark value before any record has been observed.
 NO_WATERMARK = float("-inf")
 
+#: One released delivery: the record, its fingerprint and its fault tags.
+Released = Tuple[StreamRecord, str, Tuple[str, ...]]
+#: One heap entry: ``(event_time_s, arrival_seq) + Released``.
+Entry = Tuple[float, int, StreamRecord, str, Tuple[str, ...]]
+
 
 class WatermarkTracker:
     """Event-time watermark with a fixed allowed-lateness bound.
@@ -40,6 +45,11 @@ class WatermarkTracker:
     its event time is strictly below the current watermark; late records
     never enter the reorder buffer (the pipeline applies its late
     policy instead).
+
+    ``watermark_s`` is a stored value, not a property: ``observe``,
+    ``advance_floor`` and ``load_state`` recompute it whenever one of
+    its two terms changes, so reading it costs an attribute load.
+    Treat it as read-only.
     """
 
     def __init__(self, allowed_lateness_s: float) -> None:
@@ -48,20 +58,22 @@ class WatermarkTracker:
         self.allowed_lateness_s = float(allowed_lateness_s)
         self._max_event_time_s = NO_WATERMARK
         self._floor_s = NO_WATERMARK
+        #: Current watermark (``-inf`` until the first observation).
+        self.watermark_s = NO_WATERMARK
         self.observed = 0
 
     @property
     def max_event_time_s(self) -> float:
         return self._max_event_time_s
 
-    @property
-    def watermark_s(self) -> float:
-        """Current watermark (``-inf`` until the first observation)."""
+    def _refresh(self) -> None:
         if self._max_event_time_s == NO_WATERMARK:
-            return self._floor_s
-        return max(
-            self._max_event_time_s - self.allowed_lateness_s, self._floor_s
-        )
+            self.watermark_s = self._floor_s
+        else:
+            self.watermark_s = max(
+                self._max_event_time_s - self.allowed_lateness_s,
+                self._floor_s,
+            )
 
     def is_late(self, event_time_s: float) -> bool:
         return event_time_s < self.watermark_s
@@ -71,12 +83,14 @@ class WatermarkTracker:
         self.observed += 1
         if event_time_s > self._max_event_time_s:
             self._max_event_time_s = float(event_time_s)
+            self._refresh()
         return self.watermark_s
 
     def advance_floor(self, event_time_s: float) -> float:
         """Raise the watermark floor (buffer overflow forced a release)."""
         if event_time_s > self._floor_s:
             self._floor_s = float(event_time_s)
+            self._refresh()
         return self.watermark_s
 
     # -- checkpointing ----------------------------------------------------
@@ -101,6 +115,7 @@ class WatermarkTracker:
         )
         self._floor_s = NO_WATERMARK if floor is None else float(floor)
         self.observed = int(state.get("observed", 0))
+        self._refresh()
 
 
 class ReorderBuffer:
@@ -110,15 +125,18 @@ class ReorderBuffer:
     times release in arrival order — a total, deterministic order, which
     is what makes replayed runs byte-identical.  Each entry carries the
     record's fingerprint, hashed once by :meth:`push`, so the stages
-    after the buffer never hash the record again; checkpoints omit it
-    and a restore hashes each buffered record once.
+    after the buffer never hash the record again, and the delivery's
+    fault tags, so its terminal bucket is attributed to the delivery
+    that reached it.  Checkpoints store each entry as one positional
+    row with its tags but without the fingerprint; a restore hashes
+    each buffered record once.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigError("reorder buffer capacity must be >= 1")
         self.capacity = int(capacity)
-        self._heap: List[Tuple[float, int, StreamRecord, str]] = []
+        self._heap: List[Entry] = []
         self._arrivals = 0
 
     def __len__(self) -> int:
@@ -128,49 +146,65 @@ class ReorderBuffer:
     def overflowing(self) -> bool:
         return len(self._heap) > self.capacity
 
-    def push(self, record: StreamRecord) -> str:
-        """Buffer one record; returns the fingerprint it is carried with."""
+    def due(self, watermark_s: float) -> bool:
+        """True when :meth:`release` at ``watermark_s`` releases anything."""
+        return bool(self._heap) and self._heap[0][0] <= watermark_s
+
+    def push(self, record: StreamRecord, tags: Tuple[str, ...] = ()) -> str:
+        """Buffer one delivery; returns the fingerprint it is carried with."""
         fp = record.fingerprint
         heapq.heappush(
-            self._heap, (record.event_time_s, self._arrivals, record, fp)
+            self._heap,
+            (record.event_time_s, self._arrivals, record, fp, tags),
         )
         self._arrivals += 1
         return fp
 
-    def pop_oldest(self) -> Tuple[StreamRecord, str]:
-        """Force-release the earliest buffered ``(record, fingerprint)``
-        (overflow path)."""
+    def pop_oldest(self) -> Released:
+        """Force-release the earliest buffered ``(record, fingerprint,
+        tags)`` (overflow path)."""
         if not self._heap:
             raise ConfigError("cannot pop from an empty reorder buffer")
-        _, _, record, fp = heapq.heappop(self._heap)
-        return record, fp
+        return heapq.heappop(self._heap)[2:]
 
-    def release(self, watermark_s: float) -> List[Tuple[StreamRecord, str]]:
-        """Every ``(record, fingerprint)`` the watermark has passed, in
-        event-time order."""
-        released: List[Tuple[StreamRecord, str]] = []
-        while self._heap and self._heap[0][0] <= watermark_s:
-            _, _, record, fp = heapq.heappop(self._heap)
-            released.append((record, fp))
+    def release(self, watermark_s: float) -> List[Released]:
+        """Every ``(record, fingerprint, tags)`` the watermark has passed,
+        in event-time order."""
+        heap = self._heap
+        released: List[Released] = []
+        while heap and heap[0][0] <= watermark_s:
+            released.append(heapq.heappop(heap)[2:])
         return released
 
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
+        # (event_time_s, seq) is unique, so sorting whole entries never
+        # compares records.
         return {
             "arrivals": self._arrivals,
             "entries": [
-                [t, seq, record.to_dict()]
-                for t, seq, record, _ in sorted(
-                    self._heap, key=lambda e: e[:2]
-                )
+                [
+                    t, seq, record.source, record.metric, record.value,
+                    record.key, record.role, list(tags),
+                ]
+                for t, seq, record, _, tags in sorted(self._heap)
             ],
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self._arrivals = int(state.get("arrivals", 0))
         self._heap = []
-        for t, seq, data in state.get("entries", []):
-            record = StreamRecord.from_dict(data)
-            self._heap.append((float(t), int(seq), record, record.fingerprint))
+        for t, seq, source, metric, value, key, role, tags in state.get(
+            "entries", []
+        ):
+            record = StreamRecord(
+                event_time_s=float(t), source=str(source),
+                metric=str(metric), value=float(value), key=str(key),
+                role=str(role),
+            )
+            self._heap.append((
+                record.event_time_s, int(seq), record, record.fingerprint,
+                tuple(str(tag) for tag in tags),
+            ))
         heapq.heapify(self._heap)

@@ -154,8 +154,9 @@ class TestManifestIdentity:
     def test_manifest_bytes_pinned(self, tmp_path):
         store = _primed(tmp_path)
         raw = (store.root / MANIFEST_NAME).read_bytes()
+        assert b'"schema": "2"' in raw
         assert hashlib.sha256(raw).hexdigest() == (
-            "26f00483f2973d2546782673406d54dfa85f605466053516608fe44c456259f4"
+            "c97dd0a004a508564839588a181bbf076dde764d279c11a25fe7b86f4ea5abc4"
         )
 
 

@@ -174,3 +174,50 @@ class TestVerdict:
             f"{report.one_batch_s + 0.5:.4f}s over budget (> one batch "
             f"cost {report.one_batch_s:.4f}s)",
         ))
+
+
+class TestHarnessScalePins:
+    """The phase harness's coalesced-soak p99, pinned exactly.
+
+    Built as ``benchmarks/perf/harness.py`` builds its prediction soak
+    at ``full`` scale: 300 calls on seed 20231128 rated at 0.5, the
+    ground-truth engine's columns and a predictor fitted on them, then
+    1,000 arrivals at 1.5x the coalesced capacity with deadlines of ten
+    batch costs.  Arrivals, costs and the coalescer all run on simulated
+    time, so the p99 is a behaviour pin, not a timing.
+    """
+
+    def test_full_scale_p99_coalesced_latency(self):
+        import numpy as np
+
+        from repro.prediction import ColumnarMosPredictor
+        from repro.telemetry import GeneratorConfig
+        from repro.telemetry.vectorized import VectorizedCallEngine
+
+        seed = 20231128
+        config = GeneratorConfig(n_calls=300, seed=seed, mos_sample_rate=0.5)
+        columns, _ = VectorizedCallEngine(config).generate_with_ground_truth()
+        model = ColumnarMosPredictor().fit_columns(columns)
+        coalescer = CoalescerConfig(max_batch=16, max_delay_s=0.01)
+        server, _, engine = synthetic_prediction_server(
+            columns, model, seed=seed, coalescer=coalescer, max_pending=16,
+        )
+        batch_cost = engine.cost_model.batch_cost_s(
+            coalescer.max_batch * len(columns)
+        )
+        rate = 1.5 * coalescer.max_batch / batch_cost
+        rng = derive(seed, "prediction", "perf-soak")
+        at_s = np.cumsum(rng.exponential(1.0 / rate, 1000))
+        arrivals = [
+            Arrival(
+                at_s=float(t),
+                priority="interactive" if i % 8 == 0 else "batch",
+                deadline_s=10.0 * batch_cost,
+            )
+            for i, t in enumerate(at_s)
+        ]
+        report = run_prediction_soak(server, arrivals)
+        assert report.verdict() == Verdict()
+        assert (report.submitted, report.served, report.served_degraded,
+                report.shed) == (1000, 723, 95, 182)
+        assert report.p99_latency_s == 0.500942

@@ -288,3 +288,40 @@ class TestVerdict:
         )
         with pytest.raises(LedgerViolationError, match="router-shed"):
             metrics.check_exact_once()
+
+
+class TestHarnessScalePins:
+    """The phase harness's cluster figures, pinned exactly.
+
+    Built as ``benchmarks/perf/harness.py`` builds its cluster soak at
+    ``full`` scale: seed 20231128, three replicas, a 20 s spike at 5x
+    whole-cluster capacity over tenants alpha (2) and beta (1), and
+    replica r1 crashing 7.5 s in for 5 s.  Simulated time only, so any
+    movement is a change in routing, failover or quota code.
+    """
+
+    def test_full_scale_failover_shed_rate_and_latency(self):
+        duration_s = 20.0
+        cluster, plan = synthetic_cluster(
+            seed=20231128, n_replicas=N_REPLICAS, slow_s=SLOW_S,
+        )
+        arrivals = plan.cluster_load_spikes(
+            "perf-cluster-soak",
+            dataclasses.replace(SPIKE, duration_s=duration_s),
+            tenant_mix=(("alpha", 2.0), ("beta", 1.0)),
+        )
+        events = plan.replica_faults(
+            "perf-cluster-soak",
+            ReplicaFaultSpec(
+                replica="r1", kind="crash",
+                at_s=duration_s * 0.375, down_s=duration_s * 0.25,
+            ),
+        )
+        report = run_cluster_soak(
+            cluster, arrivals, events, query_for=lambda a: QUERY
+        )
+        assert report.verdict() == Verdict()
+        assert report.arrivals == 3129
+        assert report.shed_rate == 0.8184723553851071
+        assert report.metrics.p50_admitted_s() == 0.8
+        assert report.metrics.p99_admitted_s() == 0.8

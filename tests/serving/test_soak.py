@@ -185,3 +185,30 @@ class TestVerdict:
             drain=dataclasses.replace(report.drain, in_flight=1),
         )
         assert broken.verdict().lines[0].startswith("accounting violation")
+
+
+class TestHarnessScalePins:
+    """The phase harness's serving figures, pinned exactly.
+
+    Built as ``benchmarks/perf/harness.py`` builds its serving soak at
+    ``full`` scale (seed 20231128, a 20 s spike at 5x capacity, the
+    default attempt timeout, 1 s deadlines).  Everything runs on a
+    ``ManualClock``, so these are behaviour pins, not timings: any
+    movement is a change in admission, deadline or shedding code.
+    """
+
+    def test_full_scale_admitted_latency_and_shed_rate(self):
+        clock = ManualClock()
+        plan = FaultPlan(seed=20231128, clock=clock)
+        service = synthetic_soak_service(plan, slow_s=SLOW_S)
+        arrivals = plan.load_spikes("perf-soak", LoadSpikeSpec(
+            rate_per_s=OVERLOAD / estimated_service_time_s(SLOW_S),
+            duration_s=20.0, priority_mix=MIX, deadline_s=1.0,
+        ))
+        server = UsaasServer(service, max_pending=8, shed_policy="priority")
+        report = run_soak(server, arrivals, query_for=lambda arrival: QUERY)
+        assert report.verdict() == Verdict()
+        assert report.arrivals == 984
+        assert report.metrics.p50_latency_s() == 0.8
+        assert report.metrics.p99_latency_s() == 0.8
+        assert report.shed_rate == 0.7886178861788617

@@ -1,18 +1,25 @@
-"""Record-at-a-time oracles for the columnar stream exports.
+"""Oracles for the stream exports and the dedup rule.
 
-These are the per-call and per-post loops that
+:func:`telemetry_stream_records` and :func:`social_stream_records` are
+the per-call and per-post loops that
 :func:`~repro.telemetry.streams.telemetry_stream` and
 :func:`~repro.social.streams.social_stream` ran before they read the
-column blocks.  They live here only so tests can pin the exports ``==``
-against them; nothing in ``src/`` calls them.  Each one walks the
-dataset's records and scores every post with ``analyzer.score``, so no
-columnar code runs inside an oracle.
+column blocks.  Each one walks the dataset's records and scores every
+post with ``analyzer.score``, so no columnar code runs inside an oracle.
+
+:class:`HorizonDedupFilter` is the dedup stage as it was before it
+learned to forget at the watermark: it remembers every fingerprint for
+``horizon_s`` seconds behind the watermark.
+
+They live here only so tests can pin the code in ``src/`` against
+them; nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from typing import List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.usaas.privacy import scrub_author
 from repro.nlp.sentiment import SentimentAnalyzer
@@ -94,3 +101,52 @@ def social_stream_records(
             ))
     records.sort(key=lambda r: (r.event_time_s, r.metric, r.key))
     return records
+
+
+class HorizonDedupFilter:
+    """Horizon-bounded duplicate detector (the old dedup rule).
+
+    Forgets a fingerprint only once the watermark is ``horizon_s``
+    past its event time.  Same interface and state layout as
+    :class:`~repro.streaming.dedup.DedupFilter`, so a pipeline can run
+    either one.
+    """
+
+    def __init__(self, horizon_s: float) -> None:
+        self.horizon_s = float(horizon_s)
+        self._seen: Dict[str, float] = {}
+        self._order: Deque[Tuple[float, str]] = deque()
+        self.evicted = 0
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+    def seen(self, record: StreamRecord, fp: str) -> bool:
+        if fp in self._seen:
+            return True
+        self._seen[fp] = record.event_time_s
+        self._order.append((record.event_time_s, fp))
+        return False
+
+    def evict(self, watermark_s: float) -> int:
+        cutoff = watermark_s - self.horizon_s
+        dropped = 0
+        while self._order and self._order[0][0] < cutoff:
+            _, fp = self._order.popleft()
+            self._seen.pop(fp, None)
+            dropped += 1
+        self.evicted += dropped
+        return dropped
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "entries": [[t, fp] for t, fp in self._order],
+            "evicted": self.evicted,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        self._order = deque(
+            (float(t), str(fp)) for t, fp in state.get("entries", [])
+        )
+        self._seen = {fp: t for t, fp in self._order}
+        self.evicted = int(state.get("evicted", 0))

@@ -61,12 +61,6 @@ class TestSlidingWindowAggregate:
 
         assert run([50, 100, 150]) == run([10, 11, 190]) == run([])
 
-    def test_series_rows_appended_on_close(self):
-        records = make_records(n=100)
-        op = SlidingWindowAggregate(window_s=30.0, slide_s=10.0)
-        emissions = op.process(records, records[-1].event_time_s)
-        assert len(op.series) == len(emissions) > 0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             SlidingWindowAggregate(window_s=0.0, slide_s=1.0)

@@ -117,8 +117,8 @@ class TestLedger:
 class TestFingerprintOnce:
     def test_one_hash_per_on_time_delivery(self, monkeypatch):
         """Ingest hashes each on-time delivery once and carries the
-        fingerprint through the buffer, the tag FIFO and dedup; a late
-        delivery is never hashed."""
+        fingerprint through the buffer and dedup; a late delivery is
+        never hashed."""
         deliveries = deliveries_for(seed=21)
         calls = []
         fingerprint = records_mod.record_fingerprint

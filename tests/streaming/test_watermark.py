@@ -80,33 +80,45 @@ class TestReorderBuffer:
     def test_releases_in_event_time_order(self):
         buf = ReorderBuffer(capacity=16)
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
-        pushed = {t: buf.push(rec(t)) for t in times}
+        pushed = {t: buf.push(rec(t), (f"tag{t}",)) for t in times}
         released = buf.release(3.0)
-        assert [r.event_time_s for r, _ in released] == [1.0, 2.0, 3.0]
-        assert [fp for _, fp in released] == [
-            r.fingerprint for r, _ in released
+        assert [r.event_time_s for r, _, _ in released] == [1.0, 2.0, 3.0]
+        assert [fp for _, fp, _ in released] == [
+            r.fingerprint for r, _, _ in released
         ]
-        assert [fp for _, fp in released] == [
+        assert [fp for _, fp, _ in released] == [
             pushed[t] for t in (1.0, 2.0, 3.0)
+        ]
+        assert [tags for _, _, tags in released] == [
+            ("tag1.0",), ("tag2.0",), ("tag3.0",)
         ]
         assert len(buf) == 2
 
     def test_equal_event_times_release_in_arrival_order(self):
         buf = ReorderBuffer(capacity=16)
-        buf.push(rec(1.0, key="first"))
-        buf.push(rec(1.0, key="second"))
+        buf.push(rec(1.0, key="first"), ("a",))
+        buf.push(rec(1.0, key="second"), ("b",))
         released = buf.release(1.0)
-        assert [r.key for r, _ in released] == ["first", "second"]
+        assert [r.key for r, _, _ in released] == ["first", "second"]
+        assert [tags for _, _, tags in released] == [("a",), ("b",)]
 
     def test_overflow_is_signalled_not_silent(self):
         buf = ReorderBuffer(capacity=2)
         for t in (3.0, 1.0, 2.0):
-            buf.push(rec(t))
+            buf.push(rec(t), ("reorder",) if t == 1.0 else ())
         assert buf.overflowing
-        oldest, fp = buf.pop_oldest()
+        oldest, fp, tags = buf.pop_oldest()
         assert oldest.event_time_s == 1.0
         assert fp == oldest.fingerprint
+        assert tags == ("reorder",)
         assert not buf.overflowing
+
+    def test_due_reports_whether_release_releases(self):
+        buf = ReorderBuffer(capacity=4)
+        assert not buf.due(10.0)
+        buf.push(rec(5.0))
+        assert not buf.due(4.9)
+        assert buf.due(5.0)
 
     def test_pop_empty_raises(self):
         with pytest.raises(ConfigError):
@@ -115,40 +127,56 @@ class TestReorderBuffer:
     def test_state_round_trip_preserves_order(self):
         buf = ReorderBuffer(capacity=8)
         for t in (5.0, 1.0, 3.0):
-            buf.push(rec(t))
+            buf.push(rec(t), ("duplicate",) if t == 3.0 else ())
         clone = ReorderBuffer(capacity=8)
         clone.load_state(buf.state_dict())
         assert clone.release(10.0) == buf.release(10.0)
 
+    def test_state_rows_are_positional_and_carry_tags(self):
+        buf = ReorderBuffer(capacity=8)
+        buf.push(rec(3.0, metric="mos", value=4.5, key="u3"), ("skew",))
+        buf.push(rec(1.0))
+        assert buf.state_dict() == {
+            "arrivals": 2,
+            "entries": [
+                [1.0, 1, "test", "latency_ms", 40.0, "u0", "network", []],
+                [3.0, 0, "test", "mos", 4.5, "u3", "network", ["skew"]],
+            ],
+        }
+
 
 class TestDedupFilter:
     def test_duplicate_detected_distinct_passed(self):
-        dd = DedupFilter(horizon_s=60.0)
+        dd = DedupFilter()
         a, b = rec(1.0, key="u1"), rec(1.0, key="u2")
         assert not seen(dd, a)
         assert seen(dd, a)
         assert not seen(dd, b)  # same instant, different key
 
     def test_same_fields_same_fingerprint(self):
-        dd = DedupFilter(horizon_s=60.0)
+        dd = DedupFilter()
         assert not seen(dd, rec(1.0))
         assert seen(dd, rec(1.0))  # a distinct but identical object
 
     def test_eviction_bounds_memory(self):
-        dd = DedupFilter(horizon_s=10.0)
+        dd = DedupFilter()
         for t in range(100):
             seen(dd, rec(float(t)))
-        dropped = dd.evict(watermark_s=99.0)
-        assert dropped == dd.evicted > 0
+        dropped = dd.evict(watermark_s=95.0)
+        assert dropped == dd.evicted == 95
         assert len(dd) == 100 - dropped
-        # everything younger than watermark - horizon is retained
+        # entries at or above the watermark are kept ...
         assert seen(dd, rec(95.0))
+        assert seen(dd, rec(99.0))
+        # ... and older ones are forgotten: any copy of them is late
+        # before it reaches dedup.
+        assert not seen(dd, rec(94.0))
 
     def test_state_round_trip(self):
-        dd = DedupFilter(horizon_s=60.0)
+        dd = DedupFilter()
         seen(dd, rec(1.0))
         seen(dd, rec(2.0))
-        clone = DedupFilter(horizon_s=60.0)
+        clone = DedupFilter()
         clone.load_state(dd.state_dict())
         assert seen(clone, rec(1.0))
         assert not seen(clone, rec(3.0))

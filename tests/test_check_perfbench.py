@@ -170,6 +170,58 @@ def test_larger_failed_share_fails(tmp_path, spec):
     assert tool.check(parent, same, spec) == 0
 
 
+def _won(out, metric):
+    """The ``won`` cell of ``metric``'s row."""
+    row = next(line for line in out.splitlines()
+               if line.strip().startswith(metric))
+    return row.split()[-2]
+
+
+def test_pair_wins_counted_ties_for_neither_side(tmp_path, spec, capsys):
+    tool = _load_tool()
+    parent = _runs(tmp_path / "parent", "report", [
+        _summary({"busy_s": b, "records_per_s": r})
+        for b, r in ((1.0, 1000.0), (1.0, 1000.0), (1.0, 1000.0),
+                     (1.0, 1000.0), (1.0, 1000.0))
+    ])
+    change = _runs(tmp_path / "change", "report", [
+        _summary({"busy_s": b, "records_per_s": r})
+        for b, r in ((0.9, 1100.0), (0.8, 1000.0), (0.95, 900.0),
+                     (1.1, 1200.0), (1.0, 1001.0))
+    ])
+    assert tool.check(parent, change, spec) == 0
+    out = capsys.readouterr().out
+    assert _won(out, "busy_s") == "3/5"  # one loss, one tie
+    assert _won(out, "peak_rss_mb") == "0/5"  # all ties
+    assert _won(out, "records_per_s") == "3/5"  # higher is better
+
+
+def test_pairs_need_the_same_file_name(tmp_path, spec, capsys):
+    tool = _load_tool()
+    parent = _runs(tmp_path / "parent", "report", _noisy([1.0, 1.0]))
+    change = tmp_path / "change"
+    change.mkdir()
+    for i in range(2):
+        (change / f"report-seed{i}.json").write_text(
+            json.dumps(_summary({"busy_s": 0.5}))
+        )
+    (change / "report-01.json").write_text(
+        json.dumps(_summary({"busy_s": 0.5}))
+    )
+    assert tool.check(parent, change, spec) == 0
+    assert _won(capsys.readouterr().out, "busy_s") == "1/1"
+
+
+def test_losing_every_pair_inside_the_bound_still_exits_0(
+    tmp_path, spec, capsys,
+):
+    tool = _load_tool()
+    parent = _runs(tmp_path / "parent", "report", _noisy([1.0] * 4))
+    change = _runs(tmp_path / "change", "report", _noisy([1.1] * 4))
+    assert tool.check(parent, change, spec) == 0
+    assert _won(capsys.readouterr().out, "busy_s") == "0/4"
+
+
 def test_cli_reads_the_repository_benchmark(tmp_path):
     tool = _load_tool()
     assert tool.SPEC == REPO / "BENCHMARK.json"

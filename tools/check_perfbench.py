@@ -9,6 +9,12 @@ named ``<workload>*.json`` (``report-01.json``, ``serve-seed7.json``,
 median, quartiles and run count, then compares the medians against the
 metric's ``bound`` (the share by which it may worsen).
 
+A file name present in both directories makes the two runs one
+parent/change pair (save alternating runs as ``ingest-01.json`` ...
+on each side).  For each metric the gate also prints how many pairs
+the change won; a tie counts for neither side.  Pair wins are printed
+only: they never change the exit code.
+
 Usage::
 
     python tools/check_perfbench.py PARENT_DIR CHANGE_DIR
@@ -27,7 +33,7 @@ import json
 import statistics
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
@@ -37,9 +43,12 @@ class MalformedRun(ValueError):
     """A run file or the benchmark spec cannot be read as declared."""
 
 
-def load_runs(directory: Path, workload: str, metrics: List[str]) -> List[dict]:
-    """Every ``<workload>*.json`` summary in ``directory``, validated."""
-    runs = []
+def load_runs(
+    directory: Path, workload: str, metrics: List[str]
+) -> Dict[str, dict]:
+    """Every ``<workload>*.json`` summary in ``directory``, validated,
+    keyed by file name."""
+    runs = {}
     for path in sorted(directory.glob(f"{workload}*.json")):
         try:
             run = json.loads(path.read_text(encoding="utf-8"))
@@ -57,7 +66,7 @@ def load_runs(directory: Path, workload: str, metrics: List[str]) -> List[dict]:
                 value.get("value"), (int, float)
             ):
                 raise MalformedRun(f"{path}: no value for metric {name!r}")
-        runs.append(run)
+        runs[path.name] = run
     return runs
 
 
@@ -73,19 +82,35 @@ def failed_share(runs: List[dict]) -> float:
     return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
 
 
-def compare(workload: str, parent: List[dict], change: List[dict],
+def pair_wins(parent: Dict[str, dict], change: Dict[str, dict],
+              name: str, better: str) -> Tuple[int, int]:
+    """(pairs the change won on ``name``, pairs): a pair is a file name
+    on both sides, and a tie is no win."""
+    pairs = sorted(parent.keys() & change.keys())
+    won = 0
+    for key in pairs:
+        before = parent[key]["metrics"][name]["value"]
+        after = change[key]["metrics"][name]["value"]
+        if (after > before) if better == "higher" else (after < before):
+            won += 1
+    return won, len(pairs)
+
+
+def compare(workload: str, parent: Dict[str, dict], change: Dict[str, dict],
             bounds: List[dict]) -> List[str]:
     """Print one workload's table; returns its failures."""
     failures = []
     print(f"{workload}: parent {len(parent)} runs, change {len(change)} runs")
     print(f"  {'metric':16s} {'parent median [q1, q3]':>38s} "
-          f"{'change median [q1, q3]':>38s} {'worse':>8s} {'bound':>6s}")
+          f"{'change median [q1, q3]':>38s} {'worse':>8s} {'bound':>6s} "
+          f"{'won':>7s}")
     for spec in bounds:
         name = spec["name"]
         sides = [
-            spread([float(r["metrics"][name]["value"]) for r in runs])
+            spread([float(r["metrics"][name]["value"]) for r in runs.values()])
             for runs in (parent, change)
         ]
+        won, pairs = pair_wins(parent, change, name, spec["better"])
         (before, *_), (after, *_) = sides
         worse = (after - before) / before if before else 0.0
         if spec["better"] == "higher":
@@ -102,12 +127,13 @@ def compare(workload: str, parent: List[dict], change: List[dict],
             for (m, q1, q3), runs in zip(sides, (parent, change))
         ]
         print(f"  {name:16s} {cells[0]:>38s} {cells[1]:>38s} "
-              f"{worse:+8.1%} {spec['bound']:6.0%}  {verdict}")
+              f"{worse:+8.1%} {spec['bound']:6.0%} {f'{won}/{pairs}':>7s}  "
+              f"{verdict}")
     for side, runs in (("parent", parent), ("change", change)):
-        wrong = sum(1 for r in runs if not r["correct"])
+        wrong = sum(1 for r in runs.values() if not r["correct"])
         if wrong:
             failures.append(f"{workload}: {wrong} {side} run(s) not correct")
-    shares = [failed_share(runs) for runs in (parent, change)]
+    shares = [failed_share(list(runs.values())) for runs in (parent, change)]
     print(f"  {'failed share':16s} {shares[0]:38.4f} {shares[1]:38.4f}")
     if shares[1] > shares[0]:
         failures.append(
