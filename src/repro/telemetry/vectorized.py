@@ -35,9 +35,13 @@ deterministic arithmetic, so calls are grouped by planned width
 (meeting durations are drawn from four choices, so there are at most
 four widths) and every model — mitigation, QoE, the behaviour state
 machine, feedback, the per-session network aggregates — runs as a
-handful of ``(rows, width)`` array passes.  Per-row reductions along
-axis 1 do not depend on which rows share a bucket, so the grouping is
-a pure performance choice, invisible in the output.
+handful of ``(rows, width)`` array passes.  A bucket is evaluated as
+soon as its pending draws reach a fixed cell budget, and its draws are
+then dropped, so peak memory does not depend on ``n_calls``.  Every
+step works row by row (elementwise arithmetic, filters, sorts and
+reductions along axis 1; the loss model's prefix sums add
+integer-valued floats, so they are exact), so neither the grouping
+nor the budget changes a byte of the output.
 
 Equivalence contract
 --------------------
@@ -105,6 +109,13 @@ _STACK_FIELDS = (
     "audio_concealment", "video_concealment", "video_target_mbps",
     "audio_target_mbps",
 )
+
+#: Pending ``rows × width`` cells at which a width bucket is evaluated
+#: and its stage-1 draws dropped (about 3 MB of draws per bucket).
+#: Stage 2 works row by row, so this bounds memory and changes no
+#: output byte.  Much smaller buckets cost time: evaluating each call
+#: on its own made a 400-call block about 40 % slower.
+_BUCKET_CELLS = 1 << 15
 
 
 @dataclass
@@ -367,18 +378,12 @@ class VectorizedCallEngine:
             fb_noise=fb_noise,
         )
 
-    # -- stage 2: width-bucketed model evaluation ------------------------
+    # -- stage 2: width buckets, evaluated at a fixed cell budget --------
 
     def _simulate_block(
         self, meetings: List[Meeting], with_truth: bool = False
     ) -> "ParticipantColumns | Tuple[ParticipantColumns, np.ndarray]":
-        draws: List[_CallDraws] = []
-        row_start = 0
-        for meeting in meetings:
-            draws.append(self._draw_call(meeting, row_start))
-            row_start += meeting.size
-        total = row_start
-
+        total = sum(meeting.size for meeting in meetings)
         truth = np.empty(total) if with_truth else None
         duration_s = np.empty(total)
         mic_frac = np.empty(total)
@@ -391,10 +396,7 @@ class VectorizedCallEngine:
             for m in NETWORK_METRICS
         }
 
-        by_width: Dict[int, List[_CallDraws]] = {}
-        for d in draws:
-            by_width.setdefault(d.width, []).append(d)
-        for width, group in by_width.items():
+        def evaluate(width: int, group: List[_CallDraws]) -> None:
             rows = np.concatenate(
                 [
                     np.arange(
@@ -421,6 +423,25 @@ class VectorizedCallEngine:
                 for s in AGGREGATES:
                     network[m][s][rows] = out["network"][m][s]
 
+        # Draw and evaluate in one pass, so the draws alive at any time
+        # never exceed four buckets' worth, whatever n_calls is.
+        pending: Dict[int, List[_CallDraws]] = {}
+        pending_rows: Dict[int, int] = {}
+        calls: List[Tuple[Meeting, int, np.ndarray]] = []
+        row_start = 0
+        for meeting in meetings:
+            d = self._draw_call(meeting, row_start)
+            calls.append((meeting, row_start, d.platform_idx))
+            row_start += meeting.size
+            pending.setdefault(d.width, []).append(d)
+            held = pending_rows.get(d.width, 0) + meeting.size
+            if held * d.width >= _BUCKET_CELLS:
+                evaluate(d.width, pending.pop(d.width))
+                held = 0
+            pending_rows[d.width] = held
+        for width, group in pending.items():
+            evaluate(width, group)
+
         # Presence is relative to the call's median attended duration,
         # so it only exists once every bucket has reported back.
         presence = np.empty(total)
@@ -429,9 +450,8 @@ class VectorizedCallEngine:
         platform: List[str] = []
         country: List[str] = []
         call_start: List[Optional[dt.datetime]] = []
-        for d in draws:
-            meeting = d.meeting
-            lo, hi = d.row_start, d.row_start + meeting.size
+        for meeting, lo, platform_idx in calls:
+            hi = lo + meeting.size
             median = float(np.median(duration_s[lo:hi]))
             if median <= 0:
                 presence[lo:hi] = 100.0
@@ -444,7 +464,7 @@ class VectorizedCallEngine:
                 f"{meeting.call_id}-u{i:03d}" for i in range(meeting.size)
             )
             platform.extend(
-                self._platform_keys[i] for i in d.platform_idx.tolist()
+                self._platform_keys[i] for i in platform_idx.tolist()
             )
             country.extend(meeting.countries)
             call_start.extend([meeting.start] * meeting.size)

@@ -7,12 +7,17 @@ same per-call substreams, documented different draw order — and
 round-trips.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.netsim.trace import SAMPLE_INTERVAL_S
 from repro.perf.cache import ArtifactCache
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+from repro.telemetry import vectorized
 from repro.telemetry.vectorized import VectorizedCallEngine
 
 SEEDS = (101, 202, 303)
@@ -60,6 +65,67 @@ class TestDeterminism:
         config = GeneratorConfig(n_calls=4, seed=1, persistent_users=True)
         with pytest.raises(ConfigError):
             VectorizedCallEngine(config)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_bucket_budget_changes_no_byte(self, budget, monkeypatch):
+        # 1 evaluates every call on its own; 1 << 40 never flushes
+        # before the last call, so each width is one bucket.
+        expected = columns_for(101, mos_sample_rate=0.3)
+        monkeypatch.setattr(vectorized, "_BUCKET_CELLS", budget)
+        assert_columns_identical(
+            columns_for(101, mos_sample_rate=0.3), expected
+        )
+
+
+def _peak_alloc_bytes(engine):
+    tracemalloc.start()
+    try:
+        engine.generate_columns()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_call_count(self):
+        engines = [
+            VectorizedCallEngine(
+                GeneratorConfig(n_calls=n, seed=1, mos_sample_rate=0.3)
+            )
+            for n in (100, 400)
+        ]
+        # Premise: the largest width bucket passes the budget at both
+        # sizes, so both runs hold the same bounded set of draws.
+        for engine in engines:
+            cells = {}
+            for meeting in engine._meetings():
+                width = round(meeting.scheduled_duration_s / SAMPLE_INTERVAL_S)
+                cells[width] = cells.get(width, 0) + meeting.size * width
+            assert max(cells.values()) > vectorized._BUCKET_CELLS
+        engines[0].generate_columns()  # load scipy outside the measurement
+        small, large = (_peak_alloc_bytes(engine) for engine in engines)
+        assert large <= 1.25 * small, (small, large)
+
+
+class TestGroundTruth:
+    """The rated block ``usaas predict`` and perfbench build."""
+
+    TRUTH_PINS = {
+        1: "af3cc0317dd5893411a9d05bab910198a7b202e9856e62a0afdff4ef6e0f05f6",
+        20231128:
+            "bf4e0c0cb5eda5128da12602496e815c931490b5dd6c4b5122ec97ab4b95ebaf",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRUTH_PINS))
+    def test_truth_pinned_and_columns_match_generate_columns(self, seed):
+        engine = VectorizedCallEngine(
+            GeneratorConfig(n_calls=400, seed=seed, mos_sample_rate=0.3)
+        )
+        cols, truth = engine.generate_with_ground_truth()
+        assert_columns_identical(cols, engine.generate_columns())
+        assert truth.shape == (len(cols),)
+        digest = hashlib.sha256(truth.tobytes()).hexdigest()
+        assert digest == self.TRUTH_PINS[seed]
 
 
 class TestRecordEquivalence:
