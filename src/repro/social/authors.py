@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -60,6 +60,21 @@ class Author:
             raise ConfigError("extremity must be in [0, 1]")
         if self.verbosity <= 0:
             raise ConfigError("verbosity must be positive")
+
+
+@dataclass(frozen=True)
+class SubscriberPool:
+    """One day's subscribers and their verbosity-weighted draw odds.
+
+    Building it scans every active author, so a caller drawing many
+    subscribers on one day builds it once and samples it repeatedly.
+    """
+
+    authors: List[Author]
+    p: np.ndarray
+
+    def sample(self, rng: np.random.Generator) -> Author:
+        return self.authors[int(rng.choice(len(self.authors), p=self.p))]
 
 
 class AuthorPool:
@@ -121,13 +136,12 @@ class AuthorPool:
         idx = rng.choice(len(active), size=n, p=weights / weights.sum())
         return [active[int(i)] for i in idx]
 
-    def sample_subscriber(
+    def subscribers_on(
         self,
-        rng: np.random.Generator,
         day: dt.date,
-        predicate=None,
-    ) -> Author:
-        """Draw one author who actually has the hardware.
+        predicate: Optional[Callable[[Author], bool]] = None,
+    ) -> SubscriberPool:
+        """The authors who actually have the hardware on ``day``.
 
         ``predicate`` optionally narrows further (e.g. to countries where
         the service is actually available); it falls back to the plain
@@ -141,5 +155,13 @@ class AuthorPool:
             if narrowed:
                 subscribers = narrowed
         weights = np.array([a.verbosity for a in subscribers])
-        i = rng.choice(len(subscribers), p=weights / weights.sum())
-        return subscribers[int(i)]
+        return SubscriberPool(subscribers, weights / weights.sum())
+
+    def sample_subscriber(
+        self,
+        rng: np.random.Generator,
+        day: dt.date,
+        predicate: Optional[Callable[[Author], bool]] = None,
+    ) -> Author:
+        """Draw one author from :meth:`subscribers_on`."""
+        return self.subscribers_on(day, predicate).sample(rng)

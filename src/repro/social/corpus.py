@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.timeline import DailySeries, MonthlySeries, month_of
 from repro.errors import ConfigError
 from repro.rng import DEFAULT_SEED, derive
-from repro.social.authors import Author, AuthorPool
+from repro.social.authors import Author, AuthorPool, SubscriberPool
 from repro.social.events import Event, EventCalendar
 from repro.social.reports import sample_speed_test, share_sentiment
 from repro.social.schema import Post, SpeedTestShare
@@ -460,17 +460,19 @@ class CorpusGenerator:
             return self._footprint.is_available(author.country, day)
 
         posts: List[Post] = []
+        # Built at the day's first swap, so a day without one never
+        # needs an active subscriber.
+        swap_pool: Optional[SubscriberPool] = None
         for index, author in enumerate(authors, 1):
             topic = str(rng.choice(_TOPIC_NAMES, p=topic_p))
             first_hand = author.is_subscriber and served(author)
-            if topic == "speed_test_share" and not first_hand:
+            if topic in ("speed_test_share", "outage_report") and not first_hand:
                 # Only hardware owners in served countries can run a
-                # speed test; swap in one so share volume stays on
-                # target.
-                author = self._pool.sample_subscriber(rng, day, predicate=served)
-            if topic == "outage_report" and not first_hand:
-                # You can't report an outage you aren't experiencing.
-                author = self._pool.sample_subscriber(rng, day, predicate=served)
+                # speed test or report an outage they experience; swap
+                # one in so share volume stays on target.
+                if swap_pool is None:
+                    swap_pool = self._pool.subscribers_on(day, served)
+                author = swap_pool.sample(rng)
             if topic == "experience_report" and not first_hand:
                 topic = "question"
             posts.append(

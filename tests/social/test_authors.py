@@ -50,6 +50,31 @@ class TestAuthorPool:
         author = pool.sample_subscriber(derive(8, "authors"), dt.date(2022, 6, 1))
         assert author.is_subscriber
 
+    def test_subscriber_pool_draws_like_sample_subscriber(self):
+        pool = AuthorPool(size=200, seed=7)
+        day = dt.date(2022, 6, 1)
+        served = lambda a: a.country == "US"  # noqa: E731
+        subscribers = pool.subscribers_on(day, served)
+        assert subscribers.p.sum() == pytest.approx(1.0)
+        assert all(a.is_subscriber and a.country == "US"
+                   for a in subscribers.authors)
+        a, b = derive(8, "authors"), derive(8, "authors")
+        for _ in range(20):
+            drawn = pool.sample_subscriber(a, day, served)
+            assert drawn is subscribers.sample(b)
+        assert a.random() == b.random()
+
+    def test_subscriber_pool_falls_back_when_nobody_matches(self):
+        pool = AuthorPool(size=200, seed=7)
+        day = dt.date(2022, 6, 1)
+        narrowed = pool.subscribers_on(day, lambda a: False)
+        assert narrowed.authors == pool.subscribers_on(day).authors
+
+    def test_subscriber_pool_needs_an_active_subscriber(self):
+        pool = AuthorPool(size=50, seed=3, span_start=dt.date(2021, 1, 1))
+        with pytest.raises(ConfigError, match="no active subscribers"):
+            pool.subscribers_on(dt.date(2020, 12, 31))
+
     def test_verbosity_weighting(self):
         pool = AuthorPool(size=300, seed=9)
         day = dt.date(2022, 6, 1)
