@@ -161,25 +161,32 @@ class GilbertElliottLoss:
             lost = rng.binomial(packets_per_interval, self.bad_loss, size=n_intervals)
             return lost / packets_per_interval
 
-        bad_packets = np.zeros(n_intervals, dtype=float)
+        # Record-path generation spends most of its time in this loop:
+        # the draws are bound to locals, losses count as ints and each
+        # bad run walks its intervals edge to edge.
+        geometric = rng.geometric
+        binomial = rng.binomial
+        bad_loss = self.bad_loss
+        lost = [0] * n_intervals
         pos = 0
         bad = self._state_bad
         while pos < total:
             p_leave = p_bg if bad else p_gb
-            if p_leave <= 0:
-                run = total - pos
-            else:
-                run = int(rng.geometric(p_leave))
-            run = min(run, total - pos)
-            if bad and run > 0:
+            end = total if p_leave <= 0 else pos + geometric(p_leave)
+            if end > total:
+                end = total
+            if bad:
                 # Spread this bad run's packets over the intervals it spans,
                 # thinning by the bad-state per-packet loss probability.
-                start_iv, end_iv = pos // packets_per_interval, (pos + run - 1) // packets_per_interval
-                for iv in range(start_iv, end_iv + 1):
-                    lo = max(pos, iv * packets_per_interval)
-                    hi = min(pos + run, (iv + 1) * packets_per_interval)
-                    bad_packets[iv] += rng.binomial(hi - lo, self.bad_loss)
-            pos += run
+                iv = pos // packets_per_interval
+                edge = (iv + 1) * packets_per_interval
+                while edge < end:
+                    lost[iv] += binomial(edge - pos, bad_loss)
+                    pos = edge
+                    edge += packets_per_interval
+                    iv += 1
+                lost[iv] += binomial(end - pos, bad_loss)
+            pos = end
             bad = not bad
         self._state_bad = bad
-        return bad_packets / packets_per_interval
+        return np.array(lost, dtype=float) / packets_per_interval

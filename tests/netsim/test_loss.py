@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss
 from repro.rng import derive
+from tests.netsim import oracle
 
 
 class TestBernoulli:
@@ -94,3 +95,66 @@ class TestGilbertElliott:
         chain = GilbertElliottLoss(rate=rate, burstiness=0.4)
         value = chain.interval_loss_rate(rng)
         assert 0.0 <= value <= 1.0
+
+
+def _run_both(rate, burstiness, bad_loss, n_intervals, duration_s,
+              start_bad, seed):
+    """Run the fast path and the oracle on twin chains and generators."""
+    rngs = [derive(seed, "ge-oracle"), derive(seed, "ge-oracle")]
+    chains = [
+        GilbertElliottLoss(rate=rate, burstiness=burstiness,
+                           bad_loss=bad_loss, _state_bad=start_bad)
+        for _ in rngs
+    ]
+    outs = ([], [])
+    # Twice in a row, so the carried state of the first call matters.
+    for _ in range(2):
+        outs[0].append(
+            chains[0].interval_loss_rates(rngs[0], n_intervals, duration_s)
+        )
+        outs[1].append(
+            oracle.interval_loss_rates(
+                chains[1], rngs[1], n_intervals, duration_s
+            )
+        )
+    return chains, rngs, outs
+
+
+class TestIntervalLossRatesOracle:
+    """The fast path draws exactly what the old per-run loop drew."""
+
+    def assert_agree(self, *args):
+        chains, rngs, (fast, slow) = _run_both(*args)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert chains[0]._state_bad == chains[1]._state_bad
+        assert rngs[0].random() == rngs[1].random()
+
+    @given(
+        rate=st.one_of(
+            st.just(0.0), st.floats(min_value=1e-6, max_value=1.0),
+        ),
+        burstiness=st.floats(min_value=0.0, max_value=0.99),
+        bad_loss=st.floats(min_value=0.05, max_value=1.0),
+        n_intervals=st.integers(min_value=1, max_value=40),
+        duration_s=st.sampled_from([0.02, 0.3, 1.0, 5.0]),
+        start_bad=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, rate, burstiness, bad_loss, n_intervals,
+                            duration_s, start_bad, seed):
+        rate = min(rate, bad_loss)
+        self.assert_agree(rate, burstiness, bad_loss, n_intervals,
+                          duration_s, start_bad, seed)
+
+    @pytest.mark.parametrize("rate, bad_loss", [
+        (0.0, 0.5),   # lossless: no draws at all
+        (0.5, 0.5),   # stationary bad occupancy 1: permanently bad
+        (0.49, 0.5),  # p_gb clamps to 1: permanently bad
+        (0.2, 0.5),   # long bad runs straddling many intervals
+    ])
+    @pytest.mark.parametrize("start_bad", [False, True])
+    def test_branches_match_oracle(self, rate, bad_loss, start_bad):
+        self.assert_agree(rate, 0.95, bad_loss, 30, 5.0, start_bad, 3)
