@@ -3,8 +3,8 @@
 These are deliberately small, dependency-light implementations (numpy only)
 of the operations the paper performs: binning sessions by a network metric
 and reporting a per-bin statistic (Fig. 1–4), rank and linear correlation
-(Fig. 4, §5), and bootstrap confidence intervals used by our benchmark
-harness to decide whether an observed shape is stable.
+(Fig. 4, §5), and bootstrap confidence intervals that decide whether an
+observed shape is stable.
 """
 
 from __future__ import annotations

@@ -181,12 +181,13 @@ class MonthlySeries:
             series[month] = value
         return series
 
+    def __contains__(self, month: Month) -> bool:
+        return 1 <= month[1] <= 12 and self.start <= month <= self.end
+
     def _index(self, month: Month) -> int:
-        months = list(iter_months(self.start, self.end))
-        try:
-            return months.index(month)
-        except ValueError:
-            raise AnalysisError(f"{month} outside span {self.start}..{self.end}") from None
+        if month not in self:
+            raise AnalysisError(f"{month} outside span {self.start}..{self.end}")
+        return (month[0] - self.start[0]) * 12 + month[1] - self.start[1]
 
     def __getitem__(self, month: Month) -> float:
         return float(self.values[self._index(month)])
@@ -206,10 +207,9 @@ class MonthlySeries:
 
     def slice(self, start: Month, end: Month) -> "MonthlySeries":
         """Restrict to the closed month range ``[start, end]``."""
-        months = self.months()
-        if start not in months or end not in months:
+        if start not in self or end not in self:
             raise AnalysisError(f"slice {start}..{end} outside {self.start}..{self.end}")
-        i, j = months.index(start), months.index(end)
+        i, j = self._index(start), self._index(end)
         if j < i:
             raise AnalysisError("slice end precedes start")
         return MonthlySeries(start=start, end=end, values=self.values[i : j + 1].copy())
@@ -237,7 +237,7 @@ def align_series(
     Returns (months, a_values, b_values) ready for correlation — this is
     how the Fig. 7 "Pos follows downlink speed" claim is quantified.
     """
-    common = [m for m in a.months() if m in set(b.months())]
+    common = [m for m in a.months() if m in b]
     months: List[Month] = []
     a_vals: List[float] = []
     b_vals: List[float] = []

@@ -175,26 +175,6 @@ class MitigationParamArrays:
     video_target_mbps: np.ndarray
     audio_target_mbps: np.ndarray
 
-    @classmethod
-    def from_stacks(cls, stacks: Sequence[MitigationStack]) -> "MitigationParamArrays":
-        """Column-stack per-row stacks into broadcastable parameters."""
-
-        def column(name: str) -> np.ndarray:
-            return np.array(
-                [getattr(s, name) for s in stacks], dtype=float
-            )[:, None]
-
-        return cls(
-            fec_budget_pct=column("fec_budget_pct"),
-            fec_efficiency=column("fec_efficiency"),
-            burst_penalty=column("burst_penalty"),
-            jitter_buffer_ms=column("jitter_buffer_ms"),
-            audio_concealment=column("audio_concealment"),
-            video_concealment=column("video_concealment"),
-            video_target_mbps=column("video_target_mbps"),
-            audio_target_mbps=column("audio_target_mbps"),
-        )
-
 
 #: Per-packet loss probability in the Gilbert–Elliott bad state (matches
 #: :class:`~repro.netsim.loss.GilbertElliottLoss`'s default).

@@ -31,11 +31,6 @@ class WordCloud:
             raise ExtractionError("k must be >= 1")
         return Counter(self.unigram_counts).most_common(k)
 
-    def top_bigrams(self, k: int = 3) -> List[Tuple[str, int]]:
-        if k < 1:
-            raise ExtractionError("k must be >= 1")
-        return Counter(self.bigram_counts).most_common(k)
-
     def rank_of(self, term: str) -> int:
         """1-based frequency rank of a unigram; raises if absent.
 

@@ -7,7 +7,7 @@ the same G.107-flavoured QoE mapping the simulator itself uses
 network conditions.  It is a prior in the strict sense: purely
 network-derived, blind to engagement, platform mitigation tuning and
 per-interval dynamics, which is exactly why the trained model must
-beat it on ground-truth MAE (the harness asserts this).
+beat it on ground-truth MAE (a tier-1 test pins both errors).
 
 Everything here is a pure elementwise array computation via
 :func:`repro.netsim.vectorized.mitigate_arrays` /

@@ -126,10 +126,6 @@ class HealthLedger:
             SourceHealth(**vars(record)) for record in self
         )
 
-    def as_table(self) -> str:
-        """Fixed-width text table for CLI / log output."""
-        return health_table(self)
-
 
 def health_table(records: "Iterator[SourceHealth]") -> str:
     """Render health records as a fixed-width text table."""

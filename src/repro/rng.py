@@ -40,13 +40,3 @@ def derive(seed: int, *keys: str) -> np.random.Generator:
         digest.update(key.encode("utf-8"))
     child_seed = int.from_bytes(digest.digest()[:8], "big")
     return np.random.default_rng(child_seed)
-
-
-def spawn_child_seed(seed: int, *keys: str) -> int:
-    """Return a deterministic integer child seed (for nested components)."""
-    digest = hashlib.sha256()
-    digest.update(str(int(seed)).encode("ascii"))
-    for key in keys:
-        digest.update(b"\x00")
-        digest.update(key.encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big")

@@ -160,11 +160,11 @@ def run_soak(
 
 # -- a canonical synthetic workload ---------------------------------------
 #
-# The CLI ``usaas soak`` subcommand and the perf harness's serving phase
-# both need a self-contained service whose per-query cost is *simulated*
-# (slow-source faults advancing the ManualClock), so overload factors
-# are exact and runs are deterministic.  Building it here keeps the two
-# consumers byte-compatible.
+# The CLI ``usaas soak`` subcommand and the soak tests both need a
+# self-contained service whose per-query cost is *simulated* (slow-source
+# faults advancing the ManualClock), so overload factors are exact and
+# runs are deterministic.  Building it here keeps the two consumers
+# byte-compatible.
 
 _DAY0 = dt.datetime(2022, 4, 1, 12, 0)
 

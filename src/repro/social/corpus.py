@@ -339,7 +339,7 @@ class CorpusGenerator:
         outages: List[Outage],
     ) -> float:
         month = month_of(day)
-        sat = self._satisfaction[month] if month in self._satisfaction.months() else 0.5
+        sat = self._satisfaction[month] if month in self._satisfaction else 0.5
         if np.isnan(sat):
             sat = 0.5
         community = 1.6 * (sat - 0.5)
@@ -502,7 +502,7 @@ class CorpusGenerator:
         speed_test: Optional[SpeedTestShare] = None
 
         if topic == "speed_test_share":
-            median = self._speeds[month] if month in self._speeds.months() else 60.0
+            median = self._speeds[month] if month in self._speeds else 60.0
             speed_test = sample_speed_test(rng, median)
             sat = self._satisfaction[month]
             if np.isnan(sat):

@@ -343,7 +343,7 @@ class VectorizedCorpusEngine:
         month = month_of(day)
         sat = (
             gen._satisfaction[month]
-            if month in gen._satisfaction.months() else 0.5
+            if month in gen._satisfaction else 0.5
         )
         if np.isnan(sat):
             sat = 0.5
@@ -388,7 +388,7 @@ class VectorizedCorpusEngine:
         provider_col = ["Speedtest"] * n
         if k_speed:
             median = (
-                gen._speeds[month] if month in gen._speeds.months() else 60.0
+                gen._speeds[month] if month in gen._speeds else 60.0
             )
             dl = np.minimum(
                 350.0,
@@ -571,13 +571,3 @@ def _sorted_by_created(cols: CorpusColumns) -> CorpusColumns:
         speed_indices=np.sort(inverse[cols.speed_indices]),
         posts=None,
     )
-
-
-def generate_corpus_columns(
-    config: CorpusConfig = CorpusConfig(),
-    cache: Optional["ArtifactCache"] = None,
-    generator: Optional[CorpusGenerator] = None,
-) -> CorpusColumns:
-    """Convenience wrapper: config → columns via the block engine."""
-    engine = VectorizedCorpusEngine(config, generator=generator)
-    return engine.generate_columns(cache=cache)

@@ -33,7 +33,6 @@ from repro.streaming.operators import (
     DecayedAggregate,
     Emission,
     SlidingWindowAggregate,
-    batch_window_aggregates,
 )
 from repro.streaming.pipeline import (
     StreamConfig,
@@ -66,7 +65,6 @@ __all__ = [
     "StreamRecord",
     "StreamResult",
     "StreamSoakReport",
-    "batch_window_aggregates",
     "record_fingerprint",
     "run_stream_soak",
     "synthetic_stream",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.streaming.records import StreamRecord
@@ -334,36 +334,3 @@ class DecayedAggregate:
         raw = state.get("next_sample_s")
         self._next_sample_s = None if raw is None else float(raw)
 
-
-def batch_window_aggregates(
-    records: Iterable[StreamRecord],
-    window_s: float,
-    slide_s: float,
-) -> Dict[Tuple[str, float], Tuple[float, int]]:
-    """Reference batch recompute of every complete window.
-
-    Scans the *full* record list and returns
-    ``(metric, window_end_s) -> (mean, count)`` for exactly the windows
-    the incremental operator would close by the final watermark (window
-    ends at or before the last event time) — the equivalence oracle for
-    tests and the full-recompute baseline the perf harness times the
-    incremental path against.
-    """
-    if window_s <= 0 or slide_s <= 0:
-        raise ConfigError("window_s and slide_s must be positive")
-    sums: Dict[Tuple[str, int], List[float]] = {}
-    max_t = float("-inf")
-    for record in records:
-        t = record.event_time_s
-        max_t = max(max_t, t)
-        k = math.floor(t / slide_s) + 1
-        while k * slide_s <= t + window_s:
-            cell = sums.setdefault((record.metric, k), [0.0, 0.0])
-            cell[0] += record.value
-            cell[1] += 1.0
-            k += 1
-    return {
-        (metric, k * slide_s): (cell[0] / cell[1], int(cell[1]))
-        for (metric, k), cell in sums.items()
-        if k * slide_s <= max_t
-    }

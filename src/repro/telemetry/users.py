@@ -127,6 +127,3 @@ class UserPopulation:
             )
         idx = rng.choice(len(self._users), size=n, replace=False)
         return [self._users[int(i)] for i in idx]
-
-    def conditioning_distribution(self) -> np.ndarray:
-        return np.array([u.conditioning for u in self._users])

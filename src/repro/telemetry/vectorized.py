@@ -659,16 +659,3 @@ def _masked_stats(
     v_high = pick(np.minimum(low + 1, attended - 1))
     p95 = v_low + (v_high - v_low) * frac
     return mean, median, p95
-
-
-def generate_participant_columns(
-    config: GeneratorConfig = GeneratorConfig(),
-    cache: Optional["ArtifactCache"] = None,
-    scheduler: Optional[MeetingScheduler] = None,
-    profiles: Optional[ProfileSampler] = None,
-) -> ParticipantColumns:
-    """Convenience wrapper: config → columns via the block engine."""
-    engine = VectorizedCallEngine(
-        config, scheduler=scheduler, profiles=profiles
-    )
-    return engine.generate_columns(cache=cache)

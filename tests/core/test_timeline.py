@@ -126,6 +126,21 @@ class TestMonthlySeries:
         assert len(sub) == 3
         assert sub[(2021, 4)] == 4.0
 
+    def test_membership_and_index_across_a_year_boundary(self):
+        s = MonthlySeries.from_mapping(
+            {(2021, 11): 1.0, (2021, 12): 2.0, (2022, 1): 3.0, (2022, 2): 4.0}
+        )
+        for month, value in zip(s.months(), (1.0, 2.0, 3.0, 4.0)):
+            assert month in s
+            assert s[month] == value
+        for month in ((2021, 10), (2022, 3), (2021, 13), (2022, 0),
+                      (2021, 0), (2022, 13)):
+            assert month not in s
+            with pytest.raises(AnalysisError, match="outside span"):
+                s[month]
+            with pytest.raises(AnalysisError, match="outside span"):
+                s[month] = 0.0
+
     def test_slice_rejects_out_of_span(self):
         s = MonthlySeries.zeros((2021, 1), (2021, 3))
         with pytest.raises(AnalysisError):

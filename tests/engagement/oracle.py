@@ -2,9 +2,9 @@
 
 This is the per-record loop :func:`repro.engagement.engagement_curve`
 ran before it moved onto :class:`~repro.perf.columnar.ParticipantColumns`.
-It lives here only so tests (and the perf harness's record-reference
-timings) can pin the columnar curves ``tobytes``-equal against it;
-nothing in ``src/`` calls it, and no columnar code runs inside it.
+It lives here only so tests can pin the columnar curves
+``tobytes``-equal against it; nothing in ``src/`` calls it, and no
+columnar code runs inside it.
 """
 
 from __future__ import annotations

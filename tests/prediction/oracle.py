@@ -4,10 +4,9 @@
 records before :class:`~repro.prediction.ColumnarMosPredictor` became
 the only implementation; :func:`kfold_evaluate_records` and
 :func:`train_test_evaluate_records` are the evaluators as they ran on
-top of it.  They live here only so tests (and the perf harness's
-record-reference timings) can pin the columnar model ``tobytes``-equal
-and the evaluators ``==`` against them; nothing in ``src/`` calls them,
-and no columnar code runs inside them.
+top of it.  They live here only so tests can pin the columnar model
+``tobytes``-equal and the evaluators ``==`` against them; nothing in
+``src/`` calls them, and no columnar code runs inside them.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ from repro.verdict import Verdict
 
 
 def _overload_arrivals(seed, n_queries=80, deadline_scale=10.0):
-    """Arrivals at 1.5x the coalesced service rate with tight deadlines,
-    mirroring the harness's over-capacity plan at test scale."""
+    """Arrivals at 1.5x the coalesced service rate with tight deadlines:
+    the over-capacity plan of :class:`TestHarnessScalePins` at test
+    scale."""
     from repro.prediction import PredictionCostModel
 
     cost = PredictionCostModel()
@@ -177,36 +178,64 @@ class TestVerdict:
 
 
 class TestHarnessScalePins:
-    """The phase harness's coalesced-soak p99, pinned exactly.
+    """Ground-truth accuracy and the coalesced-soak p99, pinned exactly.
 
-    Built as ``benchmarks/perf/harness.py`` builds its prediction soak
-    at ``full`` scale: 300 calls on seed 20231128 rated at 0.5, the
-    ground-truth engine's columns and a predictor fitted on them, then
-    1,000 arrivals at 1.5x the coalesced capacity with deadlines of ten
-    batch costs.  Arrivals, costs and the coalescer all run on simulated
-    time, so the p99 is a behaviour pin, not a timing.
+    The inputs are 300 calls on seed 20231128 rated at 0.5, generated
+    with the vectorized engine's ground truth, and a predictor fitted on
+    those columns.  The soak replays 1,000 arrivals at 1.5x the
+    coalesced capacity with deadlines of ten batch costs.  Generation is
+    seed-derived, and arrivals, costs and the coalescer all run on
+    simulated time, so every figure here is a behaviour pin, not a
+    timing.
     """
 
-    def test_full_scale_p99_coalesced_latency(self):
-        import numpy as np
+    SEED = 20231128
 
+    @pytest.fixture(scope="class")
+    def truth_run(self):
         from repro.prediction import ColumnarMosPredictor
         from repro.telemetry import GeneratorConfig
         from repro.telemetry.vectorized import VectorizedCallEngine
 
-        seed = 20231128
-        config = GeneratorConfig(n_calls=300, seed=seed, mos_sample_rate=0.5)
-        columns, _ = VectorizedCallEngine(config).generate_with_ground_truth()
-        model = ColumnarMosPredictor().fit_columns(columns)
+        config = GeneratorConfig(
+            n_calls=300, seed=self.SEED, mos_sample_rate=0.5,
+        )
+        columns, truth = (
+            VectorizedCallEngine(config).generate_with_ground_truth()
+        )
+        return columns, truth, ColumnarMosPredictor().fit_columns(columns)
+
+    def test_trained_model_beats_the_emodel_prior(self, truth_run):
+        """The rating-trained model sees the user; the prior cannot."""
+        from repro.prediction import emodel_prior_mos, evaluate_ground_truth
+
+        columns, truth, model = truth_run
+        trained = evaluate_ground_truth(
+            model.predict_columns(columns), truth, columns.platform,
+        )
+        prior = evaluate_ground_truth(
+            emodel_prior_mos(columns), truth, columns.platform,
+        )
+        assert trained.mae < prior.mae
+        assert trained.mae == pytest.approx(0.24068171235830008, rel=1e-9)
+        assert prior.mae == pytest.approx(0.3496746458395482, rel=1e-9)
+        assert trained.bias == pytest.approx(0.03823660734830038, rel=1e-9)
+        assert prior.bias == pytest.approx(0.34344122581012954, rel=1e-9)
+
+    def test_full_scale_p99_coalesced_latency(self, truth_run):
+        import numpy as np
+
+        columns, _, model = truth_run
         coalescer = CoalescerConfig(max_batch=16, max_delay_s=0.01)
         server, _, engine = synthetic_prediction_server(
-            columns, model, seed=seed, coalescer=coalescer, max_pending=16,
+            columns, model, seed=self.SEED, coalescer=coalescer,
+            max_pending=16,
         )
         batch_cost = engine.cost_model.batch_cost_s(
             coalescer.max_batch * len(columns)
         )
         rate = 1.5 * coalescer.max_batch / batch_cost
-        rng = derive(seed, "prediction", "perf-soak")
+        rng = derive(self.SEED, "prediction", "perf-soak")
         at_s = np.cumsum(rng.exponential(1.0 / rate, 1000))
         arrivals = [
             Arrival(
@@ -221,3 +250,9 @@ class TestHarnessScalePins:
         assert (report.submitted, report.served, report.served_degraded,
                 report.shed) == (1000, 723, 95, 182)
         assert report.p99_latency_s == 0.500942
+        assert report.mean_coalesced == pytest.approx(
+            4.173469387755102, rel=1e-9
+        )
+        assert report.max_overrun_s == pytest.approx(
+            0.0015819999999999723, rel=1e-9
+        )

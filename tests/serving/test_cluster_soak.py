@@ -291,13 +291,12 @@ class TestVerdict:
 
 
 class TestHarnessScalePins:
-    """The phase harness's cluster figures, pinned exactly.
+    """The full-scale cluster soak's outcomes, pinned exactly.
 
-    Built as ``benchmarks/perf/harness.py`` builds its cluster soak at
-    ``full`` scale: seed 20231128, three replicas, a 20 s spike at 5x
-    whole-cluster capacity over tenants alpha (2) and beta (1), and
-    replica r1 crashing 7.5 s in for 5 s.  Simulated time only, so any
-    movement is a change in routing, failover or quota code.
+    Seed 20231128, three replicas, a 20 s spike at 5x whole-cluster
+    capacity over tenants alpha (2) and beta (1), and replica r1
+    crashing 7.5 s in for 5 s.  Simulated time only, so any movement is
+    a change in routing, failover or quota code.
     """
 
     def test_full_scale_failover_shed_rate_and_latency(self):
@@ -322,6 +321,12 @@ class TestHarnessScalePins:
         )
         assert report.verdict() == Verdict()
         assert report.arrivals == 3129
+        assert (report.served, report.served_degraded, report.shed,
+                report.failed, report.metrics.rebalances) == (
+            559, 0, 2561, 8, 2)
         assert report.shed_rate == 0.8184723553851071
         assert report.metrics.p50_admitted_s() == 0.8
         assert report.metrics.p99_admitted_s() == 0.8
+        assert report.final_router_clock_s == pytest.approx(
+            19.993657176433366, rel=1e-9
+        )

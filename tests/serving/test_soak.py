@@ -188,13 +188,13 @@ class TestVerdict:
 
 
 class TestHarnessScalePins:
-    """The phase harness's serving figures, pinned exactly.
+    """The full-scale serving soak's outcomes, pinned exactly.
 
-    Built as ``benchmarks/perf/harness.py`` builds its serving soak at
-    ``full`` scale (seed 20231128, a 20 s spike at 5x capacity, the
-    default attempt timeout, 1 s deadlines).  Everything runs on a
-    ``ManualClock``, so these are behaviour pins, not timings: any
-    movement is a change in admission, deadline or shedding code.
+    Seed 20231128, a 20 s spike at 5x capacity, the default attempt
+    timeout, 1 s deadlines and an 8-deep priority-shed queue.
+    Everything runs on a ``ManualClock``, so these are behaviour pins,
+    not timings: any movement is a change in admission, deadline or
+    shedding code.
     """
 
     def test_full_scale_admitted_latency_and_shed_rate(self):
@@ -209,6 +209,11 @@ class TestHarnessScalePins:
         report = run_soak(server, arrivals, query_for=lambda arrival: QUERY)
         assert report.verdict() == Verdict()
         assert report.arrivals == 984
+        assert (report.served, report.served_degraded, report.shed,
+                report.deadline_exceeded) == (208, 0, 776, 0)
         assert report.metrics.p50_latency_s() == 0.8
         assert report.metrics.p99_latency_s() == 0.8
         assert report.shed_rate == 0.7886178861788617
+        assert report.final_clock_s == pytest.approx(
+            20.82545874743067, rel=1e-9
+        )

@@ -11,6 +11,10 @@ post with ``analyzer.score``, so no columnar code runs inside an oracle.
 learned to forget at the watermark: it remembers every fingerprint for
 ``horizon_s`` seconds behind the watermark.
 
+:func:`batch_window_aggregates` recomputes every complete sliding
+window from the full record list, the batch answer the incremental
+:class:`~repro.streaming.operators.SlidingWindowAggregate` must equal.
+
 They live here only so tests can pin the code in ``src/`` against
 them; nothing in ``src/`` calls them.
 """
@@ -18,8 +22,9 @@ them; nothing in ``src/`` calls them.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.usaas.privacy import scrub_author
 from repro.nlp.sentiment import SentimentAnalyzer
@@ -150,3 +155,33 @@ class HorizonDedupFilter:
         )
         self._seen = {fp: t for t, fp in self._order}
         self.evicted = int(state.get("evicted", 0))
+
+
+def batch_window_aggregates(
+    records: Iterable[StreamRecord],
+    window_s: float,
+    slide_s: float,
+) -> Dict[Tuple[str, float], Tuple[float, int]]:
+    """Batch recompute of every complete window.
+
+    Scans the *full* record list and returns
+    ``(metric, window_end_s) -> (mean, count)`` for exactly the windows
+    the incremental operator would close by the final watermark (window
+    ends at or before the last event time).
+    """
+    sums: Dict[Tuple[str, int], List[float]] = {}
+    max_t = float("-inf")
+    for record in records:
+        t = record.event_time_s
+        max_t = max(max_t, t)
+        k = math.floor(t / slide_s) + 1
+        while k * slide_s <= t + window_s:
+            cell = sums.setdefault((record.metric, k), [0.0, 0.0])
+            cell[0] += record.value
+            cell[1] += 1.0
+            k += 1
+    return {
+        (metric, k * slide_s): (cell[0] / cell[1], int(cell[1]))
+        for (metric, k), cell in sums.items()
+        if k * slide_s <= max_t
+    }

@@ -8,10 +8,11 @@ from repro.streaming import (
     DecayedAggregate,
     SlidingWindowAggregate,
     StreamRecord,
-    batch_window_aggregates,
 )
 from repro.streaming.detector import OnlineChangePointDetector
 from repro.streaming.operators import Emission
+
+from tests.streaming.oracle import batch_window_aggregates
 
 
 def make_records(seed=11, n=400, metrics=("latency_ms", "mos")):

@@ -1,10 +1,9 @@
 """Unit tests for tools/check_perfbench.py, the perfbench regression gate.
 
-The cases follow tools/check_bench_regression.py's: absent or empty
-input is a clean pass with a clear message, a file that exists but is
-not a perfbench summary is broken state and fails with exit 2, and only
-a median that worsens beyond its bound (or a wrong or failing run)
-fails with exit 1.
+Absent or empty input is a clean pass with a clear message, a file that
+exists but is not a perfbench summary is broken state and fails with
+exit 2, and only a median that worsens beyond its bound (or a wrong or
+failing run) fails with exit 1.
 """
 
 import importlib.util

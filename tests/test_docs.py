@@ -8,6 +8,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: A backticked span that starts with a repository path, optionally
+#: followed by pytest-style ``::Name`` parts (then anything, such as
+#: command arguments, up to the closing backtick).
+REPO_PATH = re.compile(
+    r"`((?:tools|tests|benchmarks|perfbench|examples|docs|src)/[\w./-]*)"
+    r"((?:::\w+)*)[^`\n]*`"
+)
+
 
 class TestDesignIndex:
     def test_every_bench_target_exists(self):
@@ -40,6 +48,26 @@ class TestReadme:
         text = (ROOT / "README.md").read_text()
         for rel in re.findall(r"\]\(((?:docs|examples)/[A-Za-z_./]+)\)", text):
             assert (ROOT / rel).exists(), rel
+
+    @pytest.mark.parametrize("doc", [
+        "README.md", "DESIGN.md", "EXPERIMENTS.md",
+        *sorted(f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")),
+    ])
+    def test_backticked_repo_paths_exist(self, doc):
+        """Each backticked path names a file or directory in the repo,
+        and each ``::Name`` after it a class or function in that file."""
+        stale = []
+        for rel, names in REPO_PATH.findall((ROOT / doc).read_text()):
+            path = ROOT / rel
+            if not path.exists():
+                stale.append(rel)
+                continue
+            for name in filter(None, names.split("::")):
+                if not re.search(
+                    rf"^\s*(?:class|def) {name}\b", path.read_text(), re.M,
+                ):
+                    stale.append(rel + names)
+        assert stale == []
 
     def test_example_table_matches_directory(self):
         text = (ROOT / "README.md").read_text()
