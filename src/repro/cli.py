@@ -512,137 +512,6 @@ def _usaas_soak(args: argparse.Namespace):
     return report.counters_dict(), text, report.verdict()
 
 
-def _parse_tenant(spec: str):
-    """``name:weight[:rate_per_s[:burst]]`` -> :class:`TenantPolicy`."""
-    from repro.errors import ConfigError
-    from repro.serving import TenantPolicy
-
-    parts = spec.split(":")
-    if not 1 <= len(parts) <= 4:
-        raise argparse.ArgumentTypeError(
-            f"expected name:weight[:rate[:burst]], got {spec!r}"
-        )
-    try:
-        return TenantPolicy(
-            name=parts[0],
-            weight=float(parts[1]) if len(parts) > 1 else 1.0,
-            rate_per_s=float(parts[2]) if len(parts) > 2 else None,
-            burst=float(parts[3]) if len(parts) > 3 else 1.0,
-        )
-    except (ValueError, ConfigError) as exc:
-        raise argparse.ArgumentTypeError(f"bad tenant {spec!r}: {exc}")
-
-
-def _parse_replica_fault(spec: str):
-    """``replica:kind:at_s[:...]`` -> :class:`ReplicaFaultSpec`.
-
-    Per-kind trailing fields: ``crash``/``hang`` take an optional
-    ``down_s`` (0 = never recovers); ``slow`` takes ``down_s`` and
-    ``slow_extra_s``; ``flap`` takes ``down_s``, ``period_s`` and an
-    optional ``flaps`` count.
-    """
-    from repro.errors import ConfigError
-    from repro.resilience import ReplicaFaultSpec
-
-    parts = spec.split(":")
-    if len(parts) < 3:
-        raise argparse.ArgumentTypeError(
-            f"expected replica:kind:at_s[...], got {spec!r}"
-        )
-    replica, kind = parts[0], parts[1]
-    try:
-        at_s = float(parts[2])
-        rest = [float(x) for x in parts[3:]]
-        if kind in ("crash", "hang"):
-            if len(rest) > 1:
-                raise ValueError("crash/hang take at most one down_s")
-            return ReplicaFaultSpec(
-                replica=replica, kind=kind, at_s=at_s,
-                down_s=rest[0] if rest else 0.0,
-            )
-        if kind == "slow":
-            if len(rest) != 2:
-                raise ValueError("slow needs down_s and slow_extra_s")
-            return ReplicaFaultSpec(
-                replica=replica, kind=kind, at_s=at_s,
-                down_s=rest[0], slow_extra_s=rest[1],
-            )
-        if kind == "flap":
-            if len(rest) not in (2, 3):
-                raise ValueError("flap needs down_s, period_s[, flaps]")
-            return ReplicaFaultSpec(
-                replica=replica, kind=kind, at_s=at_s,
-                down_s=rest[0], period_s=rest[1],
-                flaps=int(rest[2]) if len(rest) == 3 else 2,
-            )
-        return ReplicaFaultSpec(replica=replica, kind=kind, at_s=at_s)
-    except (ValueError, ConfigError) as exc:
-        raise argparse.ArgumentTypeError(f"bad fault {spec!r}: {exc}")
-
-
-def _usaas_cluster_soak(args: argparse.Namespace):
-    """Deterministic multi-replica soak with scheduled replica faults."""
-    from repro.resilience import ReplicaFaultSpec
-    from repro.resilience.faults import LoadSpikeSpec
-    from repro.serving import run_cluster_soak, synthetic_cluster
-    from repro.serving.soak import estimated_service_time_s
-
-    tenants = tuple(args.tenant or ())
-    cluster, plan = synthetic_cluster(
-        seed=args.seed,
-        n_replicas=args.replicas,
-        slow_s=args.slow_s,
-        max_pending=args.max_pending,
-        shed_policy=args.shed_policy,
-        tenants=tenants,
-        include_flaky=args.include_flaky,
-    )
-    # One replica serves ~1/est queries per simulated second, so the
-    # cluster-wide overload factor scales the rate by the replica count.
-    rate = (
-        args.overload * args.replicas
-        / estimated_service_time_s(args.slow_s)
-    )
-    tenant_mix = (
-        tuple((t.name, t.weight) for t in tenants)
-        if tenants else (("default", 1.0),)
-    )
-    arrivals = plan.cluster_load_spikes(
-        "cluster-soak",
-        LoadSpikeSpec(
-            rate_per_s=rate,
-            duration_s=args.duration_s,
-            priority_mix=_PRIORITY_MIX,
-            deadline_s=args.deadline_s,
-        ),
-        tenant_mix=tenant_mix,
-    )
-    fault_specs = args.fault
-    if fault_specs is None:
-        # Default outage: crash the second replica mid-spike, recover
-        # for the tail of the spike — the canonical failover story.
-        victim = "r1" if args.replicas > 1 else "r0"
-        fault_specs = [ReplicaFaultSpec(
-            replica=victim, kind="crash",
-            at_s=args.duration_s * 0.375,
-            down_s=args.duration_s * 0.25,
-        )]
-    events = (
-        plan.replica_faults("cluster-soak", *fault_specs)
-        if fault_specs else ()
-    )
-    # A bare ClusterArrival asks the synthetic starlink/teams query.
-    report = run_cluster_soak(cluster, arrivals, events)
-    text = "\n".join([
-        f"seed {args.seed}: {args.overload:.1f}x capacity across "
-        f"{args.replicas} replicas for {args.duration_s:.1f}s (simulated)",
-        report.summary(),
-        "",
-        report.metrics.table(),
-    ])
-    return report.counters_dict(), text, report.verdict()
-
-
 def _cmd_plan_launches(args: argparse.Namespace) -> int:
     from repro.starlink.planning import LaunchPlanner, plan_outcome
 
@@ -695,28 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          parents=[seed_flag])
     soak_flags.add_argument("--json", action="store_true",
                             help="emit the report as stable JSON")
-    load_flags = argparse.ArgumentParser(add_help=False)
-    load_flags.add_argument("--overload", type=float, default=5.0,
-                            metavar="X",
-                            help="arrival rate as a multiple of capacity "
-                                 "(a cluster's is replicas x per-replica "
-                                 "capacity)")
-    load_flags.add_argument("--duration-s", type=float, default=4.0,
-                            help="spike duration in simulated seconds")
-    load_flags.add_argument("--deadline-s", type=float, default=1.0,
-                            help="per-query deadline budget (simulated "
-                                 "seconds)")
-    load_flags.add_argument("--max-pending", type=int, default=8,
-                            help="bounded admission queue (per replica)")
-    load_flags.add_argument("--shed-policy",
-                            choices=("reject", "lifo", "priority"),
-                            default="priority")
-    load_flags.add_argument("--slow-s", type=float, default=0.05,
-                            help="simulated per-source fetch latency")
-    load_flags.add_argument("--include-flaky", action="store_true",
-                            help="add an always-failing source (per "
-                                 "replica) so answers are degraded and "
-                                 "retries burn deadline budget")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -846,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_usaas)
     usaas_sub = p.add_subparsers(required=False)
     sp = usaas_sub.add_parser(
-        "soak", parents=[soak_flags, load_flags],
+        "soak", parents=[soak_flags],
         help="deterministic overload soak on a synthetic service",
         description="Drive a synthetic USaaS service through a seeded "
                     "load spike on a simulated clock: every arrival, "
@@ -856,42 +703,22 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 = every query accounted; 2 = accounting "
                "violation or drain left work behind (a bug, not load)",
     )
+    sp.add_argument("--overload", type=float, default=5.0, metavar="X",
+                    help="arrival rate as a multiple of capacity")
+    sp.add_argument("--duration-s", type=float, default=4.0,
+                    help="spike duration in simulated seconds")
+    sp.add_argument("--deadline-s", type=float, default=1.0,
+                    help="per-query deadline budget (simulated seconds)")
+    sp.add_argument("--max-pending", type=int, default=8,
+                    help="bounded admission queue")
+    sp.add_argument("--shed-policy", choices=("reject", "lifo", "priority"),
+                    default="priority")
+    sp.add_argument("--slow-s", type=float, default=0.05,
+                    help="simulated per-source fetch latency")
+    sp.add_argument("--include-flaky", action="store_true",
+                    help="add an always-failing source so answers are "
+                         "degraded and retries burn deadline budget")
     sp.set_defaults(fn=_soak_command(_usaas_soak))
-    cp = usaas_sub.add_parser(
-        "cluster-soak", parents=[soak_flags, load_flags],
-        help="deterministic multi-replica soak with replica faults",
-        description="Drive an N-replica USaaS cluster through a seeded "
-                    "load spike while replicas crash, hang, slow down or "
-                    "flap on schedule.  Routing (consistent hashing), "
-                    "failover (per-replica circuit breakers driving ring "
-                    "rebalance), per-tenant quotas and weighted-fair "
-                    "admission all run on simulated clocks, so the same "
-                    "--seed always produces byte-identical counters.",
-        epilog="exit codes: 0 = soak completed and the cluster ledger "
-               "closed exactly once per query; 2 = accounting violation "
-               "or drain left work behind (a bug, not load); 3 = total "
-               "outage — queries arrived but none were served",
-    )
-    cp.add_argument("--replicas", type=int, default=3, metavar="N",
-                    help="number of simulated replicas on the hash ring")
-    cp.add_argument("--fault", action="append", metavar="SPEC",
-                    type=_parse_replica_fault,
-                    help="replica fault replica:kind:at_s[:...] — "
-                         "crash/hang take [:down_s]; slow takes "
-                         ":down_s:slow_extra_s; flap takes "
-                         ":down_s:period_s[:flaps].  Repeatable; default "
-                         "is one mid-spike crash of r1 with recovery; "
-                         "pass --no-faults for a clean run")
-    cp.add_argument("--no-faults", dest="fault", action="store_const",
-                    const=[], help=argparse.SUPPRESS)
-    cp.add_argument("--tenant", action="append", metavar="SPEC",
-                    type=_parse_tenant,
-                    help="tenant name:weight[:rate_per_s[:burst]] — "
-                         "weight drives weighted-fair admission, rate "
-                         "adds an absolute token-bucket quota.  "
-                         "Repeatable; arrivals are drawn across the "
-                         "configured tenants by weight")
-    cp.set_defaults(fn=_soak_command(_usaas_cluster_soak))
     ssp = usaas_sub.add_parser(
         "stream-soak", parents=[soak_flags],
         help="deterministic streaming-ingestion soak with arrival chaos",

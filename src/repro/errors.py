@@ -59,9 +59,9 @@ class LedgerViolationError(ConfigError):
     """An exactly-once ledger failed to close: an outcome was lost or
     counted twice.
 
-    Raised by the server's double-account guard and by the cluster and
-    stream ledger checks.  It is a bug, not load, so each soak command
-    maps it to its documented accounting exit instead of a traceback.
+    Raised by the server's double-account guard and by the stream
+    ledger check.  It is a bug, not load, so each soak command maps it
+    to its documented accounting exit instead of a traceback.
     """
 
 
@@ -87,16 +87,12 @@ class QueryRejectedError(ReproError):
     Carries the machine-readable ``reason`` (``"queue_full"`` when the
     pending queue is at capacity and shedding policy rejected the query,
     ``"deadline_infeasible"`` when the remaining deadline budget cannot
-    fit even one attempt, ``"draining"`` when the server has stopped
-    admitting, ``"quota_exceeded"`` when the cluster router shed the
-    query for its tenant — token-bucket quota or weighted-fair share —
-    and ``"no_replica"`` when routing found no live replica to take it)
-    plus the query's priority class, so callers and tests can branch on
-    *why* load was shed without parsing messages.
+    fit even one attempt, and ``"draining"`` when the server has stopped
+    admitting) plus the query's priority class, so callers and tests can
+    branch on *why* load was shed without parsing messages.
     """
 
-    REASONS = ("queue_full", "deadline_infeasible", "draining",
-               "quota_exceeded", "no_replica")
+    REASONS = ("queue_full", "deadline_infeasible", "draining")
 
     def __init__(self, reason: str, priority: str = "interactive",
                  detail: str = "") -> None:

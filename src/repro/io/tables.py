@@ -51,8 +51,8 @@ def format_left_table(
 ) -> str:
     """Left-aligned fixed-width table of string cells with a header rule.
 
-    The CLI / log layout of the serving, cluster, prediction and source
-    health tables: trailing blanks are stripped from every line.
+    The CLI / log layout of the serving, prediction and source health
+    tables: trailing blanks are stripped from every line.
     """
     lines = [tuple(headers)] + [tuple(row) for row in rows]
     widths = [max(len(row[i]) for row in lines) for i in range(len(headers))]

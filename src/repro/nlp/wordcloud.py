@@ -3,7 +3,7 @@
 §4.1 uses NLTK to build a word cloud per day and takes the *top three
 unigrams* as search keywords for news annotation; the third most common
 word on 22 Apr '22 was "outage".  :func:`build_wordcloud` reproduces
-that: stopword-filtered unigram counts with an optional bigram layer.
+that: stopword-filtered unigram counts.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ExtractionError
 from repro.nlp.stopwords import STOPWORDS
-from repro.nlp.tokenize import bigrams, words
+from repro.nlp.tokenize import words
 
 
 @dataclass(frozen=True)
 class WordCloud:
-    """Frequency tables for a collection of texts."""
+    """Unigram frequencies for a collection of texts."""
 
     unigram_counts: Dict[str, int]
-    bigram_counts: Dict[str, int]
     n_texts: int
 
     def top_unigrams(self, k: int = 3) -> List[Tuple[str, int]]:
@@ -52,11 +51,10 @@ def build_wordcloud(
     min_word_length: int = 3,
     extra_stopwords: Iterable[str] = (),
 ) -> WordCloud:
-    """Count stopword-filtered unigrams and bigrams across texts."""
+    """Count stopword-filtered unigrams across texts."""
     stop = set(STOPWORDS)
     stop.update(w.lower() for w in extra_stopwords)
     unigram_counts: Counter = Counter()
-    bigram_counts: Counter = Counter()
     n_texts = 0
     for text in texts:
         n_texts += 1
@@ -65,9 +63,7 @@ def build_wordcloud(
             if len(w) >= min_word_length and w not in stop
         ]
         unigram_counts.update(tokens)
-        bigram_counts.update(bigrams(tokens))
     return WordCloud(
         unigram_counts=dict(unigram_counts),
-        bigram_counts=dict(bigram_counts),
         n_texts=n_texts,
     )

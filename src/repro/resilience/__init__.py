@@ -31,13 +31,10 @@ from repro.resilience.executor import (
 )
 from repro.resilience.faults import (
     Arrival,
-    ClusterArrival,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     LoadSpikeSpec,
-    ReplicaFaultEvent,
-    ReplicaFaultSpec,
 )
 from repro.resilience.health import HealthLedger, SourceHealth, health_table
 from repro.resilience.policy import (
@@ -52,7 +49,6 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "Clock",
-    "ClusterArrival",
     "Fallback",
     "FallbackResult",
     "FaultPlan",
@@ -63,8 +59,6 @@ __all__ = [
     "LoadSpikeSpec",
     "ManualClock",
     "MonotonicClock",
-    "ReplicaFaultEvent",
-    "ReplicaFaultSpec",
     "ResilienceConfig",
     "RetryPolicy",
     "SourceExecutor",

@@ -61,22 +61,6 @@ class Arrival:
     deadline_s: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ClusterArrival:
-    """One scheduled arrival in a *cluster* load plan.
-
-    On top of the single-server :class:`Arrival` fields it carries the
-    routing identity: ``tenant`` (quota / weighted-fair accounting) and
-    ``key`` (the consistent-hash routing key — a user or source id).
-    """
-
-    at_s: float
-    priority: str = "interactive"
-    deadline_s: Optional[float] = None
-    tenant: str = "default"
-    key: str = "user-0"
-
-
 def pick_weighted(mix: Tuple[Tuple[str, float], ...], u: float) -> str:
     """Map a uniform draw in [0, 1) to a weighted choice from ``mix``."""
     total = sum(w for _, w in mix)
@@ -86,78 +70,6 @@ def pick_weighted(mix: Tuple[Tuple[str, float], ...], u: float) -> str:
         if u < cumulative:
             return name
     return mix[-1][0]
-
-
-#: The replica failure modes the cluster soak can schedule.
-REPLICA_FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "slow", "flap")
-
-
-@dataclass(frozen=True)
-class ReplicaFaultSpec:
-    """One scheduled misbehaviour of one cluster replica.
-
-    * ``crash`` — the replica process dies at ``at_s``: queued work is
-      lost (terminally ``failed``) and the replica is down for
-      ``down_s`` simulated seconds (0 = forever);
-    * ``hang`` — the replica stops serving at ``at_s`` but *keeps* its
-      queue; after ``down_s`` it resumes, usually blowing the held
-      queries' deadlines;
-    * ``slow`` — every query run on the replica costs an extra
-      ``slow_extra_s`` of simulated time during
-      ``[at_s, at_s + down_s)``;
-    * ``flap`` — ``flaps`` crash/recover cycles starting at ``at_s``,
-      one every ``period_s``, each outage lasting ``down_s``.
-    """
-
-    replica: str
-    kind: str
-    at_s: float
-    down_s: float = 0.0
-    slow_extra_s: float = 0.0
-    flaps: int = 2
-    period_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.replica:
-            raise ConfigError("replica name must be non-empty")
-        if self.kind not in REPLICA_FAULT_KINDS:
-            raise ConfigError(
-                f"kind must be one of {REPLICA_FAULT_KINDS}, "
-                f"got {self.kind!r}"
-            )
-        if self.at_s < 0:
-            raise ConfigError("at_s must be non-negative")
-        if self.down_s < 0:
-            raise ConfigError("down_s must be non-negative")
-        if self.kind == "slow":
-            if self.slow_extra_s <= 0:
-                raise ConfigError("slow faults need slow_extra_s > 0")
-            if self.down_s <= 0:
-                raise ConfigError("slow faults need a down_s duration")
-        if self.kind == "flap":
-            if self.flaps < 1:
-                raise ConfigError("flap faults need flaps >= 1")
-            if self.period_s <= 0:
-                raise ConfigError("flap faults need period_s > 0")
-            if self.down_s <= 0 or self.down_s >= self.period_s:
-                raise ConfigError(
-                    "flap faults need 0 < down_s < period_s"
-                )
-
-
-@dataclass(frozen=True)
-class ReplicaFaultEvent:
-    """One instant in a replica fault timeline.
-
-    ``action`` is one of ``crash`` / ``hang`` / ``recover`` /
-    ``slow_start`` / ``slow_end``; ``slow_extra_s`` only matters for
-    ``slow_start``.
-    """
-
-    at_s: float
-    replica: str
-    action: str
-    slow_extra_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -731,101 +643,6 @@ class FaultPlan:
         arrivals.sort(key=lambda a: (a.at_s, a.priority))
         self.log.append((name, f"load_spikes.{len(arrivals)}"))
         return tuple(arrivals)
-
-    def cluster_load_spikes(
-        self,
-        name: str,
-        *specs: LoadSpikeSpec,
-        tenant_mix: Tuple[Tuple[str, float], ...] = (("default", 1.0),),
-        key_space: int = 512,
-    ) -> Tuple[ClusterArrival, ...]:
-        """Deterministic arrival schedule for the *cluster* soak harness.
-
-        Like :meth:`load_spikes`, but each arrival additionally draws a
-        tenant (weighted by ``tenant_mix``) and a routing key from a
-        pool of ``key_space`` synthetic users — both from this plan's
-        seeded substream, so the same seed produces the same tenants
-        hitting the same replicas in the same order.
-        """
-        if not specs:
-            raise ConfigError("cluster_load_spikes needs at least one spec")
-        if not tenant_mix:
-            raise ConfigError("tenant_mix must not be empty")
-        for tenant, weight in tenant_mix:
-            if not tenant or weight < 0:
-                raise ConfigError(
-                    "tenant_mix entries must be (name, weight >= 0)"
-                )
-        if sum(w for _, w in tenant_mix) <= 0:
-            raise ConfigError("tenant_mix weights must sum to > 0")
-        if key_space < 1:
-            raise ConfigError("key_space must be >= 1")
-        stream = self._stream(name + "#cluster-load")
-        arrivals: List[ClusterArrival] = []
-        for spec in specs:
-            t = spec.start_s
-            while True:
-                t += float(stream.exponential(1.0 / spec.rate_per_s))
-                if t > spec.start_s + spec.duration_s:
-                    break
-                arrivals.append(ClusterArrival(
-                    at_s=t,
-                    priority=spec.pick_priority(float(stream.random())),
-                    deadline_s=spec.deadline_s,
-                    tenant=pick_weighted(tenant_mix, float(stream.random())),
-                    key=f"user-{int(float(stream.random()) * key_space)}",
-                ))
-        arrivals.sort(key=lambda a: (a.at_s, a.priority, a.tenant, a.key))
-        self.log.append((name, f"cluster_load_spikes.{len(arrivals)}"))
-        return tuple(arrivals)
-
-    def replica_faults(
-        self, name: str, *specs: ReplicaFaultSpec
-    ) -> Tuple[ReplicaFaultEvent, ...]:
-        """Expand replica fault specs into a time-ordered event timeline.
-
-        Crash and hang specs with ``down_s > 0`` contribute a matching
-        ``recover`` event; ``slow`` contributes a ``slow_start`` /
-        ``slow_end`` pair; ``flap`` unrolls into repeated crash/recover
-        cycles.  The expansion is a pure function of the specs, so the
-        same plan always replays the same outage story; the events are
-        appended to the plan log for test assertions.
-        """
-        if not specs:
-            raise ConfigError("replica_faults needs at least one spec")
-        events: List[ReplicaFaultEvent] = []
-        for spec in specs:
-            if spec.kind in ("crash", "hang"):
-                events.append(ReplicaFaultEvent(
-                    at_s=spec.at_s, replica=spec.replica, action=spec.kind,
-                ))
-                if spec.down_s > 0:
-                    events.append(ReplicaFaultEvent(
-                        at_s=spec.at_s + spec.down_s,
-                        replica=spec.replica, action="recover",
-                    ))
-            elif spec.kind == "slow":
-                events.append(ReplicaFaultEvent(
-                    at_s=spec.at_s, replica=spec.replica,
-                    action="slow_start", slow_extra_s=spec.slow_extra_s,
-                ))
-                events.append(ReplicaFaultEvent(
-                    at_s=spec.at_s + spec.down_s,
-                    replica=spec.replica, action="slow_end",
-                ))
-            else:  # flap
-                for cycle in range(spec.flaps):
-                    start = spec.at_s + cycle * spec.period_s
-                    events.append(ReplicaFaultEvent(
-                        at_s=start, replica=spec.replica, action="crash",
-                    ))
-                    events.append(ReplicaFaultEvent(
-                        at_s=start + spec.down_s,
-                        replica=spec.replica, action="recover",
-                    ))
-        events.sort(key=lambda e: (e.at_s, e.replica, e.action))
-        self.log.append((name, f"replica_faults.{len(events)}"))
-        return tuple(events)
 
     def stream_faults(
         self, name: str, records: Iterable[Any], spec: StreamFaultSpec

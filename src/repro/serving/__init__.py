@@ -2,7 +2,7 @@
 
 :mod:`repro.resilience` makes ingestion fault-isolated; this package
 makes the *query front-end* overload-safe — the discipline
-crowdsourced QoE platforms live or die on.  Seven pieces:
+crowdsourced QoE platforms live or die on.  Four pieces:
 
 * :mod:`repro.serving.deadline` — :class:`Deadline`, a monotonic
   per-query budget on the injectable clock; the ingestion executor
@@ -18,16 +18,7 @@ crowdsourced QoE platforms live or die on.  Seven pieces:
   every submission in exactly one terminal state, tracks per-class
   latency percentiles, and drains gracefully;
 * :mod:`repro.serving.soak` — :func:`run_soak`, the deterministic
-  overload harness driven by :meth:`FaultPlan.load_spikes`;
-* :mod:`repro.serving.hashring` — :class:`HashRing`, consistent
-  hashing with virtual nodes and a deterministic failover ladder;
-* :mod:`repro.serving.cluster` — :class:`UsaasCluster`, the routing
-  front-end over N replicas: per-tenant quotas + weighted-fair
-  admission, breaker-driven ring rebalance, exact-once cluster
-  accounting;
-* :mod:`repro.serving.cluster_soak` — :func:`run_cluster_soak`, the
-  cluster-wide soak replaying seeded arrivals against a seeded replica
-  fault timeline.
+  overload harness driven by :meth:`FaultPlan.load_spikes`.
 """
 
 from repro.serving.admission import (
@@ -36,22 +27,7 @@ from repro.serving.admission import (
     AdmissionController,
     Ticket,
 )
-from repro.serving.cluster import (
-    REPLICA_STATES,
-    ClusterMetrics,
-    ReplicaHandle,
-    TenantPolicy,
-    TenantState,
-    UsaasCluster,
-)
-from repro.serving.cluster_soak import (
-    ClusterSoakReport,
-    replica_seed,
-    run_cluster_soak,
-    synthetic_cluster,
-)
 from repro.serving.deadline import Deadline
-from repro.serving.hashring import HashRing
 from repro.serving.server import (
     OUTCOME_STATUSES,
     ClassCounters,
@@ -65,26 +41,15 @@ from repro.serving.soak import SoakReport, run_soak
 __all__ = [
     "AdmissionController",
     "ClassCounters",
-    "ClusterMetrics",
-    "ClusterSoakReport",
     "Deadline",
     "DrainReport",
-    "HashRing",
     "OUTCOME_STATUSES",
     "PRIORITY_CLASSES",
     "QueryOutcome",
-    "REPLICA_STATES",
-    "ReplicaHandle",
     "SHED_POLICIES",
     "ServingMetrics",
     "SoakReport",
-    "TenantPolicy",
-    "TenantState",
     "Ticket",
-    "UsaasCluster",
     "UsaasServer",
-    "replica_seed",
-    "run_cluster_soak",
     "run_soak",
-    "synthetic_cluster",
 ]

@@ -25,7 +25,7 @@ who loses:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, QueryRejectedError
@@ -207,21 +207,6 @@ class AdmissionController:
                 self._in_flight.add(ticket.id)
                 return ticket
         return None
-
-    def evict_pending(self) -> Tuple[Ticket, ...]:
-        """Remove and return *every* pending ticket (priority order).
-
-        The cluster layer uses this when a replica crashes: queued work
-        dies with the process and must be accounted as failed, exactly
-        once, by whoever held the queue.
-        """
-        out: List[Ticket] = []
-        for name in PRIORITY_CLASSES:
-            while self._pending[name]:
-                ticket = self._pending[name].popleft()
-                self._admitted_seq.pop(ticket.id, None)
-                out.append(ticket)
-        return tuple(out)
 
     def release(self, ticket: Ticket) -> None:
         if ticket.id not in self._in_flight:

@@ -675,30 +675,6 @@ class UsaasServer:
             raise DeadlineExceededError(budget, overrun)
         raise DegradedServiceError(outcome.error or "hard degradation")
 
-    def fail_pending(self, error: str) -> List[QueryOutcome]:
-        """Terminate every queued query as ``failed`` (replica crash).
-
-        When the process holding the queue dies, the queued work dies
-        with it; each ticket still gets its exactly-once terminal
-        outcome so cluster-wide accounting stays closed.
-        """
-        outcomes: List[QueryOutcome] = []
-        doomed: List[Ticket] = []
-        for ticket in self.admission.evict_pending():
-            members = self._groups.pop(ticket.id, None)
-            doomed.extend(members if members is not None else (ticket,))
-        if self.coalescer is not None:
-            for batch in self.coalescer.flush_all():
-                doomed.extend(batch)
-        for ticket in doomed:
-            outcomes.append(self._record(QueryOutcome(
-                ticket_id=ticket.id, priority=ticket.priority,
-                status="failed",
-                latency_s=self._clock.now() - ticket.submitted_at,
-                error=f"QueryFailedError: {error}",
-            )))
-        return outcomes
-
     # -- drain ------------------------------------------------------------
 
     def drain(self) -> DrainReport:

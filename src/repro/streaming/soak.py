@@ -1,6 +1,6 @@
 """The deterministic stream soak: chaos in, closed ledger out.
 
-Mirrors the serving-side ``cluster_soak``: a seeded synthetic stream is
+Mirrors the serving-side ``run_soak``: a seeded synthetic stream is
 mangled by :meth:`~repro.resilience.faults.FaultPlan.stream_faults`
 (delay / reorder / skew / gap-burst / duplication), optionally crashed
 and resumed mid-flight, and driven through a :class:`StreamPipeline` on

@@ -39,10 +39,6 @@ class TestBuildWordcloud:
         with pytest.raises(ExtractionError):
             cloud.rank_of("zeta")
 
-    def test_bigram_counts(self):
-        cloud = build_wordcloud(["roaming enabled roaming enabled"])
-        assert cloud.bigram_counts["roaming enabled"] == 2
-
     def test_extra_stopwords(self):
         cloud = build_wordcloud(["outage outage chimney"],
                                 extra_stopwords=["outage"])

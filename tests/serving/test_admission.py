@@ -185,29 +185,6 @@ class TestShedTieBreaks:
         assert [t.id for t in evicted] == [3]
 
 
-class TestEvictPending:
-    def test_returns_everything_in_priority_order_and_empties(self):
-        controller = AdmissionController(max_pending=8)
-        controller.try_admit(make_ticket(0, "monitoring"))
-        controller.try_admit(make_ticket(1, "interactive"))
-        controller.try_admit(make_ticket(2, "batch"))
-        controller.try_admit(make_ticket(3, "interactive"))
-        evicted = controller.evict_pending()
-        assert [t.id for t in evicted] == [1, 3, 2, 0]
-        assert controller.pending_count() == 0
-        assert controller.evict_pending() == ()
-
-    def test_does_not_touch_in_flight_work(self):
-        controller = AdmissionController(max_pending=4)
-        controller.try_admit(make_ticket(0))
-        controller.try_admit(make_ticket(1))
-        running = controller.next_ticket()
-        evicted = controller.evict_pending()
-        assert [t.id for t in evicted] == [1]
-        assert controller.in_flight_count == 1
-        controller.release(running)
-
-
 class TestDraining:
     def test_stop_admitting_sheds_everything_new(self):
         controller = AdmissionController()

@@ -223,23 +223,6 @@ class TestUsaasSoak:
         assert "interactive" in out
         assert "drain:" in out
 
-    def test_soak_json_is_seed_deterministic(self, capsys):
-        import json
-
-        assert main(["usaas", "soak", "--seed", "9", "--duration-s", "1.0",
-                     "--json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(["usaas", "soak", "--seed", "9", "--duration-s", "1.0",
-                     "--json"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-        assert first["submitted"] == (
-            first["served"] + first["served_degraded"] + first["shed"]
-            + first["deadline_exceeded"] + first["failed"]
-        )
-        assert first["leftover_pending"] == 0
-        assert first["in_flight"] == 0
-
     def test_soak_different_seed_differs(self, capsys):
         import json
 
@@ -268,90 +251,6 @@ class TestUsaasSoak:
         assert "2 = accounting violation or drain left work behind" in out
 
 
-class TestUsaasClusterSoak:
-    def test_cluster_soak_runs_and_reports(self, capsys):
-        code = main(["usaas", "cluster-soak", "--seed", "7",
-                     "--duration-s", "1.5"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cluster soak:" in out
-        assert "replicas" in out
-        assert "rebalances" in out
-        assert "r0" in out and "r1" in out and "r2" in out
-
-    def test_cluster_soak_json_is_seed_deterministic(self, capsys):
-        import json
-
-        argv = ["usaas", "cluster-soak", "--seed", "9",
-                "--duration-s", "1.5", "--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-        # The default mid-spike crash lost queued work, terminally.
-        assert first["failed"] > 0
-        assert first["submitted"] == (
-            first["served"] + first["served_degraded"] + first["shed"]
-            + first["deadline_exceeded"] + first["failed"]
-        )
-        assert first["drain"]["leftover"] == 0
-
-    def test_cluster_soak_different_seed_differs(self, capsys):
-        import json
-
-        assert main(["usaas", "cluster-soak", "--seed", "9",
-                     "--duration-s", "1.5", "--json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(["usaas", "cluster-soak", "--seed", "10",
-                     "--duration-s", "1.5", "--json"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first != second
-
-    def test_cluster_soak_explicit_faults_and_tenants(self, capsys):
-        import json
-
-        assert main([
-            "usaas", "cluster-soak", "--seed", "7", "--duration-s", "1.5",
-            "--fault", "r1:crash:0.5:0.5", "--fault", "r2:slow:0.2:1.0:0.1",
-            "--tenant", "alpha:2", "--tenant", "beta:1:50:5",
-            "--json",
-        ]) == 0
-        counters = json.loads(capsys.readouterr().out)
-        assert counters["fault_events"] == 4  # crash+recover, start+end
-        assert set(counters["cluster"]["tenants"]) == {"alpha", "beta"}
-
-    def test_cluster_soak_no_faults_is_clean(self, capsys):
-        import json
-
-        assert main(["usaas", "cluster-soak", "--seed", "7",
-                     "--duration-s", "1.5", "--no-faults", "--json"]) == 0
-        counters = json.loads(capsys.readouterr().out)
-        assert counters["fault_events"] == 0
-        assert counters["failed"] == 0
-        assert counters["cluster"]["rebalances"] == 0
-
-    def test_cluster_soak_bad_fault_spec_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["usaas", "cluster-soak", "--fault", "r1:crash"])
-        assert exc_info.value.code == 2
-        assert "replica:kind:at_s" in capsys.readouterr().err
-
-    def test_cluster_soak_bad_tenant_spec_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["usaas", "cluster-soak", "--tenant", "alpha:-2"])
-        assert exc_info.value.code == 2
-        assert "bad tenant" in capsys.readouterr().err
-
-    def test_cluster_soak_exit_code_contract_documented(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["usaas", "cluster-soak", "--help"])
-        out = capsys.readouterr().out
-        assert "exit codes: 0" in out
-        assert "accounting violation" in out
-        assert "total outage" in out
-
-
 class TestUsaasStreamSoak:
     ARGS = ["usaas", "stream-soak", "--seed", "7", "--duration-s", "300"]
 
@@ -361,21 +260,12 @@ class TestUsaasStreamSoak:
         assert "[stream-soak]" in out
         assert "ledger=closed" in out
         assert "[cp]" in out  # change points printed with attribution
-
-    def test_stream_soak_json_is_seed_deterministic(self, capsys):
-        import json
-
-        argv = self.ARGS + ["--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-        assert first["emitted"] == (
-            first["aggregated"] + first["late_dropped"]
-            + first["late_side"] + first["deduped"]
-        )
-        assert first["deduped"] > 0
+        summary = next(line for line in out.splitlines()
+                       if line.startswith("[stream-soak]"))
+        counters = dict(token.split("=", 1) for token in summary.split()[1:])
+        # The default chaos duplicates deliveries and malforms none.
+        assert int(counters["deduped"]) > 0
+        assert counters["quarantined"] == "0"
 
     def test_stream_soak_crash_resume_matches_clean_run(self, capsys):
         import json
@@ -437,19 +327,12 @@ class TestUsaasIntegritySoak:
         assert "integrity soak [OK]" in out
         assert "eps sweep" in out
         assert "mos trust" in out  # the table header
-
-    def test_json_is_seed_deterministic(self, capsys):
-        import json
-
-        argv = self.ARGS + ["--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-        # The clean row and the top-ε row carry the contract.
-        assert first["eps=0.n_fraud_flagged"] == 0
-        assert first["eps=0.2.n_fraud_flagged"] > 0
+        rows = {cells[0]: cells for cells in map(str.split, out.splitlines())
+                if cells}
+        # The fraud column: no rater flagged on the clean row, some at
+        # the top eps.
+        assert rows["0"][-2] == "0"
+        assert int(rows["0.2"][-2]) > 0
 
     def test_exit_code_contract_documented_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -482,12 +365,6 @@ class TestUsaasPredict:
         assert payload["rated"] > 0
         assert set(payload["emodel_prior"]) >= {"mae", "bias", "per_platform"}
         assert payload["weights"]
-
-    def test_json_is_seed_deterministic(self, capsys):
-        assert main(self.ARGS + ["--json"]) == 0
-        first = capsys.readouterr().out
-        assert main(self.ARGS + ["--json"]) == 0
-        assert capsys.readouterr().out == first
 
     def test_zero_ratings_exits_2_with_typed_message(self, capsys):
         code = main(["usaas", "predict", "--seed", "7", "--n-calls", "20",
@@ -536,17 +413,16 @@ def _edit_runner(monkeypatch, module, name, edit):
 
 
 class TestSoakExitContract:
-    """Every non-zero soak exit: its code and its exact stderr lines.
+    """Every soak exit: its code and its exact stderr lines.
 
-    Each test runs the real soak, then hands the CLI a copy of the
-    report with one field broken, so the verdict branch under test is
-    the only one that can fire.
+    A clean soak exits 0 and reruns byte for byte.  Every other test
+    runs the real soak, then hands the CLI a copy of the report with
+    one field broken, so the verdict branch under test is the only one
+    that can fire.
     """
 
     SOAK = ["usaas", "soak", "--seed", "7", "--duration-s", "1.0",
             "--json"]
-    CLUSTER = ["usaas", "cluster-soak", "--seed", "7",
-               "--duration-s", "1.5", "--json"]
     STREAM = ["usaas", "stream-soak", "--seed", "7", "--duration-s", "300",
               "--json"]
     PREDICT = ["usaas", "predict", "--seed", "7", "--n-calls", "80",
@@ -556,6 +432,19 @@ class TestSoakExitContract:
 
     def _stderr(self, capsys):
         return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command",
+                             ["SOAK", "STREAM", "PREDICT", "INTEGRITY"])
+    def test_clean_soak_exits_0_and_reruns_byte_identically(
+        self, capsys, command,
+    ):
+        runs = []
+        for _ in range(2):
+            code = main(getattr(self, command))
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
 
     def test_soak_accounting_violation_exits_2(self, monkeypatch, capsys):
         import dataclasses
@@ -587,47 +476,6 @@ class TestSoakExitContract:
             f"1 leftover pending, 0 in flight",
         ]
 
-    def test_cluster_soak_accounting_violation_exits_2(self, monkeypatch,
-                                                       capsys):
-        import dataclasses
-
-        import repro.serving
-
-        _edit_runner(
-            monkeypatch, repro.serving, "run_cluster_soak",
-            lambda r: dataclasses.replace(r, metrics=dataclasses.replace(
-                r.metrics, submitted=r.metrics.submitted + 1,
-            )),
-        )
-        assert main(self.CLUSTER) == 2
-        assert self._stderr(capsys) == [
-            "accounting violation: cluster ledger did not close",
-        ]
-
-    def test_cluster_soak_dirty_drain_exits_2(self, monkeypatch, capsys):
-        import dataclasses
-
-        import repro.serving
-
-        _edit_runner(
-            monkeypatch, repro.serving, "run_cluster_soak",
-            lambda r: dataclasses.replace(r, drain={**r.drain, "leftover": 1}),
-        )
-        assert main(self.CLUSTER) == 2
-        assert self._stderr(capsys) == ["drain left 1 queries behind"]
-
-    def test_cluster_soak_total_outage_exits_3(self, monkeypatch, capsys):
-        import dataclasses
-
-        import repro.serving
-
-        _edit_runner(
-            monkeypatch, repro.serving, "run_cluster_soak",
-            lambda r: dataclasses.replace(r, served=0, served_degraded=0),
-        )
-        assert main(self.CLUSTER) == 3
-        assert self._stderr(capsys) == ["total outage: nothing was served"]
-
     def test_stream_soak_open_ledger_exits_2(self, monkeypatch, capsys):
         # A ledger that does not close raises inside the pipeline's
         # finish(), before any report exists; the command still owes
@@ -650,7 +498,6 @@ class TestSoakExitContract:
 
     @pytest.mark.parametrize("command, package, runner, code", [
         ("SOAK", "repro.serving", "run_soak", 2),
-        ("CLUSTER", "repro.serving", "run_cluster_soak", 2),
         ("PREDICT", "repro.prediction", "run_prediction_soak", 3),
     ])
     def test_ledger_violation_mid_run_is_the_accounting_exit(

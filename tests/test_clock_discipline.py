@@ -61,8 +61,9 @@ def test_every_covered_package_is_checked(tmp_path):
 
 
 def test_cluster_modules_are_covered_anywhere_under_repro(tmp_path):
-    """cluster*.py is deterministic-by-contract: covered even outside
-    the covered directories, so a refactor can't silently drop it."""
+    """Coverage follows the ``repro`` package, not module names: a
+    cluster*.py file is checked at any depth under it, in a package the
+    lint has never seen as much as in ``repro.serving``."""
     tool = _load_tool()
     for subdir, name in (
         (("repro", "serving"), "cluster.py"),
@@ -78,8 +79,8 @@ def test_cluster_modules_are_covered_anywhere_under_repro(tmp_path):
 
 
 def test_vectorized_modules_are_covered_anywhere_under_repro(tmp_path):
-    """vectorized*.py shares the cluster contract (byte-identical output
-    per seed), so the block engines stay covered wherever they live."""
+    """vectorized*.py promises byte-identical output per seed, so the
+    block engines stay covered wherever they live."""
     tool = _load_tool()
     for subdir, name in (
         (("repro", "netsim"), "vectorized.py"),
