@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -121,10 +121,17 @@ def ExplicitSignal(
 
 #: Signal fields held as code columns over a vocabulary of their store.
 _FIELDS = ("kind", "network", "service", "metric")
+#: Every field of :class:`Signal`, in declaration order.
+_SIGNAL_FIELDS = tuple(f.name for f in fields(Signal))
 _EPOCH = dt.datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=dt.timezone.utc)
 _US = dt.timedelta(microseconds=1)
 _DAY_US = 86_400_000_000
+
+#: A column of :meth:`SignalSeries.extend_columns`: one value shared by
+#: every row, or a dictionary-encoded pair ``(words, index)`` in which
+#: row ``i`` holds ``words[index[i]]``.
+Column = Union[object, Tuple[Sequence[object], Sequence[int]]]
 
 
 def _micros(when: dt.datetime) -> Tuple[int, bool]:
@@ -132,6 +139,33 @@ def _micros(when: dt.datetime) -> Tuple[int, bool]:
     if when.utcoffset() is None:
         return (when - _EPOCH) // _US, False
     return (when - _EPOCH_UTC) // _US, True
+
+
+def _stamp_columns(stamps: Sequence[dt.datetime]) -> Dict[str, np.ndarray]:
+    """The ``micros``, ``aware`` and ``day`` columns (see :class:`_Columns`) of ``stamps``."""
+    offsets = [t.utcoffset() for t in stamps]
+    micros = np.array([
+        (t - (_EPOCH if o is None else _EPOCH_UTC)) // _US
+        for t, o in zip(stamps, offsets)
+    ], dtype=np.int64)
+    aware = np.array([o is not None for o in offsets], dtype=bool)
+    wall = micros
+    if aware.any():
+        wall = micros + np.array(
+            [0 if o is None else o // _US for o in offsets], dtype=np.int64
+        )
+    return {
+        "micros": micros,
+        "aware": aware,
+        "day": wall // _DAY_US + _EPOCH.toordinal(),
+    }
+
+
+def _lookup(words: Sequence[object], codes: np.ndarray) -> List[object]:
+    """``[words[c] for c in codes]``, gathered by numpy."""
+    table = np.empty(len(words), dtype=object)
+    table[:] = words
+    return table[codes].tolist()
 
 
 class _Vocab:
@@ -160,6 +194,19 @@ class _Vocab:
             self.words = list(index)
         return np.array(codes, dtype=np.int64)
 
+    def encode_at(self, words: Sequence[object], index: np.ndarray) -> np.ndarray:
+        """Codes of ``words[index[i]]`` per row ``i``; unseen words arrive in row order.
+
+        Each used entry of ``words`` is looked up once, however many rows
+        repeat it, and the vocabulary grows exactly as :meth:`encode`
+        over the per-row words would grow it.
+        """
+        used, first = np.unique(index, return_index=True)
+        used = used[np.argsort(first)]
+        lut = np.zeros(len(words), dtype=np.int64)
+        lut[used] = self.encode([words[i] for i in used.tolist()])
+        return lut[index]
+
     def present(self, codes: np.ndarray) -> np.ndarray:
         """The codes that occur in ``codes`` (-1 = absent), ascending."""
         return np.flatnonzero(
@@ -182,8 +229,9 @@ class _Vocab:
 class _Columns:
     """Struct-of-arrays over the rows of one signal series.
 
-    ``cols`` holds, per row: the ``Signal`` object, ``micros`` (int64,
-    see :func:`_micros`), ``aware``, ``day`` (the ordinal of
+    ``cols`` holds, per row: ``signal``, the row's ``Signal`` object or,
+    until one is built, its timestamp; ``micros`` (int64, see
+    :func:`_micros`), ``aware``, ``day`` (the ordinal of
     ``timestamp.date()``, the signal's own wall clock), float64
     ``value`` and ``weight``, and one code column per field of
     :data:`_FIELDS`.  ``attrs`` holds one code column per attr key, -1
@@ -214,26 +262,11 @@ class _Columns:
 
     def extend(self, signals: List[Signal]) -> None:
         """Append one row per signal."""
-        n = len(signals)
-        objects = np.empty(n, dtype=object)
+        objects = np.empty(len(signals), dtype=object)
         objects[:] = signals
-        stamps = [s.timestamp for s in signals]
-        offsets = [t.utcoffset() for t in stamps]
-        micros = np.array([
-            (t - (_EPOCH if o is None else _EPOCH_UTC)) // _US
-            for t, o in zip(stamps, offsets)
-        ], dtype=np.int64)
-        aware = np.array([o is not None for o in offsets], dtype=bool)
-        wall = micros
-        if aware.any():
-            wall = micros + np.array(
-                [0 if o is None else o // _US for o in offsets], dtype=np.int64
-            )
         columns = {
             "signal": objects,
-            "micros": micros,
-            "aware": aware,
-            "day": wall // _DAY_US + _EPOCH.toordinal(),
+            **_stamp_columns([s.timestamp for s in signals]),
             "value": np.array([s.value for s in signals], dtype=float),
             "weight": np.array([s.weight for s in signals], dtype=float),
         }
@@ -258,6 +291,83 @@ class _Columns:
             key: np.array(lut, dtype=np.int64)[combo]
             for key, lut in per_key.items()
         })
+
+    def extend_encoded(
+        self,
+        stamps: Sequence[dt.datetime],
+        unit: np.ndarray,
+        categorical: Dict[str, Tuple[Sequence[object], np.ndarray]],
+        value: np.ndarray,
+        weight: np.ndarray,
+        attrs: Dict[str, Tuple[Sequence[object], np.ndarray]],
+    ) -> None:
+        """Append row ``i`` at ``stamps[unit[i]]``, with dictionary-encoded fields and attrs.
+
+        Builds no ``Signal``: each timestamp is converted, and each word
+        coded, once per entry of its ``words`` rather than once per row.
+        The columns, codes and vocabularies equal what :meth:`extend`
+        builds over the same rows as ``Signal`` objects.
+        """
+        objects = np.empty(len(stamps), dtype=object)
+        objects[:] = stamps
+        columns = {"signal": objects[unit], "value": value, "weight": weight}
+        for name, col in _stamp_columns(stamps).items():
+            columns[name] = col[unit]
+        for name, (words, index) in categorical.items():
+            columns[name] = self.vocab[name].encode_at(words, index)
+        self._push(columns, {
+            key: self._attr_vocab(key).encode_at(words, index)
+            for key, (words, index) in attrs.items()
+        })
+
+    def signals(self, rows: np.ndarray) -> List[Signal]:
+        """The ``Signal`` of each of ``rows``.
+
+        Rows not built yet are built from their columns, and the new
+        objects replace their timestamps in the ``signal`` column.
+        """
+        objects = self.cols["signal"]
+        out = objects[rows].tolist()
+        todo = [i for i, o in enumerate(out) if not isinstance(o, Signal)]
+        if todo:
+            at = rows[todo]
+            built = self._build(at, [out[i] for i in todo])
+            objects[at] = built
+            for i, signal in zip(todo, built):
+                out[i] = signal
+        return out
+
+    def _build(self, rows: np.ndarray, stamps: List[dt.datetime]) -> List[Signal]:
+        """New ``Signal`` objects for ``rows``, read off the columns."""
+        kind, network, service, metric = (
+            _lookup(self.vocab[name].words, self.cols[name][rows])
+            for name in _FIELDS
+        )
+        built: List[Signal] = []
+        for values in zip(
+            kind, stamps, network, metric, self.cols["value"][rows].tolist(),
+            service, self.cols["weight"][rows].tolist(), self._attr_tuples(rows),
+        ):
+            signal = object.__new__(Signal)  # validated when the row was appended
+            signal.__dict__.update(zip(_SIGNAL_FIELDS, values))
+            built.append(signal)
+        return built
+
+    def _attr_tuples(self, rows: np.ndarray) -> List[Tuple[Tuple[str, str], ...]]:
+        """Each row's ``(key, word)`` pairs sorted by key, one tuple per distinct combination."""
+        keys = sorted(self.attrs)
+        if not keys:
+            return [()] * len(rows)
+        codes = np.stack([self.attrs[key][rows] for key in keys], axis=1)
+        combos, combo = np.unique(codes, axis=0, return_inverse=True)
+        pairs = [
+            tuple(
+                (key, self.attr_vocab[key].words[c])
+                for key, c in zip(keys, row) if c >= 0
+            )
+            for row in combos.tolist()
+        ]
+        return [pairs[c] for c in combo.reshape(-1).tolist()]
 
     def extend_from(self, series: "SignalSeries") -> None:
         """Append the rows of ``series``, recoding them over this store's vocabularies."""
@@ -308,24 +418,29 @@ class SignalSeries:
     This is the in-memory exchange format between signal *sources*
     (telemetry adapters, social adapters) and the USaaS correlator.
 
-    Reads run on a struct-of-arrays view (:class:`_Columns`) built on
-    first read and extended by only the rows appended since.
-    :meth:`filter` returns a *view*: row indices into the same columns,
-    whose ``Signal`` objects are gathered only when it is iterated.  A
-    view keeps its rows when its parent grows, and appending to a view
-    first copies its signals out, as appending to any filtered series
-    always did.  Methods with a leading underscore are the columnar
-    interface of ``repro.core.usaas`` and ``repro.integrity``.
+    Rows live in a struct-of-arrays store (:class:`_Columns`).  Rows
+    appended as ``Signal`` objects are encoded at the next read, and
+    come back from iteration as those same objects.  Rows appended by
+    :meth:`extend_columns` go straight into the store, and their
+    ``Signal`` objects are built only when the series, or a view of it,
+    is iterated.  :meth:`filter` returns a *view*: row indices into the
+    same columns.  A view keeps its rows when its parent grows, and
+    appending to a view first copies its signals out, as appending to
+    any filtered series always did.  Methods with a leading underscore
+    are the columnar interface of ``repro.core.usaas`` and
+    ``repro.integrity``.
     """
 
     def __init__(self, signals: Iterable[Signal] = ()) -> None:
-        # The rows of an owning series; a view's gathered Signals (or None).
-        self._signals: Optional[List[Signal]] = list(signals)
-        self._columns: Optional[_Columns] = None
+        self._columns = _Columns()
+        # An owning series' appended Signals that the store has not encoded yet.
+        self._pending: List[Signal] = list(signals)
         # A view's row indices into ``_columns``; None for an owning series.
         self._rows: Optional[np.ndarray] = None
         # A view's weights when they differ from its rows' (bias correction).
         self._weight: Optional[np.ndarray] = None
+        # A view's gathered Signals, once iterated.
+        self._signals: Optional[List[Signal]] = None
 
     @classmethod
     def _view(
@@ -335,20 +450,24 @@ class SignalSeries:
         weight: Optional[np.ndarray] = None,
     ) -> "SignalSeries":
         view = cls.__new__(cls)
-        view._signals = None
         view._columns = columns
+        view._pending = []
         view._rows = rows
         view._weight = weight
+        view._signals = None
         return view
 
     def __len__(self) -> int:
         if self._rows is None:
-            return len(self._signals)
+            return self._columns.n + len(self._pending)
         return len(self._rows)
 
     def __iter__(self) -> Iterator[Signal]:
+        if self._rows is None:
+            rows = np.arange(self._columns.n)
+            return iter(self._columns.signals(rows) + self._pending)
         if self._signals is None:
-            signals = self._columns.cols["signal"][self._rows].tolist()
+            signals = self._columns.signals(self._rows)
             weights = self._col("weight").tolist()
             self._signals = [
                 s if s.weight == w else replace(s, weight=w)
@@ -357,11 +476,12 @@ class SignalSeries:
         return iter(self._signals)
 
     def _own(self) -> List[Signal]:
-        """The row list to append to, copying a view's signals out first."""
+        """The pending rows to append to, copying a view's signals out first."""
         if self._rows is not None:
-            self._signals = list(self)
-            self._columns = self._rows = self._weight = None
-        return self._signals
+            self._pending = list(self)
+            self._columns = _Columns()
+            self._rows = self._weight = self._signals = None
+        return self._pending
 
     def append(self, signal: Signal) -> None:
         if not isinstance(signal, Signal):
@@ -374,36 +494,39 @@ class SignalSeries:
 
     def extend_columns(
         self,
-        kind: Union[SignalKind, Sequence[SignalKind]],
-        timestamps: Sequence[dt.datetime],
-        network: Union[str, Sequence[str]],
-        metric: Union[str, Sequence[str]],
+        kind: Column,
+        timestamps: Tuple[Sequence[dt.datetime], Sequence[int]],
+        network: Column,
+        metric: Column,
         values: Sequence[float],
-        service: Union[None, str, Sequence[Optional[str]]] = None,
+        service: Column = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        attrs: Sequence[Tuple[Tuple[str, str], ...]] = (),
+        attrs: Optional[Dict[str, Column]] = None,
     ) -> int:
-        """Bulk-append one signal per row of the given columns.
+        """Bulk-append rows given as columns, the analogue of N :meth:`append` calls.
 
-        The columnar analogue of N :meth:`append` calls: every argument
-        is either a scalar (broadcast to all rows) or a length-n column.
-        ``attrs`` rows must already be sorted key tuples (what the
-        ``ImplicitSignal``/``ExplicitSignal`` constructors produce);
-        ``attrs=()`` broadcasts the empty tuple.  Values are validated
-        with the same checks — and the same error messages — as
-        :meth:`Signal.__post_init__`, then the Signal objects are built
-        directly, skipping per-field dataclass machinery.  Returns the
-        number of signals appended.  No column is built until a read.
+        ``timestamps`` is a pair ``(stamps, unit)``: one timestamp per
+        *unit* (a session, a post) and, per row, the index of its unit;
+        its length sets the row count.  ``kind``, ``network``,
+        ``metric``, ``service`` and each value of ``attrs`` (attr key →
+        column) is a :data:`Column`: a scalar shared by every row, or a
+        ``(words, index)`` pair, such as per-unit words with ``unit`` or
+        per-position words with each row's position in its unit.
+        ``values`` and ``weight`` hold one float per row; ``weight`` may
+        be a scalar.  A row's attrs are its ``(key, word)`` pairs sorted
+        by key, as the ``ImplicitSignal``/``ExplicitSignal``
+        constructors sort them.
+
+        Every check runs before anything is appended: the lengths, then
+        the checks of :meth:`Signal.__post_init__` with its messages,
+        reported for the first failing row.  The rows go straight into
+        the column store, each timestamp and word converted once; a
+        row's ``Signal`` is built only when it is iterated.  Returns the
+        number of rows appended.
         """
-        n = len(timestamps)
+        n = len(timestamps[1])
 
-        def column(name: str, col, scalar: bool) -> list:
-            if scalar:
-                return [col] * n
-            if isinstance(col, np.ndarray):
-                col = col.tolist()
-            else:
-                col = list(col)
+        def sized(name: str, col: np.ndarray) -> np.ndarray:
             if len(col) != n:
                 raise SchemaError(
                     f"extend_columns: {name} has length {len(col)}, "
@@ -411,51 +534,66 @@ class SignalSeries:
                 )
             return col
 
-        kinds = column("kind", kind, isinstance(kind, SignalKind))
-        networks = column("network", network, isinstance(network, str))
-        metrics = column("metric", metric, isinstance(metric, str))
-        value_col = column("values", values, False)
-        services = column(
-            "service", service, service is None or isinstance(service, str)
-        )
-        weights = column(
-            "weight", weight, isinstance(weight, (int, float))
-        )
-        attrs_col = column("attrs", attrs, attrs == ())
+        def pair(name: str, col: Column) -> Tuple[Sequence[object], np.ndarray]:
+            if not isinstance(col, tuple):
+                return [col], np.zeros(n, dtype=np.int64)
+            words, index = col
+            index = sized(name, np.asarray(index, dtype=np.int64))
+            if n and (index.min() < 0 or index.max() >= len(words)):
+                raise SchemaError(
+                    f"extend_columns: {name} indexes past its {len(words)} words"
+                )
+            return words, index
 
-        new_signals: List[Signal] = []
-        for i in range(n):
-            net = networks[i]
-            met = metrics[i]
-            w = weights[i]
-            if not net:
-                raise SchemaError("signal requires a network")
-            if not met:
-                raise SchemaError("signal requires a metric name")
-            if w < 0:
-                raise SchemaError(f"weight must be non-negative, got {w}")
-            s = object.__new__(Signal)
-            s.__dict__["kind"] = kinds[i]
-            s.__dict__["timestamp"] = timestamps[i]
-            s.__dict__["network"] = net
-            s.__dict__["metric"] = met
-            s.__dict__["value"] = value_col[i]
-            s.__dict__["service"] = services[i]
-            s.__dict__["weight"] = w
-            s.__dict__["attrs"] = attrs_col[i]
-            new_signals.append(s)
-        self._own().extend(new_signals)
+        stamps, unit = pair("timestamps", timestamps)
+        categorical = {
+            name: pair(name, col)
+            for name, col in (("kind", kind), ("network", network), ("metric", metric))
+        }
+        value_col = sized("values", np.asarray(values, dtype=float))
+        categorical["service"] = pair("service", service)
+        scalar_weight = isinstance(weight, (int, float))
+        weights = (
+            np.full(n, float(weight)) if scalar_weight
+            else sized("weight", np.asarray(weight, dtype=float))
+        )
+        attr_cols = {
+            key: pair(f"attrs[{key}]", col) for key, col in (attrs or {}).items()
+        }
+
+        def first(bad: np.ndarray) -> int:
+            """The first row flagged in ``bad``; ``n`` when there is none."""
+            return int(np.argmax(bad)) if bad.any() else n
+
+        def empty(words: Sequence[object], index: np.ndarray) -> np.ndarray:
+            return np.array([not w for w in words], dtype=bool)[index]
+
+        # The checks of Signal.__post_init__, for the first failing row.
+        row, message = min(
+            (first(empty(*categorical["network"])), "signal requires a network"),
+            (first(empty(*categorical["metric"])), "signal requires a metric name"),
+            (first(weights < 0), None),
+            key=lambda failure: failure[0],
+        )
+        if row < n:
+            raise SchemaError(message or (
+                "weight must be non-negative, got "
+                f"{weight if scalar_weight else weight[row]}"
+            ))
+        if n:
+            self._own()
+            self._store().extend_encoded(
+                stamps, unit, categorical, value_col, weights, attr_cols
+            )
         return n
 
     # -- the columnar interface --------------------------------------------
 
     def _store(self) -> _Columns:
         """The columns, first extended by the rows appended since the last read."""
-        if self._rows is None:
-            if self._columns is None:
-                self._columns = _Columns()
-            if self._columns.n < len(self._signals):
-                self._columns.extend(self._signals[self._columns.n:])
+        if self._pending:
+            self._columns.extend(self._pending)
+            self._pending = []
         return self._columns
 
     def _col(self, name: str) -> np.ndarray:
@@ -551,10 +689,11 @@ class SignalSeries:
 
     def metrics(self) -> List[str]:
         """Distinct metric names, sorted."""
-        return sorted({s.metric for s in self})
+        codes, vocab = self._field("metric")
+        return sorted(vocab.words[c] for c in vocab.present(codes).tolist())
 
     def values(self) -> List[float]:
-        return [s.value for s in self]
+        return self._col("value").tolist()
 
     def weighted_mean(self) -> float:
         """Weight-aware mean of signal values (sums taken left to right)."""
@@ -580,8 +719,9 @@ def _sequential_sum(x: np.ndarray) -> float:
 def concat_series(parts: Sequence[SignalSeries]) -> SignalSeries:
     """One series of every row of ``parts`` in order, built from their columns.
 
-    The result owns new columns and vocabularies; its ``Signal``
-    objects are the parts' own, gathered when it is iterated.
+    The result owns new columns and vocabularies.  Iterating it yields
+    the parts' ``Signal`` objects where they were built, and builds the
+    rest from its own columns.
     """
     columns = _Columns()
     for part in parts:

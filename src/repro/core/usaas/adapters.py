@@ -103,6 +103,10 @@ def telemetry_signals(
         network: one network label for every session, or one label per
             session in ``participant_columns`` row order (a real
             deployment would map client IPs to ASes).
+
+    Raises:
+        SchemaError: a session has no call start, as in a block built
+            from bare participant records.
     """
     if isinstance(network, str) and not network:
         raise QueryError("a network label is required")
@@ -115,6 +119,11 @@ def telemetry_signals(
         )
     if n == 0:
         return series
+    missing = sum(start is None for start in cols.call_start)
+    if missing:
+        raise SchemaError(
+            f"{missing} of {n} participant sessions lack a call start"
+        )
 
     # Interleave: participant i contributes rows [starts[i], starts[i]+sizes[i])
     # — 4 implicit signals plus the rating row when one exists — in
@@ -133,23 +142,18 @@ def telemetry_signals(
     vmat[3] = 100.0 * cols.dropped_early
     vmat[4] = cols.rating  # NaN rows are never selected (pos 4 needs rated)
 
-    attrs_rows = [
-        (("country", country), ("platform", platform), ("user", author))
-        for country, platform, author in zip(
-            cols.country, cols.platform, scrub_all(cols.user_id)
-        )
-    ]
-
-    row_list = row.tolist()
     series.extend_columns(
-        _TELEMETRY_KINDS[pos].tolist(),
-        [cols.call_start[r] for r in row_list],
-        network if isinstance(network, str) else [network[r] for r in row_list],
-        _TELEMETRY_METRICS[pos].tolist(),
+        (_TELEMETRY_KINDS, pos),
+        (cols.call_start, row),
+        network if isinstance(network, str) else (network, row),
+        (_TELEMETRY_METRICS, pos),
         vmat[pos, row],
         service=service,
-        weight=1.0,
-        attrs=[attrs_rows[r] for r in row_list],
+        attrs={
+            "country": (cols.country, row),
+            "platform": (cols.platform, row),
+            "user": (scrub_all(cols.user_id), row),
+        },
     )
     return series
 
@@ -205,25 +209,20 @@ def social_signals(
     wmat[1] = 1.0
 
     topic_service = service_of_topic or {}
-    attrs_rows = [
-        (("topic", topic), ("user", author))
-        for topic, author in zip(cols.topic, scrub_all(cols.author))
-    ]
-    services_row = [topic_service.get(topic) for topic in cols.topic]
+    # A post's service rides on its polarity row; the speed row has none.
+    services = [topic_service.get(topic) for topic in cols.topic] + [None]
 
-    row_list = row.tolist()
-    pos_list = pos.tolist()
     series.extend_columns(
         SignalKind.EXPLICIT,
-        [cols.created[r] for r in row_list],
+        (cols.created, row),
         network,
-        _SOCIAL_METRICS[pos].tolist(),
+        (_SOCIAL_METRICS, pos),
         vmat[pos, row],
-        service=[
-            services_row[r] if p == 0 else None
-            for p, r in zip(pos_list, row_list)
-        ],
+        service=(services, np.where(pos == 0, row, n)),
         weight=wmat[pos, row],
-        attrs=[attrs_rows[r] for r in row_list],
+        attrs={
+            "topic": (cols.topic, row),
+            "user": (scrub_all(cols.author), row),
+        },
     )
     return series

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.signals import SignalSeries
 from repro.engagement.early_warning import DriftDetector
@@ -62,19 +64,21 @@ def watch_metric(
     subset = series.filter(metric=metric)
     if len(subset) == 0:
         raise AnalysisError(f"no signals carry metric {metric!r}")
-    by_day: Dict[dt.date, List[float]] = {}
-    for signal in subset:
-        by_day.setdefault(signal.date, []).append(signal.value)
+    # Each day's values in row order: a stable sort by day ordinal.
+    day = subset._col("day")
+    order = np.argsort(day, kind="stable")
+    days, starts = np.unique(day[order], return_index=True)
+    per_day = np.split(subset._col("value")[order], starts[1:])
 
     detector = detector or DriftDetector()
     alarms: List[Alarm] = []
     previously_alarmed = False
-    for day in sorted(by_day):
-        values = by_day[day]
+    for ordinal, day_values in zip(days.tolist(), per_day):
+        values = day_values.tolist()
         z = detector.observe(values)
         if detector.has_alarmed and not previously_alarmed:
             alarms.append(Alarm(
-                day=day,
+                day=dt.date.fromordinal(ordinal),
                 metric=metric,
                 z_score=float(z) if z is not None else float("nan"),
                 day_mean=float(sum(values) / len(values)),

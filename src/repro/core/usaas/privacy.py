@@ -103,7 +103,7 @@ class PrivacyGuard:
         ]
         if raw:
             first = int(np.argmax(np.isin(codes, raw)))
-            signal = list(series)[first]
+            (signal,) = series._take(np.array([first]))  # builds this row only
             raise PrivacyError(
                 f"signal at {signal.timestamp} carries raw identifier"
             )

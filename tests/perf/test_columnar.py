@@ -220,15 +220,16 @@ class TestSignalEquivalence:
 
 class TestExtendColumns:
     def _ts(self, n):
+        """``n`` timestamps, one row each: the ``(stamps, unit)`` pair."""
         base = dt.datetime(2022, 3, 1, 12, 0)
-        return [base + dt.timedelta(minutes=i) for i in range(n)]
+        return [base + dt.timedelta(minutes=i) for i in range(n)], list(range(n))
 
     def test_broadcast_scalars_match_append(self):
-        ts = self._ts(3)
+        ts, unit = self._ts(3)
         values = np.array([1.0, 2.0, 3.0])
         bulk = SignalSeries()
         n = bulk.extend_columns(
-            SignalKind.IMPLICIT, ts, "starlink", "presence", values,
+            SignalKind.IMPLICIT, (ts, unit), "starlink", "presence", values,
             service="teams", weight=2.0,
         )
         assert n == 3
@@ -241,11 +242,10 @@ class TestExtendColumns:
         assert list(bulk) == list(ref)
 
     def test_per_row_kind_and_metric_columns(self):
-        ts = self._ts(2)
         series = SignalSeries()
         series.extend_columns(
-            [SignalKind.IMPLICIT, SignalKind.EXPLICIT], ts,
-            "starlink", ["presence", "rating"], [80.0, 4.0],
+            ([SignalKind.IMPLICIT, SignalKind.EXPLICIT], [0, 1]), self._ts(2),
+            "starlink", (["presence", "rating"], [0, 1]), [80.0, 4.0],
         )
         signals = list(series)
         assert signals[0].kind is SignalKind.IMPLICIT

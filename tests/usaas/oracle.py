@@ -2,12 +2,14 @@
 
 These are the per-``Signal`` loops that ``SignalSeries``,
 ``BiasCorrector``, ``PrivacyGuard``, ``correlate_series``,
-``score_signal_units`` and ``UsaasService`` ran before their reads moved
-onto columns, plus the per-record signal exports
+``score_signal_units``, ``watch_metric`` and ``UsaasService`` ran before
+their reads moved onto columns, plus the per-record signal exports
 (:func:`telemetry_signals_records`, :func:`social_signals_records`) that
-``telemetry_signals`` / ``social_signals`` replaced.  They live here
-only so tests can pin the columnar results ``==`` against them; nothing
-in ``src/`` calls them.  Each one takes and returns plain records or
+``telemetry_signals`` / ``social_signals`` replaced, and the per-row
+``Signal`` construction that ``SignalSeries.extend_columns`` replaced
+(:func:`extend_columns_records`).  They live here only so tests can pin
+the columnar results ``==`` against them; nothing in ``src/`` calls
+them.  Each one takes and returns plain records or
 lists of ``Signal`` objects, so no columnar code runs inside an oracle.
 """
 
@@ -28,6 +30,7 @@ from repro.core.signals import (
 from repro.core.stats import pearson, trimmed_mean
 from repro.core.usaas.correlator import CorrelationFinding
 from repro.core.usaas.insights import Insight, confidence_from
+from repro.core.usaas.monitoring import Alarm
 from repro.core.usaas.privacy import PrivacyGuard, is_scrubbed, scrub_author
 from repro.core.usaas.query import UsaasQuery
 from repro.core.usaas.service import (
@@ -38,6 +41,7 @@ from repro.core.usaas.service import (
     UsaasService,
 )
 from repro.core.usaas.summarize import summarize_insights
+from repro.engagement.early_warning import DriftDetector
 from repro.errors import (
     AnalysisError,
     DegradedServiceError,
@@ -121,6 +125,38 @@ def social_signals_records(
                 )
             )
     return series
+
+
+def extend_columns_records(
+    kind, timestamps, network, metric, values, service=None, weight=1.0,
+    attrs=None,
+) -> List[Signal]:
+    """``SignalSeries.extend_columns`` arguments as ``Signal`` objects, row by row."""
+    stamps, unit = timestamps
+    n = len(unit)
+
+    def per_row(col):
+        if isinstance(col, tuple):
+            words, index = col
+            return [words[i] for i in index]
+        return [col] * n
+
+    weights = [weight] * n if isinstance(weight, (int, float)) else list(weight)
+    attrs = attrs or {}
+    attr_words = [per_row(col) for col in attrs.values()]
+    return [
+        Signal(
+            kind=kind_i, timestamp=stamps[unit_i], network=network_i,
+            metric=metric_i, value=value_i, service=service_i,
+            weight=weight_i,
+            attrs=tuple(sorted(zip(attrs, [words[i] for words in attr_words]))),
+        )
+        for i, (kind_i, unit_i, network_i, metric_i, value_i, service_i, weight_i)
+        in enumerate(zip(
+            per_row(kind), unit, per_row(network), per_row(metric), values,
+            per_row(service), weights,
+        ))
+    ]
 
 
 def filter_records(
@@ -256,6 +292,38 @@ def correlate_records(
             f"{metric_a!r} and {metric_b!r} at every lag"
         )
     return best
+
+
+def watch_metric_records(
+    signals, metric, detector=None, rearm=True
+) -> List[Alarm]:
+    subset = filter_records(signals, metric=metric)
+    if len(subset) == 0:
+        raise AnalysisError(f"no signals carry metric {metric!r}")
+    by_day: Dict[dt.date, List[float]] = {}
+    for signal in subset:
+        by_day.setdefault(signal.date, []).append(signal.value)
+
+    detector = detector or DriftDetector()
+    alarms: List[Alarm] = []
+    previously_alarmed = False
+    for day in sorted(by_day):
+        values = by_day[day]
+        z = detector.observe(values)
+        if detector.has_alarmed and not previously_alarmed:
+            alarms.append(Alarm(
+                day=day,
+                metric=metric,
+                z_score=float(z) if z is not None else float("nan"),
+                day_mean=float(sum(values) / len(values)),
+                n_signals=len(values),
+            ))
+            if rearm:
+                detector._alarmed = False
+                detector._streak = 0
+            else:
+                previously_alarmed = True
+    return alarms
 
 
 def score_signal_units_records(signals) -> Dict[str, TrustScore]:

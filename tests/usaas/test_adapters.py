@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.signals import SignalKind
+from repro.core.usaas import UsaasQuery, UsaasService
 from repro.core.usaas.adapters import social_signals, telemetry_signals
 from repro.core.usaas.privacy import PrivacyGuard
-from repro.errors import QueryError
+from repro.errors import DegradedServiceError, QueryError, SchemaError
+from repro.perf.columnar import ParticipantColumns
 
 
 class TestTelemetrySignals:
@@ -37,6 +39,30 @@ class TestTelemetrySignals:
     def test_requires_some_attribution(self, small_dataset):
         with pytest.raises(QueryError):
             telemetry_signals(small_dataset, network="")
+
+    def test_sessions_without_a_call_start_are_a_schema_error(self, small_dataset):
+        # A block built from bare participant records has no call starts.
+        # Its export used to succeed, and the first answer then failed with
+        # an AttributeError outside the typed-error contract.
+        records = list(small_dataset.participants())
+        bare = ParticipantColumns.from_records(records)
+        n = len(records)
+        with pytest.raises(
+            SchemaError, match=f"^{n} of {n} participant sessions lack a call start$"
+        ):
+            telemetry_signals(bare, network="starlink")
+        starts = [call.start for call in small_dataset for _ in call.participants]
+        starts[7] = None
+        one_missing = ParticipantColumns.from_records(records, call_starts=starts)
+        with pytest.raises(SchemaError, match=f"^1 of {n} participant sessions"):
+            telemetry_signals(one_missing, network="starlink")
+
+        service = UsaasService()
+        service.register_source(
+            "telemetry", lambda: telemetry_signals(bare, network="starlink")
+        )
+        with pytest.raises(DegradedServiceError):
+            service.answer(UsaasQuery(network="starlink"))
 
     def test_platform_attr_carried(self, small_dataset):
         series = telemetry_signals(small_dataset, network="n")

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.signals import ImplicitSignal, SignalSeries
+from repro.core.usaas import telemetry_signals
 from repro.core.usaas.monitoring import watch_metric
 from repro.engagement.early_warning import DriftDetector
 from repro.errors import AnalysisError
 from repro.rng import derive
+from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+from repro.telemetry.meetings import MeetingScheduler
+
+from tests.usaas.oracle import telemetry_signals_records, watch_metric_records
 
 START = dt.datetime(2022, 1, 1, 12)
 
@@ -75,6 +80,62 @@ class TestWatchMetric:
             series, "presence", DriftDetector(direction="rise")
         )
         assert rises
+
+
+#: The staged outage of ``examples/outage_cross_validation.py``.
+OUTAGE_DAY = dt.date(2022, 1, 7)
+
+
+@pytest.fixture(scope="module", params=(101, 202, 303))
+def outage_calls(request):
+    return CallDatasetGenerator(
+        GeneratorConfig(n_calls=300, seed=request.param, workers=1,
+                        outage_days={OUTAGE_DAY: 0.9}),
+        scheduler=MeetingScheduler(
+            span_start=dt.date(2021, 12, 1), span_end=dt.date(2022, 1, 31)
+        ),
+    ).generate()
+
+
+class TestWatchMetricColumns:
+    """``watch_metric`` reads columns; its per-``Signal`` loop is the oracle."""
+
+    DETECTORS = (
+        # The example's drop-off detector, then looser ones that alarm often.
+        dict(direction="rise", warmup_days=21, consecutive_days=1),
+        dict(warmup_days=14, consecutive_days=1, z_threshold=2.0),
+        dict(direction="both", warmup_days=7, consecutive_days=1, z_threshold=2.0),
+    )
+
+    def test_alarms_equal_the_record_loop(self, outage_calls):
+        series = telemetry_signals(outage_calls, network="starlink")
+        records = list(telemetry_signals_records(outage_calls, network="starlink"))
+        fired = 0
+        for metric in ("presence", "cam_on", "mic_on", "drop_off", "rating"):
+            for settings in self.DETECTORS:
+                for rearm in (True, False):
+                    got = watch_metric(
+                        series, metric, DriftDetector(**settings), rearm
+                    )
+                    want = watch_metric_records(
+                        records, metric, DriftDetector(**settings), rearm
+                    )
+                    assert got == want, (metric, settings, rearm)
+                    fired += len(got)
+        assert fired  # the grid raises alarms, so the pin is not vacuous
+
+    def test_views_and_appended_signals_read_the_same(self, outage_calls):
+        records = list(telemetry_signals_records(outage_calls, network="starlink"))
+        detector = self.DETECTORS[2]
+        for series, want in (
+            (SignalSeries(records), records),
+            (telemetry_signals(outage_calls, network="starlink").filter(
+                platform="windows_pc"),
+             [s for s in records if s.attr("platform") == "windows_pc"]),
+        ):
+            assert watch_metric(series, "drop_off", DriftDetector(**detector)) == (
+                watch_metric_records(want, "drop_off", DriftDetector(**detector))
+            )
 
 
 class TestKfoldPredictor:
