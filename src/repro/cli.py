@@ -74,15 +74,7 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
         author_pool_size=args.authors,
     )
     cache = _open_cache(args)
-    gen = CorpusGenerator(config)
-    if args.engine == "vectorized":
-        columns = gen.generate_columns(cache=cache)
-        columns.to_jsonl(args.out)
-        print(f"wrote {len(columns)} post rows (columns) to {args.out}")
-        if cache is not None:
-            print(f"cache: {cache.stats().summary()}")
-        return 0
-    corpus = gen.generate(cache=cache)
+    corpus = CorpusGenerator(config).generate(cache=cache)
     corpus.to_jsonl(args.out)
     print(f"wrote {len(corpus)} posts to {args.out}")
     if cache is not None:
@@ -592,12 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default="2021-01-01")
     p.add_argument("--end", default="2022-12-31")
     p.add_argument("--authors", type=int, default=4000)
-    p.add_argument("--engine", choices=("record", "vectorized"),
-                   default="record",
-                   help="record = per-post objects (reference path); "
-                        "vectorized = per-day block simulation emitting "
-                        "columns JSONL (~8x faster, statistically "
-                        "equivalent)")
     p.add_argument("--cache-dir",
                    help="content-addressed artifact cache directory; "
                         "matching configs load instead of resimulating")
@@ -615,10 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "invalidate":
             cp.add_argument("--kind",
                             choices=("calls", "corpus",
-                                     "participant-columns",
-                                     "participant-columns-vec",
-                                     "corpus-columns",
-                                     "corpus-columns-vec"),
+                                     "participant-columns-vec"),
                             help="only drop artifacts of this kind")
         cp.set_defaults(fn=_cmd_cache)
 

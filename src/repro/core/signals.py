@@ -412,6 +412,11 @@ class _Columns:
         self.n += n_new
 
 
+def _require_signal(signal: object) -> None:
+    if not isinstance(signal, Signal):
+        raise SchemaError(f"expected Signal, got {type(signal).__name__}")
+
+
 class SignalSeries:
     """An append-only collection of signals with simple filtering.
 
@@ -435,6 +440,8 @@ class SignalSeries:
         self._columns = _Columns()
         # An owning series' appended Signals that the store has not encoded yet.
         self._pending: List[Signal] = list(signals)
+        for signal in self._pending:
+            _require_signal(signal)
         # A view's row indices into ``_columns``; None for an owning series.
         self._rows: Optional[np.ndarray] = None
         # A view's weights when they differ from its rows' (bias correction).
@@ -484,8 +491,7 @@ class SignalSeries:
         return self._pending
 
     def append(self, signal: Signal) -> None:
-        if not isinstance(signal, Signal):
-            raise SchemaError(f"expected Signal, got {type(signal).__name__}")
+        _require_signal(signal)
         self._own().append(signal)
 
     def extend(self, signals: Iterable[Signal]) -> None:

@@ -21,7 +21,6 @@ from repro.perf.cache import (
     ArtifactCache,
     CacheStats,
     config_fingerprint,
-    default_cache_root,
 )
 from repro.perf.columnar import (
     COLUMNS_SCHEMA,
@@ -48,7 +47,6 @@ __all__ = [
     "CorpusColumns",
     "config_fingerprint",
     "corpus_columns",
-    "default_cache_root",
     "ParticipantColumns",
     "participant_columns",
     "SentimentBlock",

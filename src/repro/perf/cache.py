@@ -279,10 +279,3 @@ class ArtifactCache:
         with atomic_writer(self._sidecar(path)) as f:
             f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
-
-def default_cache_root() -> Path:
-    """The conventional cache location (override with ``REPRO_CACHE_DIR``)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"

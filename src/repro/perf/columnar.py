@@ -4,16 +4,22 @@ The §3/§4 analyses consume frozen dataclasses record by record; at the
 ROADMAP's target scale the *read* path, not the generator, becomes the
 bottleneck.  This module converts a :class:`~repro.telemetry.store.CallDataset`
 and a Reddit corpus into numpy column blocks **once** — lazily, memoized
-on the dataset object, and optionally persisted through the
-content-addressed :class:`~repro.perf.cache.ArtifactCache` — so every
-engagement curve, signal export and timeline reads contiguous arrays
-with zero per-record ``getattr`` loops.
+on the dataset object — so every engagement curve, signal export and
+timeline reads contiguous arrays with zero per-record ``getattr`` loops.
+A :class:`CorpusColumns` always holds its corpus's post objects, for the
+readers that need records: speed-share OCR, outage-thread text and the
+social signal export.
+
+:class:`ParticipantColumns` is also what the vectorized call engine
+emits, and it alone serialises to JSONL: ``to_jsonl`` / ``from_jsonl``
+back the engine's ``participant-columns-vec`` artifact kind and
+``generate-calls --engine vectorized``.
 
 The contract (property-tested in ``tests/perf/test_columnar.py``): the
 columns are the *same* float64 values the records carry, so every
 analysis built on them is float-for-float identical to a record-at-a-time
 loop over the same records (kept in ``tests/`` as oracles).
-See ``docs/performance.md`` §6 for the cache-key contract.
+See ``docs/performance.md`` §6 for the block formats.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import datetime as dt
 import json
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -47,9 +52,6 @@ from repro.telemetry.schema import (
 )
 from repro.telemetry.store import CallDataset
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.cache import ArtifactCache
-
 #: Bump when the on-disk column serialisation changes; persisted blocks
 #: from other versions then fail to load and are rebuilt by the cache.
 COLUMNS_SCHEMA = 1
@@ -69,19 +71,6 @@ def _encode_f64(arr: np.ndarray) -> str:
 
 def _decode_f64(data: str, n: int, name: str) -> np.ndarray:
     arr = np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
-    if len(arr) != n:
-        raise SchemaError(f"column {name!r}: expected {n} values, got {len(arr)}")
-    return arr
-
-
-def _encode_i64(arr: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<i8").tobytes()
-    ).decode("ascii")
-
-
-def _decode_i64(data: str, n: int, name: str) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(data), dtype="<i8").copy()
     if len(arr) != n:
         raise SchemaError(f"column {name!r}: expected {n} values, got {len(arr)}")
     return arr
@@ -271,7 +260,7 @@ class ParticipantColumns:
 
     @classmethod
     def from_jsonl(cls, path) -> "ParticipantColumns":
-        header, columns = _read_columns(path, "participants")
+        header, columns = _read_columns(path)
 
         def str_col(name: str) -> List[str]:
             return list(_check_len(name, columns[name], n))
@@ -366,9 +355,10 @@ class CorpusColumns:
     """Struct-of-arrays view of a social corpus, plus the shared per-day
     index and (lazily) the shared sentiment block.
 
-    One row per post, in corpus order (sorted by ``created``).  The four
-    §4 analyses (sentiment timeline, outage monitor, speed tracker,
-    fulcrum) all read this one block instead of re-scanning the corpus.
+    One row per post, in corpus order (sorted by ``created``);
+    ``posts`` holds each row's post object.  The four §4 analyses
+    (sentiment timeline, outage monitor, speed tracker, fulcrum) all
+    read this one block instead of re-scanning the corpus.
     """
 
     span_start: dt.date
@@ -382,7 +372,7 @@ class CorpusColumns:
     month: List[Tuple[int, int]]
     popularity: np.ndarray
     speed_indices: np.ndarray
-    posts: Optional[List[Any]] = None
+    posts: List[Any]
     _sentiment: Optional[SentimentBlock] = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -395,20 +385,7 @@ class CorpusColumns:
     def speed_share_posts(self) -> List[Any]:
         """The posts carrying speed tests, in corpus order — the columnar
         equivalent of :meth:`RedditCorpus.speed_shares`."""
-        if self.posts is None:
-            raise SchemaError(
-                "corpus columns loaded without posts; attach_posts() first"
-            )
         return [self.posts[i] for i in self.speed_indices.tolist()]
-
-    def attach_posts(self, posts: Sequence[Any]) -> None:
-        """Re-attach post objects after a cache load (columns persist,
-        posts come from the corpus the caller already holds)."""
-        if len(posts) != len(self):
-            raise SchemaError(
-                f"cannot attach {len(posts)} posts to {len(self)} columns"
-            )
-        self.posts = list(posts)
 
     def sentiment(self, analyzer: Optional[Any] = None) -> SentimentBlock:
         """Score every post once and share the block.
@@ -460,69 +437,8 @@ class CorpusColumns:
             posts=posts,
         )
 
-    # -- persistence -----------------------------------------------------
-
-    def to_jsonl(self, path) -> None:
-        from repro.io.jsonl import atomic_writer
-
-        with atomic_writer(path) as f:
-            f.write(json.dumps({
-                "_columnar": "corpus",
-                "schema": COLUMNS_SCHEMA,
-                "n": len(self),
-                "span_start": self.span_start.isoformat(),
-                "span_end": self.span_end.isoformat(),
-            }) + "\n")
-
-            def col(name: str, kind: str, data) -> None:
-                f.write(json.dumps(
-                    {"name": name, "kind": kind, "data": data}
-                ) + "\n")
-
-            col("post_id", "str", self.post_id)
-            col("author", "str", self.author)
-            col("topic", "str", self.topic)
-            col("full_text", "str", self.full_text)
-            col("created", "dt", [t.isoformat() for t in self.created])
-            col("popularity", "f64", _encode_f64(self.popularity))
-            col("speed_indices", "i64", _encode_i64(self.speed_indices))
-
-    @classmethod
-    def from_jsonl(cls, path) -> "CorpusColumns":
-        header, columns = _read_columns(path, "corpus")
-        try:
-            n = int(header["n"])
-            start = dt.date.fromisoformat(header["span_start"])
-            end = dt.date.fromisoformat(header["span_end"])
-            created = [
-                dt.datetime.fromisoformat(t)
-                for t in _check_len("created", columns["created"], n)
-            ]
-            return cls(
-                span_start=start,
-                span_end=end,
-                post_id=list(_check_len("post_id", columns["post_id"], n)),
-                author=list(_check_len("author", columns["author"], n)),
-                topic=list(_check_len("topic", columns["topic"], n)),
-                full_text=list(_check_len("full_text", columns["full_text"], n)),
-                created=created,
-                day_index=np.fromiter(
-                    ((c.date() - start).days for c in created),
-                    dtype=np.int64, count=n,
-                ),
-                month=[month_of(c.date()) for c in created],
-                popularity=_decode_f64(columns["popularity"], n, "popularity"),
-                speed_indices=np.frombuffer(
-                    base64.b64decode(columns["speed_indices"]), dtype="<i8"
-                ).copy(),
-                posts=None,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"{path}: missing column {exc}") from exc
-
-
-def _read_columns(path, expected: str) -> Tuple[dict, Dict[str, Any]]:
-    """Parse a columnar JSONL file into (header, {name: data})."""
+def _read_columns(path) -> Tuple[dict, Dict[str, Any]]:
+    """Parse a ``ParticipantColumns`` JSONL file into (header, {name: data})."""
     header: Optional[dict] = None
     columns: Dict[str, Any] = {}
     with open(path, encoding="utf-8") as f:
@@ -535,9 +451,9 @@ def _read_columns(path, expected: str) -> Tuple[dict, Dict[str, Any]]:
             except ValueError as exc:
                 raise SchemaError(f"{path}:{line_no}: bad JSON: {exc}") from exc
             if header is None:
-                if record.get("_columnar") != expected:
+                if record.get("_columnar") != "participants":
                     raise SchemaError(
-                        f"{path}: not a {expected!r} columnar file"
+                        f"{path}: not a 'participants' columnar file"
                     )
                 if record.get("schema") != COLUMNS_SCHEMA:
                     raise SchemaError(
@@ -557,28 +473,20 @@ def _read_columns(path, expected: str) -> Tuple[dict, Dict[str, Any]]:
     return header, columns
 
 
-# -- factories (memoized + cacheable) --------------------------------------
+# -- factories (memoized) -------------------------------------------------
 
 
 ParticipantSource = Union[CallDataset, "ParticipantColumns",
                           Iterable[ParticipantRecord]]
 
 
-def participant_columns(
-    source: ParticipantSource,
-    cache: Optional["ArtifactCache"] = None,
-    config: Any = None,
-) -> ParticipantColumns:
+def participant_columns(source: ParticipantSource) -> ParticipantColumns:
     """Columns for a dataset — built once, memoized on the dataset.
 
     ``source`` may be a :class:`CallDataset` (memoized on the object,
     invalidated by :meth:`CallDataset.append`), already-built
     :class:`ParticipantColumns` (returned as-is), or any iterable of
-    participant records (built ad hoc, no memo).  With ``cache`` and the
-    generating ``config``, the block is persisted through the artifact
-    cache under kind ``participant-columns`` — ``config`` must be the
-    config that produced ``source`` (same fingerprint contract as the
-    dataset entry itself).
+    participant records (built ad hoc, no memo).
     """
     if isinstance(source, ParticipantColumns):
         return source
@@ -587,29 +495,18 @@ def participant_columns(
         memo = source.__dict__.get(_MEMO_ATTR)
         if memo is not None and memo[0] == token:
             return memo[1]
-        if cache is not None and config is not None:
-            cols = cache.load_or_build(
-                "participant-columns",
-                config,
-                build=lambda: ParticipantColumns.from_dataset(source),
-                load=ParticipantColumns.from_jsonl,
-                dump=lambda c, path: c.to_jsonl(path),
-            )
-        else:
-            cols = ParticipantColumns.from_dataset(source)
+        cols = ParticipantColumns.from_dataset(source)
         source.__dict__[_MEMO_ATTR] = (token, cols)
         return cols
     return ParticipantColumns.from_records(list(source))
 
 
-def corpus_columns(corpus, cache: Optional["ArtifactCache"] = None) -> CorpusColumns:
+def corpus_columns(corpus) -> CorpusColumns:
     """Columns for a corpus — built once, memoized on the corpus object.
 
     ``corpus`` is duck-typed (iteration in sorted-post order plus a
     ``config`` with the span) so this layer does not import
-    :mod:`repro.social`.  With ``cache``, the block persists under kind
-    ``corpus-columns`` keyed by the corpus config; on a cache hit the
-    post objects are re-attached from the corpus in hand.
+    :mod:`repro.social`.  The block keeps the corpus's post objects.
     """
     if isinstance(corpus, CorpusColumns):
         return corpus
@@ -617,17 +514,6 @@ def corpus_columns(corpus, cache: Optional["ArtifactCache"] = None) -> CorpusCol
     memo = getattr(corpus, _MEMO_ATTR, None)
     if memo is not None and memo[0] == token:
         return memo[1]
-    if cache is not None:
-        cols = cache.load_or_build(
-            "corpus-columns",
-            corpus.config,
-            build=lambda: CorpusColumns.from_corpus(corpus),
-            load=CorpusColumns.from_jsonl,
-            dump=lambda c, path: c.to_jsonl(path),
-        )
-        if cols.posts is None:
-            cols.attach_posts(corpus.posts())
-    else:
-        cols = CorpusColumns.from_corpus(corpus)
+    cols = CorpusColumns.from_corpus(corpus)
     corpus.__dict__[_MEMO_ATTR] = (token, cols)
     return cols

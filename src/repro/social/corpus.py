@@ -41,7 +41,6 @@ from repro.starlink.subscribers import SubscriberModel
 
 if TYPE_CHECKING:
     from repro.perf.cache import ArtifactCache
-    from repro.perf.columnar import CorpusColumns
 
 
 @dataclass(frozen=True)
@@ -406,25 +405,6 @@ class CorpusGenerator:
                 dump=lambda corpus, path: corpus.to_jsonl(path),
             )
         return self._generate()
-
-    def generate_columns(
-        self, cache: Optional["ArtifactCache"] = None
-    ) -> "CorpusColumns":
-        """Columnar fast path: whole days rendered as array blocks.
-
-        Delegates to :class:`repro.social.vectorized.VectorizedCorpusEngine`
-        built on *this* generator's world model (author pool, outage
-        index, volume curve), so the two paths share every ingredient.
-        Statistically — not byte — equivalent to :meth:`generate`; daily
-        post counts and the initial author samples match it
-        draw-for-draw.  With
-        ``cache``, persists under the distinct ``corpus-columns-vec``
-        kind.  The returned columns carry ``posts=None``.
-        """
-        from repro.social.vectorized import VectorizedCorpusEngine
-
-        engine = VectorizedCorpusEngine(self._config, generator=self)
-        return engine.generate_columns(cache=cache)
 
     def _generate(self) -> RedditCorpus:
         posts: List[Post] = []

@@ -231,9 +231,9 @@ class VectorizedCallEngine:
         """Build (or load) the full dataset as one columns block.
 
         With ``cache``, the block persists under kind
-        ``participant-columns-vec`` — distinct from the record-derived
-        ``participant-columns`` kind, because the two paths are
-        statistically, not byte, equivalent.
+        ``participant-columns-vec``, apart from the record path's
+        ``calls`` kind, because the two paths are statistically, not
+        byte, equivalent.
         """
         if cache is not None:
             return cache.load_or_build(

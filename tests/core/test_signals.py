@@ -56,6 +56,10 @@ class TestSignalSeries:
         with pytest.raises(SchemaError):
             SignalSeries().append("not a signal")
 
+    def test_constructor_rejects_non_signal(self):
+        with pytest.raises(SchemaError, match="expected Signal, got str"):
+            SignalSeries([make_signal(), "x"])
+
     def test_filter_by_kind_network_metric(self):
         series = SignalSeries([
             make_signal("presence"),

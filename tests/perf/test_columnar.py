@@ -5,8 +5,7 @@ optimisation: every analysis built on it must produce results
 float-for-float identical to the record-at-a-time loop it replaced,
 which lives on in ``tests/`` as an oracle.  These tests pin that
 contract across seeds — ``.tobytes()`` comparisons, not ``allclose`` —
-plus the serialization round trips, the artifact-cache integration and
-the shared sentiment block.
+plus the participant-columns round trip and the shared sentiment block.
 """
 
 import datetime as dt
@@ -31,9 +30,7 @@ from repro.engagement import (
     engagement_curve,
 )
 from repro.errors import QueryError, SchemaError
-from repro.perf import ArtifactCache
 from repro.perf.columnar import (
-    CorpusColumns,
     ParticipantColumns,
     corpus_columns,
     participant_columns,
@@ -305,24 +302,6 @@ class TestRoundTrips:
         loaded = ParticipantColumns.from_jsonl(path)
         _assert_participant_columns_equal(cols, loaded)
 
-    def test_corpus_columns_jsonl(self, corpus, tmp_path):
-        cols = corpus_columns(corpus)
-        path = tmp_path / "corpus.jsonl"
-        cols.to_jsonl(path)
-        loaded = CorpusColumns.from_jsonl(path)
-        assert loaded.post_id == cols.post_id
-        assert loaded.full_text == cols.full_text
-        assert loaded.created == cols.created
-        assert loaded.day_index.tobytes() == cols.day_index.tobytes()
-        assert loaded.month == cols.month
-        assert loaded.popularity.tobytes() == cols.popularity.tobytes()
-        assert loaded.speed_indices.tobytes() == cols.speed_indices.tobytes()
-        # Post objects do not survive the disk trip; touching them must
-        # be loud, not silently empty.
-        assert loaded.posts is None
-        with pytest.raises(SchemaError):
-            loaded.speed_share_posts()
-
     def test_truncated_file_is_a_schema_error(self, datasets, tmp_path):
         cols = participant_columns(datasets[101])
         path = tmp_path / "cols.jsonl"
@@ -331,38 +310,6 @@ class TestRoundTrips:
         path.write_text("\n".join(lines[:2]) + "\n")
         with pytest.raises(SchemaError):
             ParticipantColumns.from_jsonl(path)
-
-
-class TestCacheIntegration:
-    def test_participant_columns_served_from_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        config = GeneratorConfig(n_calls=8, seed=77)
-        first = participant_columns(
-            CallDatasetGenerator(config).generate(), cache=cache,
-            config=config,
-        )
-        # A fresh dataset object (no memo) with the same config must be
-        # served the persisted block.
-        second = participant_columns(
-            CallDatasetGenerator(config).generate(), cache=cache,
-            config=config,
-        )
-        _assert_participant_columns_equal(first, second)
-        assert cache.stats().hits >= 1
-
-    def test_corpus_columns_cache_reattaches_posts(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        config = CorpusConfig(seed=77, **CORPUS_KW)
-        corpus_columns(CorpusGenerator(config).generate(), cache=cache)
-        fresh = CorpusGenerator(config).generate()
-        cols = corpus_columns(fresh, cache=cache)
-        # Cache hit, but the in-hand corpus re-supplies the post objects
-        # so speed_share_posts keeps working.
-        assert cache.stats().hits >= 1
-        shares = cols.speed_share_posts()
-        assert [p.post_id for p in shares] == [
-            p.post_id for p in fresh.speed_shares()
-        ]
 
 
 class TestSharedSentimentBlock:

@@ -1,4 +1,4 @@
-"""Byte pins on both generation engines and on the cache keys.
+"""Byte pins on the generators, the vectorized call engine and the cache keys.
 
 Each case hashes the exact ``to_jsonl`` bytes of one generated
 artifact.  Every call and every corpus day draws from its own
@@ -53,7 +53,6 @@ ARTIFACTS = {
     "calls-record": lambda seed: _calls(seed).generate(),
     "calls-vectorized": lambda seed: _calls(seed).generate_columns(),
     "corpus-record": lambda seed: _corpus(seed).generate(),
-    "corpus-vectorized": lambda seed: _corpus(seed).generate_columns(),
     "sweep": _sweep,
 }
 
@@ -64,8 +63,6 @@ PINS = {
         "ebb3a758fb485b1c1154996e17254414674efc003ec4c5783293010fb9889109",
     (1, "corpus-record"):
         "e965f26b7656e0987dead40232a525d327e63aae9efcdaf32314bc4e809835e1",
-    (1, "corpus-vectorized"):
-        "06d1a7c41803c3af72a1b47e40cf7c01ba9fe20d8757c3aece2fe17231252605",
     (1, "sweep"):
         "328dd08b3c5d0fe0587f2532b682280b0e96e5629e22dd73d7cfb3835f265b55",
     (7, "calls-record"):
@@ -74,8 +71,6 @@ PINS = {
         "98ddee734629828aa6be94344e3e41f03dc88c918f2049f248abb4bc7cecee2e",
     (7, "corpus-record"):
         "5ad49aac8873b07da0b63f4d626c0b7b7002dee822b6f3d52b5f4b3d8af0489f",
-    (7, "corpus-vectorized"):
-        "8c75a3f3305cd33acbedb9d0fb246c985362cd18b6d4f25123fd47c1a64354d5",
     (7, "sweep"):
         "d7299235d9da19f836ea16a16ff3a7c138f95b155832bc961ed7a67c4c04ac1f",
     (20231128, "calls-record"):
@@ -84,8 +79,6 @@ PINS = {
         "bc4b4b5663e581d14d70b5df6e6fd301ae297cc17a5e1212a23fe0a70a98e3c7",
     (20231128, "corpus-record"):
         "8dfb865d4d52687b96cd2438e2aaae0acf2ab5db531ac2b359714790ca65bf1a",
-    (20231128, "corpus-vectorized"):
-        "624974e9a6a054784a60bdf1366e93c118a111b4dd62ee959aa6b105536f456f",
     (20231128, "sweep"):
         "26ed034e67dc802c80953fec4e634e77e2acf96ac4ccf3edf3c1cccfe926394a",
 }

@@ -103,8 +103,8 @@ class TestOutageComment:
 
 class TestCompiledTemplates:
     """compile_template/render_template must be a drop-in for str.format:
-    the corpus engines (record and vectorized) both render through the
-    precompiled form, so any drift here is a corpus-content bug."""
+    the corpus generator renders every post through the precompiled
+    form, so any drift here is a corpus-content bug."""
 
     def test_every_template_renders_byte_identical_to_format(self):
         slots = {

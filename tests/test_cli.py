@@ -138,12 +138,19 @@ class TestUsageErrors:
         assert lines[0].startswith("repro: error: ")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command", ["generate-calls", "generate-corpus"])
-    @pytest.mark.parametrize("flag", [
-        ["--workers", "2"], ["--max-shard-retries", "1"],
-        ["--shard-timeout", "30"], ["--resume"],
-        ["--checkpoint-dir", "ckpt"], ["--keep-checkpoint"],
-    ], ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("flag, command", [
+        pytest.param(flag, command, id=f"{flag[0]}-{command}")
+        for flag in (
+            ["--workers", "2"], ["--max-shard-retries", "1"],
+            ["--shard-timeout", "30"], ["--resume"],
+            ["--checkpoint-dir", "ckpt"], ["--keep-checkpoint"],
+        )
+        for command in ("generate-calls", "generate-corpus")
+    ] + [
+        # The corpus has one generator; generate-calls keeps --engine.
+        pytest.param(["--engine", "vectorized"], "generate-corpus",
+                     id="--engine-generate-corpus"),
+    ])
     def test_removed_generate_flags_are_usage_errors(self, command, flag,
                                                      tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -151,6 +158,46 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
+
+
+class TestCacheCommands:
+    def test_vectorized_calls_cache_surface(self, tmp_path, capsys):
+        from repro.perf.columnar import ParticipantColumns
+        from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+        from tests.telemetry.test_vectorized import assert_columns_identical
+
+        cache = str(tmp_path / "cache")
+        argv = ["generate-calls", "--engine", "vectorized", "--n-calls", "12",
+                "--seed", "3", "--cache-dir", cache]
+        outs = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        printed = []
+        for out in outs:
+            assert main([*argv, "--out", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "session: 0 hits, 1 misses" in printed[0]
+        assert "session: 1 hits, 0 misses" in printed[1]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert_columns_identical(
+            ParticipantColumns.from_jsonl(outs[1]),
+            CallDatasetGenerator(
+                GeneratorConfig(n_calls=12, seed=3)
+            ).generate_columns(),
+        )
+
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        assert "(participant-columns-vec=1)" in capsys.readouterr().out
+        assert main(["cache", "invalidate", "--cache-dir", cache,
+                     "--kind", "participant-columns-vec"]) == 0
+        assert "invalidated 1 participant-columns-vec entries" in (
+            capsys.readouterr().out
+        )
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        assert capsys.readouterr().out.startswith("0 entries")
+        with pytest.raises(SystemExit) as info:
+            main(["cache", "invalidate", "--cache-dir", cache,
+                  "--kind", "corpus-columns-vec"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestServingFlags:
