@@ -26,8 +26,9 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import re
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 from repro.errors import ConfigError, SchemaError
 
@@ -65,39 +66,50 @@ class OnlineTrustGate:
         self.max_keys = int(max_keys)
         self.suspect_window_s = float(suspect_window_s)
         self.suspect_min_quarantined = int(suspect_min_quarantined)
-        # key -> {"times": deque, "token": str, "run": int}; LRU by
-        # last observation, evicted beyond max_keys.
-        self._keys: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        # (source, key) -> [times, metric, value, run]: the event times
+        # inside the window, the last payload and how many times in a
+        # row it came.  LRU by last observation, evicted beyond max_keys.
+        self._keys: "OrderedDict[Tuple[str, str], List[Any]]" = OrderedDict()
         self._recent_quarantined: Deque[float] = deque()
         self.observed = 0
         self.quarantined = 0
 
     def observe(self, record) -> bool:
-        """Fold one record in; True = quarantine (keep it out of aggregates)."""
+        """Fold one record in; True = quarantine (keep it out of aggregates).
+
+        A payload repeats when metric and value are equal and, for a
+        zero value, its sign is too: ``0.0`` and ``-0.0`` are two
+        payloads, as their ``repr`` tokens in a checkpoint are.
+        """
         self.observed += 1
-        t = float(record.event_time_s)
-        key = f"{record.source}/{record.key}"
-        state = self._keys.get(key)
+        t = record.event_time_s
+        key = (record.source, record.key)
+        keys = self._keys
+        state = keys.get(key)
         if state is None:
-            state = {"times": deque(), "token": "", "run": 0}
-            self._keys[key] = state
+            state = keys[key] = [deque(), None, None, 0]
         else:
-            self._keys.move_to_end(key)
-        while len(self._keys) > self.max_keys:
-            self._keys.popitem(last=False)
-        times: Deque[float] = state["times"]
+            keys.move_to_end(key)
+        while len(keys) > self.max_keys:
+            keys.popitem(last=False)
+        times: Deque[float] = state[0]
         times.append(t)
-        while times and times[0] < t - self.window_s:
+        cutoff = t - self.window_s
+        while times[0] < cutoff:
             times.popleft()
-        token = f"{record.metric}:{record.value!r}"
-        if token == state["token"]:
-            state["run"] += 1
+        metric = record.metric
+        value = record.value
+        last = state[2]
+        if metric == state[1] and value == last and (
+            value or repr(value) == repr(last)
+        ):
+            state[3] += 1
         else:
-            state["token"] = token
-            state["run"] = 1
+            state[1] = metric
+            state[2] = value
+            state[3] = 1
         verdict = (
-            len(times) > self.burst_limit
-            or state["run"] > self.repeat_limit
+            len(times) > self.burst_limit or state[3] > self.repeat_limit
         )
         if verdict:
             self.quarantined += 1
@@ -139,8 +151,12 @@ class OnlineTrustGate:
     def state_dict(self) -> Dict[str, Any]:
         return {
             "keys": [
-                [key, list(state["times"]), state["token"], state["run"]]
-                for key, state in self._keys.items()
+                [
+                    f"{_escape(source)}/{_escape(key)}", list(times),
+                    f"{metric}:{value!r}", run,
+                ]
+                for (source, key), (times, metric, value, run)
+                in self._keys.items()
             ],
             "recent_quarantined": list(self._recent_quarantined),
             "observed": self.observed,
@@ -150,16 +166,37 @@ class OnlineTrustGate:
     def load_state(self, state: Dict[str, Any]) -> None:
         self._keys = OrderedDict()
         for key, times, token, run in state.get("keys", []):
-            self._keys[str(key)] = {
-                "times": deque(float(t) for t in times),
-                "token": str(token),
-                "run": int(run),
-            }
+            # A float's repr holds no ":", so the token's last one ends
+            # the metric.
+            metric, _, value = str(token).rpartition(":")
+            self._keys[_split_key(str(key))] = [
+                deque(float(t) for t in times), metric, float(value),
+                int(run),
+            ]
         self._recent_quarantined = deque(
             float(t) for t in state.get("recent_quarantined", [])
         )
         self.observed = int(state.get("observed", 0))
         self.quarantined = int(state.get("quarantined", 0))
+
+
+def _escape(field: str) -> str:
+    """``field`` with ``\\`` and ``/`` backslash-escaped, so a checkpointed
+    ``source/key`` splits back one way only."""
+    return field.replace("\\", "\\\\").replace("/", "\\/")
+
+
+#: A :func:`_escape`-joined ``source/key``: the source ends at the first
+#: unescaped ``/``.
+_JOINED_KEY = re.compile(r"((?:[^\\/]|\\.)*)/(.*)", re.S)
+_ESCAPED = re.compile(r"\\(.)", re.S)
+
+
+def _split_key(text: str) -> Tuple[str, str]:
+    """The ``(source, key)`` that :func:`_escape` joined into ``text``."""
+    match = _JOINED_KEY.fullmatch(text)
+    source, key = match.groups() if match else (text, "")
+    return _ESCAPED.sub(r"\1", source), _ESCAPED.sub(r"\1", key)
 
 
 #: Quarantine reasons the boundary parser distinguishes.

@@ -20,6 +20,7 @@ adapters use: raw handles never reach the streaming layer.
 from __future__ import annotations
 
 import datetime as dt
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.core.usaas.privacy import scrub_all
@@ -76,5 +77,5 @@ def social_stream(
                 key=key,
                 role="network",
             ))
-    records.sort(key=lambda r: (r.event_time_s, r.metric, r.key))
+    records.sort(key=attrgetter("event_time_s", "metric", "key"))
     return records

@@ -13,20 +13,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.streaming.records import StreamRecord
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Emission:
     """One closed aggregate leaving an operator.
 
     ``at_s`` is the event-time instant the aggregate describes (window
     end / sample point) — detector logic runs on event time, so a soak
     replayed with different arrival jitter detects at the same instants.
+
+    Like :class:`~repro.streaming.records.StreamRecord`, ``__init__`` is
+    written out and stores the six slots directly; the dataclass
+    supplies equality, hashing, ``repr`` and frozenness.
     """
+
+    __slots__ = ("at_s", "operator", "metric", "value", "count", "role")
 
     at_s: float
     operator: str
@@ -34,6 +42,28 @@ class Emission:
     value: float
     count: int
     role: str
+
+    def __init__(
+        self,
+        at_s: float,
+        operator: str,
+        metric: str,
+        value: float,
+        count: int,
+        role: str,
+    ) -> None:
+        _set(self, "at_s", at_s)
+        _set(self, "operator", operator)
+        _set(self, "metric", metric)
+        _set(self, "value", value)
+        _set(self, "count", count)
+        _set(self, "role", role)
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        # copy and pickle restore slots through setattr, which a frozen
+        # emission refuses.
+        for name, value in state[1].items():
+            _set(self, name, value)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -48,12 +78,12 @@ class Emission:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Emission":
         return cls(
-            at_s=float(data["at_s"]),
-            operator=str(data["operator"]),
-            metric=str(data["metric"]),
-            value=float(data["value"]),
-            count=int(data["count"]),
-            role=str(data["role"]),
+            float(data["at_s"]),
+            str(data["operator"]),
+            str(data["metric"]),
+            float(data["value"]),
+            int(data["count"]),
+            str(data["role"]),
         )
 
 
@@ -88,44 +118,46 @@ class SlidingWindowAggregate:
         self._roles: Dict[str, str] = {}
         self.closed_windows = 0
 
-    def on_record(self, record: StreamRecord) -> None:
-        metric = record.metric
-        cells = self._windows.get(metric)
-        if cells is None:
-            # Only a metric's first record sets its role, and that record
-            # always takes this branch.
-            self._roles.setdefault(metric, record.role)
-            cells = self._windows[metric] = {}
-        t = record.event_time_s
-        value = record.value
-        slide_s = self.slide_s
-        top_s = t + self.window_s
-        k = math.floor(t / slide_s) + 1
-        while k * slide_s <= top_s:
-            cell = cells.get(k)
-            if cell is None:
-                # ``0.0 + value``, not ``value``: the sum starts at 0.0
-                # (which turns a -0.0 value into 0.0).
-                cells[k] = [0.0 + value, 1.0]
-            else:
-                cell[0] += value
-                cell[1] += 1.0
-            k += 1
-
     def process(
         self, records: List[StreamRecord], watermark_s: float
     ) -> List[Emission]:
         """Fold a released batch, then close what the watermark passed.
 
-        Order-insensitive to how backpressure batched the records: a
-        window only closes once the watermark is strictly past its end
-        (every record belonging to it is guaranteed released by then),
-        and the strict bound keeps boundary ties in the same drain as
-        the decayed operator's — so any partitioning of the same record
-        sequence yields the same emission sequence.
+        Each record adds its value to every window covering its event
+        time, in record order.  Order-insensitive to how backpressure
+        batched the records: a window only closes once the watermark is
+        strictly past its end (every record belonging to it is
+        guaranteed released by then), and the strict bound keeps
+        boundary ties in the same drain as the decayed operator's — so
+        any partitioning of the same record sequence yields the same
+        emission sequence.
         """
+        windows = self._windows
+        slide_s = self.slide_s
+        window_s = self.window_s
+        floor = math.floor
         for record in records:
-            self.on_record(record)
+            metric = record.metric
+            cells = windows.get(metric)
+            if cells is None:
+                # Only a metric's first record sets its role, and that
+                # record always takes this branch.
+                self._roles.setdefault(metric, record.role)
+                cells = windows[metric] = {}
+            t = record.event_time_s
+            value = record.value
+            top_s = t + window_s
+            k = floor(t / slide_s) + 1
+            while k * slide_s <= top_s:
+                cell = cells.get(k)
+                if cell is None:
+                    # ``0.0 + value``, not ``value``: the sum starts at
+                    # 0.0 (which turns a -0.0 value into 0.0).
+                    cells[k] = [0.0 + value, 1.0]
+                else:
+                    cell[0] += value
+                    cell[1] += 1.0
+                k += 1
         return self.on_watermark(watermark_s, inclusive=False)
 
     def flush(self, final_s: float) -> List[Emission]:
@@ -214,24 +246,6 @@ class DecayedAggregate:
         self._roles: Dict[str, str] = {}
         self._next_sample_s: Optional[float] = None
 
-    def on_record(self, record: StreamRecord) -> None:
-        self._roles.setdefault(record.metric, record.role)
-        t = record.event_time_s
-        cell = self._state.get(record.metric)
-        if cell is None:
-            self._state[record.metric] = [record.value, 1.0, t, 1.0]
-        else:
-            gap = max(0.0, t - cell[2])
-            decay = 0.5 ** (gap / self.half_life_s)
-            cell[0] = cell[0] * decay + record.value
-            cell[1] = cell[1] * decay + 1.0
-            cell[2] = t
-            cell[3] += 1.0
-        if self._next_sample_s is None:
-            self._next_sample_s = (
-                math.floor(t / self.sample_every_s) + 1
-            ) * self.sample_every_s
-
     def value_at(self, metric: str, at_s: float) -> float:
         """The decayed mean of ``metric``, decayed forward to ``at_s``."""
         cell = self._state[metric]
@@ -256,33 +270,39 @@ class DecayedAggregate:
         rests on.
         """
         emissions: List[Emission] = []
-        i = 0
         if self._next_sample_s is None and records:
             t0 = records[0].event_time_s
             self._next_sample_s = (
                 math.floor(t0 / self.sample_every_s) + 1
             ) * self.sample_every_s
-        while True:
-            s = self._next_sample_s
-            if s is None or s >= watermark_s:
-                break
-            while i < len(records) and records[i].event_time_s <= s:
-                self.on_record(records[i])
-                i += 1
-            for metric in sorted(self._state):
-                cell = self._state[metric]
-                emissions.append(Emission(
-                    at_s=s,
-                    operator=self.name,
-                    metric=metric,
-                    value=cell[0] / cell[1],
-                    count=int(cell[3]),
-                    role=self._roles.get(metric, "network"),
-                ))
-            self._next_sample_s = s + self.sample_every_s
-        while i < len(records):
-            self.on_record(records[i])
-            i += 1
+        state = self._state
+        half_life_s = self.half_life_s
+        for record in records:
+            t = record.event_time_s
+            # Sample every grid point the watermark has passed that lies
+            # before this record.
+            while (
+                self._next_sample_s < watermark_s
+                and self._next_sample_s < t
+            ):
+                emissions += self._sample()
+            metric = record.metric
+            cell = state.get(metric)
+            if cell is None:
+                self._roles.setdefault(metric, record.role)
+                state[metric] = [record.value, 1.0, t, 1.0]
+            else:
+                gap = t - cell[2]
+                decay = 0.5 ** ((gap if gap > 0.0 else 0.0) / half_life_s)
+                cell[0] = cell[0] * decay + record.value
+                cell[1] = cell[1] * decay + 1.0
+                cell[2] = t
+                cell[3] += 1.0
+        while (
+            self._next_sample_s is not None
+            and self._next_sample_s < watermark_s
+        ):
+            emissions += self._sample()
         return emissions
 
     def flush(self, final_s: float) -> List[Emission]:
@@ -297,19 +317,21 @@ class DecayedAggregate:
             self._next_sample_s is not None
             and self._next_sample_s <= final_s
         ):
-            s = self._next_sample_s
-            for metric in sorted(self._state):
-                cell = self._state[metric]
-                emissions.append(Emission(
-                    at_s=s,
-                    operator=self.name,
-                    metric=metric,
-                    value=cell[0] / cell[1],
-                    count=int(cell[3]),
-                    role=self._roles.get(metric, "network"),
-                ))
-            self._next_sample_s = s + self.sample_every_s
+            emissions += self._sample()
         return emissions
+
+    def _sample(self) -> List[Emission]:
+        """Every metric's decayed mean at the next grid point, which
+        then moves one step on."""
+        s = self._next_sample_s
+        self._next_sample_s = s + self.sample_every_s
+        return [
+            Emission(
+                s, self.name, metric, cell[0] / cell[1], int(cell[3]),
+                self._roles.get(metric, "network"),
+            )
+            for metric, cell in sorted(self._state.items())
+        ]
 
     # -- checkpointing ----------------------------------------------------
 

@@ -8,9 +8,9 @@ Stages, in delivery order:
 2. **reorder buffer** — on-time records wait (bounded) until the
    watermark passes them, then release in event-time order.  Overflow
    force-releases the oldest record and raises the watermark floor;
-3. **dedup filter** — fingerprint-keyed; sees an ordered stream and
-   forgets a fingerprint once the watermark passes its event time, since
-   every later copy of it is late;
+3. **dedup filter** — keyed on record identity; sees an ordered stream
+   and forgets an identity once the watermark passes its event time,
+   since every later copy of it is late;
 4. **bounded queues with backpressure** — between ingest and the
    operators, and between the operators and the detector.  A full
    queue drains its consumer synchronously (counted), so memory is
@@ -37,7 +37,8 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, LedgerViolationError
 from repro.perf.checkpoint import CheckpointStore, Shard
@@ -51,12 +52,19 @@ from repro.streaming.operators import (
     SlidingWindowAggregate,
 )
 from repro.streaming.records import StreamRecord
-from repro.streaming.watermark import ReorderBuffer, WatermarkTracker
+from repro.streaming.watermark import (
+    Released,
+    ReorderBuffer,
+    WatermarkTracker,
+)
 
 PathLike = Union[str, Path]
 
 #: What to do with a record the watermark has already passed.
 LATE_POLICIES: Tuple[str, ...] = ("drop", "side")
+
+#: The detector's total order over one drain's emissions.
+_EMISSION_ORDER = attrgetter("at_s", "operator", "metric")
 
 
 @dataclass(frozen=True)
@@ -176,35 +184,34 @@ class StreamCounters:
             setattr(self, key, int(state.get(key, 0)))
 
 
-class BoundedQueue:
+class BoundedQueue(deque):
     """A deque with a hard capacity; pushing past it is a protocol error.
 
     The pipeline never lets that happen: it drains the consumer *before*
     a push that would overflow, which is what ``backpressure_waits``
-    counts.
+    counts.  The pipeline's per-record paths compare ``len`` with
+    ``capacity`` and call ``append`` themselves: both are the deque's
+    own C methods.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigError("queue capacity must be >= 1")
+        super().__init__()
         self.capacity = int(capacity)
-        self._items: Deque[Any] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     @property
     def full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self) >= self.capacity
 
     def push(self, item: Any) -> None:
         if self.full:
             raise ConfigError("bounded queue overflow: drain before push")
-        self._items.append(item)
+        self.append(item)
 
     def drain(self) -> List[Any]:
-        items = list(self._items)
-        self._items.clear()
+        items = list(self)
+        self.clear()
         return items
 
 
@@ -228,18 +235,20 @@ class StreamResult:
         )
 
 
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def emissions_digest(emissions: List[Emission]) -> str:
     """Order-sensitive SHA-256 over the full emission log.
 
-    Byte-identical across reruns of the same seed, and across
-    crash-resume vs. uninterrupted runs — the convergence oracle the
-    soak asserts on.
+    Hashes one sorted-key JSON line per emission.  Byte-identical
+    across reruns of the same seed, and across crash-resume vs.
+    uninterrupted runs — the convergence oracle the soak asserts on.
     """
-    digest = hashlib.sha256()
-    for emission in emissions:
-        line = json.dumps(emission.to_dict(), sort_keys=True) + "\n"
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+    encode = _SORTED_JSON.encode
+    blob = "".join([encode(e.to_dict()) + "\n" for e in emissions])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class StreamPipeline:
@@ -317,59 +326,74 @@ class StreamPipeline:
             raise ConfigError("cannot ingest into a finished pipeline")
         counters = self.counters
         counters.emitted += 1
+        if tags.__class__ is not tuple:
+            tags = tuple(tags)
         watermark = self.watermark
         before_s = watermark.watermark_s
-        if record.event_time_s < before_s:
+        t = record.event_time_s
+        if t < before_s:
             if self.config.late_policy == "side":
                 counters.late_side += 1
-                self._tag_outcome(tuple(tags), "late_side")
+                if tags:
+                    self._tag_outcome(tags, "late_side")
                 self.side_channel.append(record)
             else:
                 counters.late_dropped += 1
-                self._tag_outcome(tuple(tags), "late_dropped")
+                if tags:
+                    self._tag_outcome(tags, "late_dropped")
             return
         buffer = self.buffer
-        buffer.push(record, tuple(tags))
-        wm = watermark.observe(record.event_time_s)
+        buffer.push(record, tags)
+        wm = watermark.observe(t)
         while buffer.overflowing:
             oldest = buffer.pop_oldest()
             wm = watermark.advance_floor(oldest[0].event_time_s)
             counters.forced_flushes += 1
-            self._route(*oldest)
+            self._route((oldest,))
         if buffer.due(wm):
-            for released in buffer.release(wm):
-                self._route(*released)
-        # Dedup already forgot every fingerprint below ``before_s``;
-        # only a watermark that moved can make it forget more.
+            self._route(buffer.release(wm))
+        # Dedup already forgot every identity below ``before_s``; only
+        # a watermark that moved can make it forget more.
         if wm > before_s:
             self.dedup.evict(wm)
-        self._maybe_checkpoint()
+        if (
+            self._store is not None
+            and self.clock.now() >= self._next_checkpoint_s
+        ):
+            self.checkpoint()
 
-    def _route(
-        self, record: StreamRecord, fp: str, tags: Tuple[str, ...]
-    ) -> None:
-        """Dedup and trust-gate one ordered delivery (``fp`` is its
-        fingerprint, hashed at ingest; ``tags`` its fault tags), then
-        queue it."""
-        if self.dedup.seen(record, fp):
-            self.counters.deduped += 1
-            self._tag_outcome(tags, "deduped")
-            return
-        if self.trust_gate is not None and self.trust_gate.observe(record):
-            self.counters.quarantined += 1
-            self._tag_outcome(tags, "quarantined")
-            return
-        self.counters.aggregated += 1
-        self._tag_outcome(tags, "aggregated")
-        if self._to_operators.full:
-            self.counters.backpressure_waits += 1
-            # A mid-release drain may not use the global watermark:
-            # records released after this one (same release sweep) are
-            # not queued yet.  Records arrive here in event-time order,
-            # so this record's own event time is the tightest bound the
-            # operators can safely emit strictly below.
-            self._drain_operators(record.event_time_s)
-        self._to_operators.push(record)
+    def _route(self, released: Sequence[Released]) -> None:
+        """Dedup and trust-gate ordered deliveries (each a record and
+        its fault tags), then queue the survivors for the operators."""
+        counters = self.counters
+        seen = self.dedup.seen
+        gate = self.trust_gate
+        queue = self._to_operators
+        capacity = queue.capacity
+        for record, tags in released:
+            if seen(record):
+                counters.deduped += 1
+                if tags:
+                    self._tag_outcome(tags, "deduped")
+                continue
+            if gate is not None and gate.observe(record):
+                counters.quarantined += 1
+                if tags:
+                    self._tag_outcome(tags, "quarantined")
+                continue
+            counters.aggregated += 1
+            if tags:
+                self._tag_outcome(tags, "aggregated")
+            if len(queue) >= capacity:
+                counters.backpressure_waits += 1
+                # A mid-release drain may not use the global watermark:
+                # records released after this one (same release sweep)
+                # are not queued yet.  Records arrive here in event-time
+                # order, so this record's own event time is the
+                # tightest bound the operators can safely emit strictly
+                # below.
+                self._drain_operators(record.event_time_s)
+            queue.append(record)
 
     # -- stage drains -----------------------------------------------------
 
@@ -387,16 +411,21 @@ class StreamPipeline:
         )
         batch = self.window_op.process(records, wm)
         batch += self.decay_op.process(records, wm)
+        self._queue_emissions(batch)
+
+    def _queue_emissions(self, batch: List[Emission]) -> None:
         # All emissions in one drain lie in (previous wm, wm]; sorting
         # the merged batch therefore yields the same global sequence no
         # matter where backpressure happened to cut the drains — the
         # property that makes crash-resume digests byte-identical.
-        batch.sort(key=lambda e: (e.at_s, e.operator, e.metric))
+        batch.sort(key=_EMISSION_ORDER)
+        queue = self._to_detector
+        capacity = queue.capacity
         for emission in batch:
-            if self._to_detector.full:
+            if len(queue) >= capacity:
                 self.counters.backpressure_waits += 1
                 self._drain_detector()
-            self._to_detector.push(emission)
+            queue.append(emission)
 
     def _drain_detector(self) -> None:
         from dataclasses import replace as dc_replace
@@ -426,12 +455,6 @@ class StreamPipeline:
         self._drain_detector()
 
     # -- checkpointing ----------------------------------------------------
-
-    def _maybe_checkpoint(self) -> None:
-        if self._store is None:
-            return
-        if self.clock.now() >= self._next_checkpoint_s:
-            self.checkpoint()
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -554,8 +577,7 @@ class StreamPipeline:
             raise ConfigError("pipeline already finished")
         final_wm = self.watermark.max_event_time_s
         self.watermark.advance_floor(final_wm)
-        for released in self.buffer.release(final_wm):
-            self._route(*released)
+        self._route(self.buffer.release(final_wm))
         self.pump()
         # In-stream drains are strictly-before-watermark; the stream is
         # over now, so close the boundary inclusively: complete windows
@@ -563,12 +585,7 @@ class StreamPipeline:
         # samples.
         batch = self.window_op.flush(final_wm)
         batch += self.decay_op.flush(final_wm)
-        batch.sort(key=lambda e: (e.at_s, e.operator, e.metric))
-        for emission in batch:
-            if self._to_detector.full:
-                self.counters.backpressure_waits += 1
-                self._drain_detector()
-            self._to_detector.push(emission)
+        self._queue_emissions(batch)
         self._drain_detector()
         self._finished = True
         self.counters.check_exact_once()

@@ -30,10 +30,10 @@ from repro.streaming.records import StreamRecord
 #: Watermark value before any record has been observed.
 NO_WATERMARK = float("-inf")
 
-#: One released delivery: the record, its fingerprint and its fault tags.
-Released = Tuple[StreamRecord, str, Tuple[str, ...]]
+#: One released delivery: the record and its fault tags.
+Released = Tuple[StreamRecord, Tuple[str, ...]]
 #: One heap entry: ``(event_time_s, arrival_seq) + Released``.
-Entry = Tuple[float, int, StreamRecord, str, Tuple[str, ...]]
+Entry = Tuple[float, int, StreamRecord, Tuple[str, ...]]
 
 
 class WatermarkTracker:
@@ -124,12 +124,9 @@ class ReorderBuffer:
     Records are keyed by ``(event_time_s, arrival_seq)`` so equal event
     times release in arrival order — a total, deterministic order, which
     is what makes replayed runs byte-identical.  Each entry carries the
-    record's fingerprint, hashed once by :meth:`push`, so the stages
-    after the buffer never hash the record again, and the delivery's
-    fault tags, so its terminal bucket is attributed to the delivery
-    that reached it.  Checkpoints store each entry as one positional
-    row with its tags but without the fingerprint; a restore hashes
-    each buffered record once.
+    delivery's fault tags, so its terminal bucket is attributed to the
+    delivery that reached it.  Checkpoints store each entry as one
+    positional row with its tags.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -150,26 +147,23 @@ class ReorderBuffer:
         """True when :meth:`release` at ``watermark_s`` releases anything."""
         return bool(self._heap) and self._heap[0][0] <= watermark_s
 
-    def push(self, record: StreamRecord, tags: Tuple[str, ...] = ()) -> str:
-        """Buffer one delivery; returns the fingerprint it is carried with."""
-        fp = record.fingerprint
+    def push(self, record: StreamRecord, tags: Tuple[str, ...] = ()) -> None:
+        """Buffer one delivery with its fault tags."""
         heapq.heappush(
-            self._heap,
-            (record.event_time_s, self._arrivals, record, fp, tags),
+            self._heap, (record.event_time_s, self._arrivals, record, tags),
         )
         self._arrivals += 1
-        return fp
 
     def pop_oldest(self) -> Released:
-        """Force-release the earliest buffered ``(record, fingerprint,
-        tags)`` (overflow path)."""
+        """Force-release the earliest buffered ``(record, tags)``
+        (overflow path)."""
         if not self._heap:
             raise ConfigError("cannot pop from an empty reorder buffer")
         return heapq.heappop(self._heap)[2:]
 
     def release(self, watermark_s: float) -> List[Released]:
-        """Every ``(record, fingerprint, tags)`` the watermark has passed,
-        in event-time order."""
+        """Every ``(record, tags)`` the watermark has passed, in
+        event-time order."""
         heap = self._heap
         released: List[Released] = []
         while heap and heap[0][0] <= watermark_s:
@@ -188,7 +182,7 @@ class ReorderBuffer:
                     t, seq, record.source, record.metric, record.value,
                     record.key, record.role, list(tags),
                 ]
-                for t, seq, record, _, tags in sorted(self._heap)
+                for t, seq, record, tags in sorted(self._heap)
             ],
         }
 
@@ -204,7 +198,7 @@ class ReorderBuffer:
                 role=str(role),
             )
             self._heap.append((
-                record.event_time_s, int(seq), record, record.fingerprint,
+                record.event_time_s, int(seq), record,
                 tuple(str(tag) for tag in tags),
             ))
         heapq.heapify(self._heap)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.core.usaas.privacy import scrub_all
@@ -74,5 +75,5 @@ def telemetry_stream(
                 key=key,
                 role="experience",
             ))
-    records.sort(key=lambda r: (r.event_time_s, r.metric, r.key))
+    records.sort(key=attrgetter("event_time_s", "metric", "key"))
     return records

@@ -1,5 +1,7 @@
 """OnlineTrustGate and the stream-boundary parser."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
@@ -135,6 +137,55 @@ class TestCheckpoint:
         gate = OnlineTrustGate()
         gate.load_state({})
         assert gate.observed == 0 and gate.quarantined == 0
+
+    def test_state_layout_is_the_joined_key_and_payload_token(self):
+        gate = OnlineTrustGate()
+        gate.observe(_record(1.0, key="u1", value=-0.0))
+        gate.observe(_record(2.0, key="u1", value=-0.0))
+        gate.observe(_record(3.0, source="a/b\\", key="c/", value=2.5))
+        assert gate.state_dict()["keys"] == [
+            ["telemetry/u1", [1.0, 2.0], "latency_ms:-0.0", 2],
+            ["a\\/b\\\\/c\\/", [3.0], "latency_ms:2.5", 1],
+        ]
+
+    def test_round_trip_keeps_separators_and_signed_zeros(self):
+        """Keys holding ``/`` or ``\\`` and a ``-0.0`` payload come back
+        from a JSON checkpoint as the same keys and payloads."""
+        keys = [("a/b", "c"), ("a", "b/c"), ("a\\", "/"), ("x", "")]
+        tail = [
+            _record(
+                float(i), source=keys[i % 4][0], key=keys[i % 4][1],
+                metric="m:1" if i % 5 else "m",
+                value=(0.0, -0.0, 1.0)[i % 3],
+            )
+            for i in range(40)
+        ]
+        gate = OnlineTrustGate(burst_limit=4, repeat_limit=2)
+        for r in tail[:20]:
+            gate.observe(r)
+        resumed = OnlineTrustGate(burst_limit=4, repeat_limit=2)
+        resumed.load_state(json.loads(json.dumps(gate.state_dict())))
+        assert resumed.state_dict() == gate.state_dict()
+        straight = [gate.observe(r) for r in tail[20:]]
+        replayed = [resumed.observe(r) for r in tail[20:]]
+        assert straight == replayed
+        assert gate.state_dict() == resumed.state_dict()
+
+
+class TestKeySeparators:
+    def test_separator_inside_source_or_key_keeps_units_apart(self):
+        """``("a/b", "c")`` and ``("a", "b/c")`` are two units with two
+        burst and repeat budgets, not one."""
+        gate = OnlineTrustGate(burst_limit=1, repeat_limit=1)
+        assert not gate.observe(_record(1.0, source="a/b", key="c"))
+        assert not gate.observe(_record(1.0, source="a", key="b/c"))
+        assert len(gate.state_dict()["keys"]) == 2
+
+    def test_signed_zeros_are_different_payloads(self):
+        gate = OnlineTrustGate(burst_limit=1000, repeat_limit=1)
+        assert not gate.observe(_record(1.0, value=0.0))
+        assert not gate.observe(_record(2.0, value=-0.0))
+        assert gate.observe(_record(3.0, value=-0.0))
 
 
 class TestLru:

@@ -2,7 +2,7 @@
 
 Runs each ``perfbench`` workload through the command ``BENCHMARK.json``
 names, for one second on seed 1, and pins its output digest; ``report``
-also runs on the holdout seed 20231128.  The ``report`` and ``ingest``
+and ``ingest`` also run on the holdout seed 20231128.  The ``report`` and ``ingest``
 digests do not depend on ``--seconds``; the ``serve`` digest does (an
 open loop replays more queries in a longer run), so the run length is
 part of the pin.  Scratch files go to the git-ignored ``.bench_build/``.
@@ -24,6 +24,7 @@ DIGESTS = {
 }
 HOLDOUT_SEED = 20231128
 HOLDOUT_REPORT = "f37841c47c9156b34048dd72042355b809ba3146b71196b54ee0349fac0b7dc3"
+HOLDOUT_INGEST = "ed04cb148c5c48600f4820139ec83baabad618706bec7295b9b5e0880b7614ec"
 
 
 def _assert_pinned(workload, seed, digest):
@@ -49,3 +50,7 @@ def test_workload_is_correct_and_pinned(workload):
 
 def test_report_holdout_seed_is_pinned():
     _assert_pinned("report", HOLDOUT_SEED, HOLDOUT_REPORT)
+
+
+def test_ingest_holdout_seed_is_pinned():
+    _assert_pinned("ingest", HOLDOUT_SEED, HOLDOUT_INGEST)

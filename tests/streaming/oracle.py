@@ -1,4 +1,4 @@
-"""Oracles for the stream exports and the dedup rule.
+"""Oracles for the stream exports and the per-record stream stages.
 
 :func:`telemetry_stream_records` and :func:`social_stream_records` are
 the per-call and per-post loops that
@@ -6,6 +6,15 @@ the per-call and per-post loops that
 :func:`~repro.social.streams.social_stream` ran before they read the
 column blocks.  Each one walks the dataset's records and scores every
 post with ``analyzer.score``, so no columnar code runs inside an oracle.
+
+:class:`FingerprintDedupFilter`, :class:`ReferenceTrustGate`,
+:class:`ReferenceWindowAggregate` and :class:`ReferenceDecayedAggregate`
+are the pipeline stages as they ran before the per-delivery path was
+trimmed: dedup hashes every delivery and keys on the hex digest, the
+gate keeps a dict per key and compares ``f"{metric}:{value!r}"``
+tokens, and each operator folds one record per ``on_record`` call.
+Both string keys follow the escaped-separator rule of
+:func:`~repro.streaming.records.record_fingerprint`.
 
 :class:`HorizonDedupFilter` is the dedup stage as it was before it
 learned to forget at the watermark: it remembers every fingerprint for
@@ -23,12 +32,18 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.usaas.privacy import scrub_author
+from repro.integrity.online import SUSPECT_HISTORY_CAP, OnlineTrustGate
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.corpus import RedditCorpus
+from repro.streaming.operators import (
+    DecayedAggregate,
+    Emission,
+    SlidingWindowAggregate,
+)
 from repro.streaming.records import StreamRecord
 from repro.telemetry.schema import NETWORK_METRICS
 from repro.telemetry.store import CallDataset
@@ -108,17 +123,15 @@ def social_stream_records(
     return records
 
 
-class HorizonDedupFilter:
-    """Horizon-bounded duplicate detector (the old dedup rule).
+class FingerprintDedupFilter:
+    """Duplicate detector keyed on each delivery's SHA-256 fingerprint.
 
-    Forgets a fingerprint only once the watermark is ``horizon_s``
-    past its event time.  Same interface and state layout as
+    Same interface and state layout as
     :class:`~repro.streaming.dedup.DedupFilter`, so a pipeline can run
     either one.
     """
 
-    def __init__(self, horizon_s: float) -> None:
-        self.horizon_s = float(horizon_s)
+    def __init__(self) -> None:
         self._seen: Dict[str, float] = {}
         self._order: Deque[Tuple[float, str]] = deque()
         self.evicted = 0
@@ -126,7 +139,8 @@ class HorizonDedupFilter:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def seen(self, record: StreamRecord, fp: str) -> bool:
+    def seen(self, record: StreamRecord) -> bool:
+        fp = record.fingerprint
         if fp in self._seen:
             return True
         self._seen[fp] = record.event_time_s
@@ -134,11 +148,10 @@ class HorizonDedupFilter:
         return False
 
     def evict(self, watermark_s: float) -> int:
-        cutoff = watermark_s - self.horizon_s
+        order = self._order
         dropped = 0
-        while self._order and self._order[0][0] < cutoff:
-            _, fp = self._order.popleft()
-            self._seen.pop(fp, None)
+        while order and order[0][0] < watermark_s:
+            del self._seen[order.popleft()[1]]
             dropped += 1
         self.evicted += dropped
         return dropped
@@ -155,6 +168,183 @@ class HorizonDedupFilter:
         )
         self._seen = {fp: t for t, fp in self._order}
         self.evicted = int(state.get("evicted", 0))
+
+
+class HorizonDedupFilter(FingerprintDedupFilter):
+    """Horizon-bounded duplicate detector (the old dedup rule).
+
+    Forgets a fingerprint only once the watermark is ``horizon_s``
+    past its event time.
+    """
+
+    def __init__(self, horizon_s: float) -> None:
+        super().__init__()
+        self.horizon_s = float(horizon_s)
+
+    def evict(self, watermark_s: float) -> int:
+        cutoff = watermark_s - self.horizon_s
+        dropped = 0
+        while self._order and self._order[0][0] < cutoff:
+            _, fp = self._order.popleft()
+            self._seen.pop(fp, None)
+            dropped += 1
+        self.evicted += dropped
+        return dropped
+
+
+def _gate_escape(field: str) -> str:
+    return field.replace("\\", "\\\\").replace("/", "\\/")
+
+
+class ReferenceTrustGate(OnlineTrustGate):
+    """The gate's per-record state machine: one dict per escaped
+    ``source/key`` string and a ``metric:repr(value)`` token per
+    payload.  ``burst_active`` is the gate's own."""
+
+    def observe(self, record) -> bool:
+        self.observed += 1
+        t = float(record.event_time_s)
+        key = f"{_gate_escape(record.source)}/{_gate_escape(record.key)}"
+        state = self._keys.get(key)
+        if state is None:
+            state = {"times": deque(), "token": "", "run": 0}
+            self._keys[key] = state
+        else:
+            self._keys.move_to_end(key)
+        while len(self._keys) > self.max_keys:
+            self._keys.popitem(last=False)
+        times: Deque[float] = state["times"]
+        times.append(t)
+        while times and times[0] < t - self.window_s:
+            times.popleft()
+        token = f"{record.metric}:{record.value!r}"
+        if token == state["token"]:
+            state["run"] += 1
+        else:
+            state["token"] = token
+            state["run"] = 1
+        verdict = (
+            len(times) > self.burst_limit
+            or state["run"] > self.repeat_limit
+        )
+        if verdict:
+            self.quarantined += 1
+            self._recent_quarantined.append(t)
+            while len(self._recent_quarantined) > SUSPECT_HISTORY_CAP:
+                self._recent_quarantined.popleft()
+        return verdict
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "keys": [
+                [key, list(state["times"]), state["token"], state["run"]]
+                for key, state in self._keys.items()
+            ],
+            "recent_quarantined": list(self._recent_quarantined),
+            "observed": self.observed,
+            "quarantined": self.quarantined,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        self._keys = OrderedDict()
+        for key, times, token, run in state.get("keys", []):
+            self._keys[str(key)] = {
+                "times": deque(float(t) for t in times),
+                "token": str(token),
+                "run": int(run),
+            }
+        self._recent_quarantined = deque(
+            float(t) for t in state.get("recent_quarantined", [])
+        )
+        self.observed = int(state.get("observed", 0))
+        self.quarantined = int(state.get("quarantined", 0))
+
+
+class ReferenceWindowAggregate(SlidingWindowAggregate):
+    """Sliding-window means folded one ``on_record`` call per record."""
+
+    def on_record(self, record: StreamRecord) -> None:
+        metric = record.metric
+        cells = self._windows.get(metric)
+        if cells is None:
+            self._roles.setdefault(metric, record.role)
+            cells = self._windows[metric] = {}
+        t = record.event_time_s
+        value = record.value
+        slide_s = self.slide_s
+        top_s = t + self.window_s
+        k = math.floor(t / slide_s) + 1
+        while k * slide_s <= top_s:
+            cell = cells.get(k)
+            if cell is None:
+                cells[k] = [0.0 + value, 1.0]
+            else:
+                cell[0] += value
+                cell[1] += 1.0
+            k += 1
+
+    def process(
+        self, records: List[StreamRecord], watermark_s: float
+    ) -> List[Emission]:
+        for record in records:
+            self.on_record(record)
+        return self.on_watermark(watermark_s, inclusive=False)
+
+
+class ReferenceDecayedAggregate(DecayedAggregate):
+    """Decayed means folded one ``on_record`` call per record, with each
+    grid sample emitted once the scan passes it."""
+
+    def on_record(self, record: StreamRecord) -> None:
+        self._roles.setdefault(record.metric, record.role)
+        t = record.event_time_s
+        cell = self._state.get(record.metric)
+        if cell is None:
+            self._state[record.metric] = [record.value, 1.0, t, 1.0]
+        else:
+            gap = max(0.0, t - cell[2])
+            decay = 0.5 ** (gap / self.half_life_s)
+            cell[0] = cell[0] * decay + record.value
+            cell[1] = cell[1] * decay + 1.0
+            cell[2] = t
+            cell[3] += 1.0
+        if self._next_sample_s is None:
+            self._next_sample_s = (
+                math.floor(t / self.sample_every_s) + 1
+            ) * self.sample_every_s
+
+    def process(
+        self, records: List[StreamRecord], watermark_s: float
+    ) -> List[Emission]:
+        emissions: List[Emission] = []
+        i = 0
+        if self._next_sample_s is None and records:
+            t0 = records[0].event_time_s
+            self._next_sample_s = (
+                math.floor(t0 / self.sample_every_s) + 1
+            ) * self.sample_every_s
+        while True:
+            s = self._next_sample_s
+            if s is None or s >= watermark_s:
+                break
+            while i < len(records) and records[i].event_time_s <= s:
+                self.on_record(records[i])
+                i += 1
+            for metric in sorted(self._state):
+                cell = self._state[metric]
+                emissions.append(Emission(
+                    at_s=s,
+                    operator=self.name,
+                    metric=metric,
+                    value=cell[0] / cell[1],
+                    count=int(cell[3]),
+                    role=self._roles.get(metric, "network"),
+                ))
+            self._next_sample_s = s + self.sample_every_s
+        while i < len(records):
+            self.on_record(records[i])
+            i += 1
+        return emissions
 
 
 def batch_window_aggregates(

@@ -85,12 +85,17 @@ class TestSlidingWindowAggregate:
 class TestDecayedAggregate:
     def test_decay_halves_weight_per_half_life(self):
         op = DecayedAggregate(half_life_s=10.0, sample_every_s=5.0)
-        op.on_record(StreamRecord(
-            event_time_s=0.0, source="t", metric="m", value=0.0, key="a",
-        ))
-        op.on_record(StreamRecord(
-            event_time_s=10.0, source="t", metric="m", value=3.0, key="a",
-        ))
+        # A watermark before the first grid point folds without sampling.
+        assert op.process([
+            StreamRecord(
+                event_time_s=0.0, source="t", metric="m", value=0.0,
+                key="a",
+            ),
+            StreamRecord(
+                event_time_s=10.0, source="t", metric="m", value=3.0,
+                key="a",
+            ),
+        ], watermark_s=0.0) == []
         # weights: 0.5 on the old sample, 1.0 on the new
         assert op.value_at("m", 10.0) == pytest.approx(3.0 / 1.5)
 
@@ -114,9 +119,9 @@ class TestDecayedAggregate:
 
     def test_sample_in_the_past_rejected(self):
         op = DecayedAggregate(half_life_s=10.0, sample_every_s=5.0)
-        op.on_record(StreamRecord(
+        op.process([StreamRecord(
             event_time_s=10.0, source="t", metric="m", value=1.0, key="a",
-        ))
+        )], watermark_s=0.0)
         with pytest.raises(ConfigError):
             op.value_at("m", 5.0)
 

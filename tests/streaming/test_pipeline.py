@@ -1,5 +1,6 @@
 """Pipeline accounting, checkpoint/resume, journal, exact-once ledger."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,20 +115,31 @@ class TestLedger:
             counters.check_exact_once()
 
 
-class TestFingerprintOnce:
-    def test_one_hash_per_on_time_delivery(self, monkeypatch):
-        """Ingest hashes each on-time delivery once and carries the
-        fingerprint through the buffer and dedup; a late delivery is
-        never hashed."""
+def count_hashes(monkeypatch):
+    """Count calls to ``record_fingerprint`` and ``hashlib.sha256``."""
+    calls = {"record_fingerprint": 0, "sha256": 0}
+    fingerprint = records_mod.record_fingerprint
+    sha256 = hashlib.sha256
+
+    def counting_fingerprint(*args):
+        calls["record_fingerprint"] += 1
+        return fingerprint(*args)
+
+    def counting_sha256(*args, **kwargs):
+        calls["sha256"] += 1
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(records_mod, "record_fingerprint", counting_fingerprint)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    return calls
+
+
+class TestFingerprintOnlyAtCheckpoints:
+    def test_checkpoint_free_ingest_hashes_nothing(self, monkeypatch):
+        """Dedup keys on record identity, so ingesting computes no
+        fingerprint and no SHA-256 at all, on any path: late, deduped,
+        quarantined, forced-flushed or aggregated."""
         deliveries = deliveries_for(seed=21)
-        calls = []
-        fingerprint = records_mod.record_fingerprint
-
-        def counting(*args):
-            calls.append(args)
-            return fingerprint(*args)
-
-        monkeypatch.setattr(records_mod, "record_fingerprint", counting)
         config = StreamConfig(
             seed=21, reorder_capacity=16, allowed_lateness_s=5.0,
             dedup_horizon_s=5.0,
@@ -136,12 +148,54 @@ class TestFingerprintOnce:
             config, clock=ManualClock(),
             trust_gate=OnlineTrustGate(burst_limit=5, repeat_limit=3),
         )
-        c = drive(pipeline, deliveries).counters
+        calls = count_hashes(monkeypatch)
+        for delivery in deliveries:
+            gap = delivery.at_s - pipeline.clock.now()
+            if gap > 0:
+                pipeline.clock.advance(gap)
+            pipeline.ingest(delivery.record, tags=delivery.injected)
+        pipeline.pump()
+        assert calls == {"record_fingerprint": 0, "sha256": 0}
+        c = pipeline.finish().counters
         for bucket in (
             "late_dropped", "deduped", "quarantined", "forced_flushes",
         ):
             assert c[bucket] > 0, bucket
-        assert len(calls) == c["emitted"] - c["late_dropped"] - c["late_side"]
+        assert calls["record_fingerprint"] == 0
+
+    def test_checkpoint_hashes_at_most_the_dedup_table(
+        self, monkeypatch, tmp_path
+    ):
+        config = StreamConfig(seed=21, checkpoint_every_s=10.0)
+        pipeline = StreamPipeline(
+            config, clock=ManualClock(), checkpoint_dir=tmp_path,
+        )
+        calls = count_hashes(monkeypatch)
+        checkpoint = pipeline.checkpoint
+        per_checkpoint = []
+
+        def counted_checkpoint():
+            before = calls["record_fingerprint"]
+            table = len(pipeline.dedup)
+            epoch = checkpoint()
+            per_checkpoint.append(
+                (calls["record_fingerprint"] - before, table)
+            )
+            return epoch
+
+        pipeline.checkpoint = counted_checkpoint
+        for delivery in deliveries_for(seed=21):
+            gap = delivery.at_s - pipeline.clock.now()
+            if gap > 0:
+                pipeline.clock.advance(gap)
+            pipeline.ingest(delivery.record)
+        assert len(per_checkpoint) > 5
+        assert any(table for _, table in per_checkpoint)
+        for hashed, table in per_checkpoint:
+            assert hashed <= table
+        assert calls["record_fingerprint"] == sum(
+            hashed for hashed, _ in per_checkpoint
+        )
 
 
 class TestDeterminism:
@@ -227,6 +281,47 @@ class TestCheckpointResume:
             if key != "resumes":
                 assert value == uninterrupted.counters[key], key
 
+    def test_int_valued_records_keep_their_identity_across_resume(
+        self, tmp_path
+    ):
+        """A record given int time and value is the same measurement
+        after a checkpoint restores it from JSON floats, so its
+        redelivery is deduped whether or not the consumer crashed."""
+        records = [
+            StreamRecord(event_time_s=t, source="s", metric="m", value=v,
+                         key="k")
+            for t, v in ((1, 5), (2, 6), (3, 7))
+        ]
+        # (clock_s, record): the third ingest commits an epoch, then the
+        # first record is redelivered.
+        arrivals = [(0.0, records[0]), (0.0, records[1]), (1.5, records[2]),
+                    (2.0, StreamRecord(event_time_s=1, source="s",
+                                       metric="m", value=5, key="k"))]
+        config = StreamConfig(seed=1, checkpoint_every_s=1.0)
+
+        def run(directory, crash_after=None):
+            pipeline = StreamPipeline(
+                config, clock=ManualClock(), checkpoint_dir=directory,
+            )
+            start = 0
+            if crash_after is not None:
+                for at, record in arrivals[:crash_after]:
+                    pipeline.clock.advance(at - pipeline.clock.now())
+                    pipeline.ingest(record)
+                pipeline, start = StreamPipeline.resume(config, directory)
+                assert start == crash_after
+            for at, record in arrivals[start:]:
+                pipeline.clock.advance(max(0.0, at - pipeline.clock.now()))
+                pipeline.ingest(record)
+            return pipeline.finish().counters
+
+        straight = run(tmp_path / "a")
+        crashed = run(tmp_path / "b", crash_after=3)
+        for counters in (straight, crashed):
+            assert counters["deduped"] == 1
+            assert counters["aggregated"] == 3
+        assert crashed["resumes"] == 1
+
     def test_resume_requires_a_checkpoint(self, tmp_path):
         with pytest.raises(ConfigError, match="no resumable checkpoint"):
             StreamPipeline.resume(StreamConfig(seed=1), tmp_path)
@@ -273,6 +368,16 @@ class TestCheckpointResume:
 
         journaled = StreamJournal(journal_path).recover()
         assert tuple(journaled) == result.emissions  # no dupes, no holes
+
+    def test_separators_inside_fields_keep_measurements_apart(self):
+        """Two distinct records whose fields join to the same text once
+        ``:`` separates them are both aggregated, not one deduped."""
+        pipeline = StreamPipeline(StreamConfig(seed=1), clock=ManualClock())
+        pipeline.ingest(StreamRecord(10.0, "a:b", "c", 1.0, key="k"))
+        pipeline.ingest(StreamRecord(10.0, "a", "b:c", 1.0, key="k"))
+        counters = pipeline.finish().counters
+        assert counters["aggregated"] == 2
+        assert counters["deduped"] == 0
 
     def test_finished_pipeline_rejects_ingest(self):
         pipeline = StreamPipeline(StreamConfig(seed=1), clock=ManualClock())

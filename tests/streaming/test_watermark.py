@@ -10,6 +10,7 @@ from repro.streaming import (
     StreamRecord,
     WatermarkTracker,
 )
+from repro.streaming import records as records_mod
 from repro.streaming.watermark import NO_WATERMARK
 
 
@@ -20,7 +21,15 @@ def rec(t, metric="latency_ms", value=40.0, key="u0"):
 
 
 def seen(dd, r):
-    return dd.seen(r, r.fingerprint)
+    return dd.seen(r)
+
+
+def refuse_fingerprints(monkeypatch):
+    """Make any SHA-256 fingerprint computation fail the test."""
+    def refuse(*args):
+        raise AssertionError(f"fingerprint computed for {args}")
+
+    monkeypatch.setattr(records_mod, "record_fingerprint", refuse)
 
 
 class TestWatermarkTracker:
@@ -77,39 +86,43 @@ class TestWatermarkTracker:
 
 
 class TestReorderBuffer:
-    def test_releases_in_event_time_order(self):
+    def test_releases_in_event_time_order(self, monkeypatch):
+        """Deliveries leave as ``(record, tags)`` in event-time order;
+        nothing in the buffer, its checkpoint or its restore hashes."""
+        refuse_fingerprints(monkeypatch)
         buf = ReorderBuffer(capacity=16)
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
-        pushed = {t: buf.push(rec(t), (f"tag{t}",)) for t in times}
+        records = {t: rec(t) for t in times}
+        for t in times:
+            buf.push(records[t], (f"tag{t}",))
+        clone = ReorderBuffer(capacity=16)
+        clone.load_state(buf.state_dict())
         released = buf.release(3.0)
-        assert [r.event_time_s for r, _, _ in released] == [1.0, 2.0, 3.0]
-        assert [fp for _, fp, _ in released] == [
-            r.fingerprint for r, _, _ in released
+        assert [r for r, _ in released] == [
+            records[t] for t in (1.0, 2.0, 3.0)
         ]
-        assert [fp for _, fp, _ in released] == [
-            pushed[t] for t in (1.0, 2.0, 3.0)
-        ]
-        assert [tags for _, _, tags in released] == [
+        assert [tags for _, tags in released] == [
             ("tag1.0",), ("tag2.0",), ("tag3.0",)
         ]
         assert len(buf) == 2
+        assert clone.release(3.0) == released
 
     def test_equal_event_times_release_in_arrival_order(self):
         buf = ReorderBuffer(capacity=16)
         buf.push(rec(1.0, key="first"), ("a",))
         buf.push(rec(1.0, key="second"), ("b",))
         released = buf.release(1.0)
-        assert [r.key for r, _, _ in released] == ["first", "second"]
-        assert [tags for _, _, tags in released] == [("a",), ("b",)]
+        assert [r.key for r, _ in released] == ["first", "second"]
+        assert [tags for _, tags in released] == [("a",), ("b",)]
 
-    def test_overflow_is_signalled_not_silent(self):
+    def test_overflow_is_signalled_not_silent(self, monkeypatch):
+        refuse_fingerprints(monkeypatch)
         buf = ReorderBuffer(capacity=2)
         for t in (3.0, 1.0, 2.0):
             buf.push(rec(t), ("reorder",) if t == 1.0 else ())
         assert buf.overflowing
-        oldest, fp, tags = buf.pop_oldest()
-        assert oldest.event_time_s == 1.0
-        assert fp == oldest.fingerprint
+        oldest, tags = buf.pop_oldest()
+        assert oldest == rec(1.0)
         assert tags == ("reorder",)
         assert not buf.overflowing
 
@@ -181,6 +194,56 @@ class TestDedupFilter:
         assert seen(clone, rec(1.0))
         assert not seen(clone, rec(3.0))
 
+    def test_table_is_written_as_fingerprints(self):
+        dd = DedupFilter()
+        records = [rec(1.0), rec(1.0, key="u1"), rec(2.0, value=0.0)]
+        for r in records:
+            seen(dd, r)
+        assert dd.state_dict() == {
+            "entries": [[r.event_time_s, r.fingerprint] for r in records],
+            "evicted": 0,
+        }
+
+    def test_restored_entries_catch_duplicates_until_evicted(self):
+        dd = DedupFilter()
+        seen(dd, rec(1.0))
+        seen(dd, rec(2.0))
+        clone = DedupFilter()
+        clone.load_state(dd.state_dict())
+        assert not seen(clone, rec(2.0, key="u1"))
+        assert seen(clone, rec(2.0))
+        assert seen(clone, rec(2.0, key="u1"))
+        # The table is written back entry for entry, restored or not.
+        assert clone.state_dict()["entries"] == [
+            [1.0, rec(1.0).fingerprint],
+            [2.0, rec(2.0).fingerprint],
+            [2.0, rec(2.0, key="u1").fingerprint],
+        ]
+        assert clone.evict(watermark_s=2.0) == 1
+        assert seen(clone, rec(2.0))
+        assert clone.evict(watermark_s=3.0) == 2
+        assert len(clone) == 0
+
+    def test_zero_and_negative_zero_are_distinct(self):
+        """``0.0 == -0.0``, but their fingerprints differ, so neither is
+        a duplicate of the other."""
+        dd = DedupFilter()
+        for r in (
+            rec(0.0, value=0.0), rec(0.0, value=-0.0),
+            rec(-0.0, value=0.0), rec(-0.0, value=-0.0),
+        ):
+            assert not seen(dd, r)
+            assert seen(dd, r)
+        assert len(dd) == 4
+
+    def test_separators_inside_fields_do_not_collide(self):
+        a = StreamRecord(10.0, "a:b", "c", 1.0, key="k")
+        b = StreamRecord(10.0, "a", "b:c", 1.0, key="k")
+        assert a.fingerprint != b.fingerprint
+        dd = DedupFilter()
+        assert not seen(dd, a)
+        assert not seen(dd, b)
+
 
 class TestStreamRecord:
     def test_validation(self):
@@ -196,7 +259,7 @@ class TestStreamRecord:
 
     @pytest.mark.parametrize("field", ["event_time_s", "value"])
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), float("-inf")]
+        "bad", [float("nan"), float("inf"), float("-inf"), "5", None, True]
     )
     def test_non_finite_time_or_value_rejected(self, field, bad):
         fields = dict(event_time_s=1.0, source="s", metric="m", value=1.0)
@@ -204,7 +267,40 @@ class TestStreamRecord:
         with pytest.raises(SchemaError):
             StreamRecord(**fields)
 
+    @pytest.mark.parametrize("field", ["source", "metric", "key"])
+    def test_non_string_fields_rejected(self, field):
+        """Dedup keys on the fields and the fingerprint on their text,
+        so ``5`` and ``"5"`` would agree in one and not the other."""
+        fields = dict(
+            event_time_s=1.0, source="s", metric="m", value=1.0, key="k",
+        )
+        fields[field] = 5
+        with pytest.raises(SchemaError):
+            StreamRecord(**fields)
+
     def test_round_trip(self):
         r = rec(3.5, metric="mos", value=4.25, key="u7")
         assert StreamRecord.from_dict(r.to_dict()) == r
         assert StreamRecord.from_dict(r.to_dict()).fingerprint == r.fingerprint
+
+    def test_int_fields_round_trip_with_their_fingerprint(self):
+        r = StreamRecord(event_time_s=5, source="s", metric="m", value=1)
+        assert type(r.event_time_s) is float and type(r.value) is float
+        back = StreamRecord.from_dict(r.to_dict())
+        assert back == r
+        assert back.fingerprint == r.fingerprint
+
+    def test_frozen_copyable_and_picklable(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        r = rec(3.5, metric="mos", value=4.25, key="u7")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = 1.0
+        assert copy.copy(r) == r
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert repr(r) == (
+            "StreamRecord(event_time_s=3.5, source='test', metric='mos', "
+            "value=4.25, key='u7', role='network')"
+        )
