@@ -5,7 +5,7 @@ Package map (see DESIGN.md for the paper-to-module index):
 
 * ``repro.netsim`` — network condition processes, mitigation, QoE.
 * ``repro.telemetry`` — agent-based MS Teams-like call dataset (§3 data).
-* ``repro.engagement`` — the §3 analyses (Figs. 1–4, MOS predictor).
+* ``repro.engagement`` — the §3 analyses (Figs. 1, 2 and 4).
 * ``repro.starlink`` — the LEO deployment world model (launches,
   subscribers, capacity, outages, perception).
 * ``repro.social`` — the r/Starlink corpus simulator (§4 data).
@@ -21,6 +21,6 @@ Package map (see DESIGN.md for the paper-to-module index):
 __version__ = "1.0.0"
 
 from repro.errors import ReproError
-from repro.rng import DEFAULT_SEED, derive, make_rng
+from repro.rng import DEFAULT_SEED, derive
 
-__all__ = ["DEFAULT_SEED", "ReproError", "__version__", "derive", "make_rng"]
+__all__ = ["DEFAULT_SEED", "ReproError", "__version__", "derive"]

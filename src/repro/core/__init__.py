@@ -17,9 +17,7 @@ from repro.core.signals import (
 )
 from repro.core.stats import (
     BinnedCurve,
-    BootstrapResult,
     bin_statistic,
-    bootstrap_ci,
     pearson,
     percentile,
     spearman,
@@ -28,7 +26,6 @@ from repro.core.timeline import DailySeries, MonthlySeries, align_series
 
 __all__ = [
     "BinnedCurve",
-    "BootstrapResult",
     "DailySeries",
     "ExplicitSignal",
     "ImplicitSignal",
@@ -38,7 +35,6 @@ __all__ = [
     "SignalSeries",
     "align_series",
     "bin_statistic",
-    "bootstrap_ci",
     "pearson",
     "percentile",
     "spearman",

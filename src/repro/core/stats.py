@@ -3,14 +3,13 @@
 These are deliberately small, dependency-light implementations (numpy only)
 of the operations the paper performs: binning sessions by a network metric
 and reporting a per-bin statistic (Fig. 1–4), rank and linear correlation
-(Fig. 4, §5), and bootstrap confidence intervals that decide whether an
-observed shape is stable.
+(Fig. 4, §5), trimmed means and percentiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -43,48 +42,12 @@ class BinnedCurve:
     def n_bins(self) -> int:
         return len(self.centers)
 
-    def nonempty(self) -> "BinnedCurve":
-        """Return a copy restricted to bins that actually contain samples."""
-        mask = self.counts > 0
-        if mask.all():
-            return self
-        # Edges cannot be sliced consistently for arbitrary masks; keep
-        # per-bin geometry by rebuilding degenerate edges around centers.
-        centers = self.centers[mask]
-        widths = np.diff(self.edges)[mask]
-        edges = np.concatenate([centers - widths / 2, [centers[-1] + widths[-1] / 2]]) \
-            if len(centers) else np.array([0.0])
-        return BinnedCurve(
-            edges=edges,
-            centers=centers,
-            stat=self.stat[mask],
-            counts=self.counts[mask],
-        )
-
     def as_rows(self) -> list:
         """Rows of ``(center, stat, count)`` — handy for table printing."""
         return [
             (float(c), float(s), int(n))
             for c, s, n in zip(self.centers, self.stat, self.counts)
         ]
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    """Point estimate with a bootstrap percentile confidence interval."""
-
-    estimate: float
-    low: float
-    high: float
-    n_resamples: int
-    confidence: float = field(default=0.95)
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
 
 
 def _as_1d(values: Sequence[float], name: str) -> np.ndarray:
@@ -392,39 +355,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     if len(arr) == 0:
         raise AnalysisError("cannot take a percentile of an empty sequence")
     return float(np.percentile(arr, q))
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.median,
-    n_resamples: int = 1000,
-    confidence: float = 0.95,
-    rng: Optional[np.random.Generator] = None,
-) -> BootstrapResult:
-    """Percentile-bootstrap confidence interval for ``statistic(values)``.
-
-    Used by the Fig. 7 stability analysis (the paper checks that monthly
-    median downlink speeds barely move when 5–10 % of the data is dropped).
-    """
-    arr = _as_1d(values, "values")
-    if len(arr) == 0:
-        raise AnalysisError("cannot bootstrap an empty sequence")
-    if not 0 < confidence < 1:
-        raise AnalysisError("confidence must be in (0, 1)")
-    if n_resamples < 1:
-        raise AnalysisError("n_resamples must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    estimate = float(statistic(arr))
-    resampled = np.empty(n_resamples)
-    for i in range(n_resamples):
-        sample = arr[rng.integers(0, len(arr), size=len(arr))]
-        resampled[i] = statistic(sample)
-    alpha = (1 - confidence) / 2
-    return BootstrapResult(
-        estimate=estimate,
-        low=float(np.percentile(resampled, 100 * alpha)),
-        high=float(np.percentile(resampled, 100 * (1 - alpha))),
-        n_resamples=n_resamples,
-        confidence=confidence,
-    )

@@ -19,11 +19,7 @@ service, which metrics — and the service:
    standing in for the paper's LLM step).
 """
 
-from repro.core.usaas.adapters import (
-    FallbackSentimentChain,
-    social_signals,
-    telemetry_signals,
-)
+from repro.core.usaas.adapters import social_signals, telemetry_signals
 from repro.core.usaas.bias import BiasCorrector
 from repro.core.usaas.correlator import CorrelationFinding, correlate_series
 from repro.core.usaas.insights import Insight
@@ -42,7 +38,6 @@ from repro.core.usaas.summarize import summarize_insights
 __all__ = [
     "Alarm",
     "BiasCorrector",
-    "FallbackSentimentChain",
     "ComparisonReport",
     "MetricComparison",
     "watch_metric",

@@ -8,69 +8,15 @@ sentiment polarity weighted by popularity.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.signals import SignalKind, SignalSeries
 from repro.core.usaas.privacy import scrub_all
 from repro.errors import QueryError, SchemaError
-from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.perf.columnar import corpus_columns, participant_columns
-from repro.resilience.policy import Fallback
 from repro.telemetry.store import CallDataset
-
-
-class FallbackSentimentChain:
-    """Sentiment scoring with graceful degradation.
-
-    A real deployment scores posts with a hosted service (an Azure-style
-    text-analytics API); when that dependency is down the pipeline must
-    keep producing polarity signals rather than dropping the whole
-    social feed.  This chain tries each ``(name, scorer)`` in order and
-    always ends at the offline lexicon
-    :class:`~repro.nlp.sentiment.SentimentAnalyzer`, which cannot fail
-    on valid text.  It is a drop-in for the ``analyzer=`` argument of
-    :func:`social_signals` and the §4 analyses: :meth:`score_many`
-    scores a batch one text at a time, so every post keeps its own
-    fallback accounting.
-
-        chain = FallbackSentimentChain(("azure", azure_scorer))
-        series = social_signals(corpus, analyzer=chain)
-        chain.served_by  # {"azure": 812, "offline-lexicon": 44}
-    """
-
-    OFFLINE = "offline-lexicon"
-
-    def __init__(self, *scorers, offline: Optional[SentimentAnalyzer] = None):
-        offline = offline or SentimentAnalyzer()
-        links = tuple(scorers) + ((self.OFFLINE, offline.score),)
-        self._chain = Fallback(*links)
-        self.fallback_calls = 0
-
-    @property
-    def served_by(self) -> Dict[str, int]:
-        """How many calls each link answered."""
-        return dict(self._chain.served_by)
-
-    @property
-    def degraded(self) -> bool:
-        """True once any call was served by a non-primary link."""
-        return self.fallback_calls > 0
-
-    def score(self, text: str) -> SentimentScores:
-        result = self._chain.call(text)
-        if not isinstance(result.value, SentimentScores):
-            raise SchemaError(
-                f"sentiment scorer {result.used!r} returned "
-                f"{type(result.value).__name__}, expected SentimentScores"
-            )
-        if result.degraded:
-            self.fallback_calls += 1
-        return result.value
-
-    def score_many(self, texts: Iterable[str]) -> List[SentimentScores]:
-        return [self.score(text) for text in texts]
 
 
 #: Per-participant signal layout: four implicit rows, then the sparse
@@ -175,8 +121,9 @@ def social_signals(
     ``corpus`` is anything :func:`~repro.perf.columnar.corpus_columns`
     accepts.  With the default analyzer the polarity comes from the
     corpus-wide sentiment block shared with the §4 analyses; any other
-    scorer with ``score_many`` (e.g. :class:`FallbackSentimentChain`)
-    scores the posts afresh.
+    scorer with ``score_many`` (e.g. a configured
+    :class:`~repro.nlp.sentiment.SentimentAnalyzer`) scores the posts
+    afresh.
     """
     cols = corpus_columns(corpus)
     n = len(cols)

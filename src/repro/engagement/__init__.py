@@ -10,7 +10,6 @@ analysis in the paper's §3:
   (Fig. 1).
 * :mod:`repro.engagement.compound` — the latency×loss Presence grid
   (Fig. 2).
-* :mod:`repro.engagement.platform` — per-platform sensitivity (Fig. 3).
 * :mod:`repro.engagement.mos_link` — engagement↔MOS correlation (Fig. 4).
 
 MOS prediction from engagement + network conditions (the §5 model
@@ -32,9 +31,7 @@ from repro.engagement.early_warning import (
 from repro.engagement.cohort import CohortFilter, ConditionWindow, control_windows_except
 from repro.engagement.compound import CompoundGrid, compound_presence_grid
 from repro.engagement.curves import DEFAULT_EDGES, Fig1Result, fig1_curves
-from repro.engagement.metrics import engagement_frame
 from repro.engagement.mos_link import MosCorrelation, mos_by_engagement
-from repro.engagement.platform import platform_curves
 
 __all__ = [
     "AdjustedCurve",
@@ -54,8 +51,6 @@ __all__ = [
     "control_windows_except",
     "curve_matrix",
     "engagement_curve",
-    "engagement_frame",
     "fig1_curves",
     "mos_by_engagement",
-    "platform_curves",
 ]

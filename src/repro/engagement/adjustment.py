@@ -46,15 +46,6 @@ def stratify_by_device_class(participant: ParticipantRecord) -> str:
     return "mobile" if "mobile" in participant.platform else "pc"
 
 
-def stratify_by_conditioning(participant: ParticipantRecord) -> str:
-    """Low/mid/high long-term network expectations."""
-    if participant.conditioning < 1 / 3:
-        return "hardened"
-    if participant.conditioning < 2 / 3:
-        return "average"
-    return "sensitive"
-
-
 @dataclass(frozen=True)
 class AdjustedCurve:
     """Raw vs confounder-adjusted engagement curve.

@@ -1,48 +1,12 @@
-"""Conversion from participant records to analysis-ready arrays."""
+"""Curve normalisation for the engagement figures."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.telemetry.schema import (
-    ENGAGEMENT_METRICS,
-    NETWORK_METRICS,
-    ParticipantRecord,
-)
-
-
-def engagement_frame(
-    participants: Iterable[ParticipantRecord],
-    network_stat: str = "mean",
-) -> Dict[str, np.ndarray]:
-    """Build a column dictionary from participant sessions.
-
-    Columns: the three engagement metrics, the four network metrics (at
-    the chosen per-session aggregate — the paper reports results on the
-    mean but notes the same trends for P95), ``dropped_early``, ``rating``
-    (NaN when absent) and ``conditioning``.
-    """
-    parts: List[ParticipantRecord] = list(participants)
-    if not parts:
-        raise AnalysisError("no participants to analyse")
-    frame: Dict[str, np.ndarray] = {}
-    for name in ENGAGEMENT_METRICS:
-        frame[name] = np.array([getattr(p, name) for p in parts], dtype=float)
-    for metric in NETWORK_METRICS:
-        frame[metric] = np.array(
-            [p.metric(metric, network_stat) for p in parts], dtype=float
-        )
-    frame["dropped_early"] = np.array(
-        [p.dropped_early for p in parts], dtype=float
-    )
-    frame["rating"] = np.array(
-        [p.rating if p.rating is not None else np.nan for p in parts], dtype=float
-    )
-    frame["conditioning"] = np.array([p.conditioning for p in parts], dtype=float)
-    return frame
 
 
 def normalize_to_best(stat: Sequence[float]) -> np.ndarray:

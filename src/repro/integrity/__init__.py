@@ -45,7 +45,6 @@ from repro.integrity.soak import (
 from repro.integrity.trust import (
     TrustScore,
     contamination_estimate,
-    fraud_rating_mask,
     post_weights,
     rated_weights,
     score_authors,
@@ -65,7 +64,6 @@ __all__ = [
     "TrustScore",
     "build_section",
     "contamination_estimate",
-    "fraud_rating_mask",
     "median_of_means",
     "parse_stream_dicts",
     "post_weights",

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 from collections import OrderedDict, deque
+from collections.abc import Mapping
+from numbers import Real
 from typing import Any, Deque, Dict, List, Tuple
 
 from repro.errors import ConfigError, SchemaError
@@ -252,19 +254,28 @@ def parse_stream_dicts(dicts) -> BoundaryReport:
 
 
 def _reject_reason(data) -> str:
-    """Classify one rejected dict into a :data:`BOUNDARY_REASONS` bucket."""
+    """Classify one rejected dict into a :data:`BOUNDARY_REASONS` bucket.
+
+    By the record's own rule: a time must be a real number (not a
+    bool) in ``[0, inf)``, a value a finite real number (not a bool).
+    Anything else the record refuses, such as a non-string source, or
+    an entry that is not a mapping at all, is ``other``.
+    """
+    if not isinstance(data, Mapping):
+        return "other"
     if any(
         field not in data
         for field in ("event_time_s", "source", "metric", "value")
     ):
         return "missing_field"
-    try:
-        event_time = float(data["event_time_s"])
-        value = float(data["value"])
-    except (TypeError, ValueError):
-        return "bad_value"
-    if not math.isfinite(event_time) or event_time < 0:
+    event_time = data["event_time_s"]
+    if not (_is_real(event_time) and 0.0 <= event_time < math.inf):
         return "bad_event_time"
-    if not math.isfinite(value):
+    value = data["value"]
+    if not (_is_real(value) and math.isfinite(value)):
         return "bad_value"
     return "other"
+
+
+def _is_real(x: Any) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)

@@ -37,7 +37,6 @@ __all__ = [
     "SignalUnitScores",
     "TrustScore",
     "contamination_estimate",
-    "fraud_rating_mask",
     "post_weights",
     "rated_weights",
     "score_authors",
@@ -339,18 +338,3 @@ def rated_weights(dataset, scores: Dict[str, TrustScore]) -> np.ndarray:
     cols = participant_columns(dataset)
     rated = np.flatnonzero(np.isfinite(cols.rating))
     return _weights_for([cols.user_id[i] for i in rated.tolist()], scores)
-
-
-def fraud_rating_mask(cols, scores: Dict[str, TrustScore]) -> np.ndarray:
-    """Boolean mask over *all* rows: True = fraud-flagged rated row.
-
-    The prediction trainer subtracts this mask from its rated-row
-    selection, so a fraud campaign cannot steer the MOS model.
-    """
-    rating = np.asarray(cols.rating, dtype=float)
-    mask = np.zeros(len(rating), dtype=bool)
-    for i in np.flatnonzero(np.isfinite(rating)):
-        score = scores.get(cols.user_id[int(i)])
-        if score is not None and score.trust == 0.0:
-            mask[int(i)] = True
-    return mask

@@ -2,9 +2,9 @@
 
 Writes are crash-safe: records land in a ``.tmp`` sibling which is
 ``os.replace``\\ d into place, so an interrupted export can never leave a
-truncated file behind.  Reads are strict by default; :func:`salvage_jsonl`
-is the opt-in lenient path that quarantines bad lines with counts
-instead of aborting the whole file.
+truncated file behind.  :func:`salvage_jsonl` is the lenient read that
+quarantines bad lines with counts instead of aborting the whole file;
+the stream journal recovers its torn tail with it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError
 
@@ -64,24 +64,6 @@ class atomic_writer:
             except OSError:
                 pass  # destination untouched; a stray .tmp is harmless
         return False
-
-
-def read_jsonl(path: PathLike) -> List[Any]:
-    """Read all records; raises SchemaError with line numbers on bad JSON."""
-    return list(iter_jsonl(path))
-
-
-def iter_jsonl(path: PathLike) -> Iterator[Any]:
-    """Stream records without loading the whole file."""
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""ASCII table/series rendering for the benchmarks and the CLI.
+"""ASCII table rendering for the benchmarks and the CLI.
 
-Every benchmark prints the rows/series its paper figure reports; these
+Every benchmark prints the rows its paper figure reports; these
 helpers keep that output aligned and consistent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.errors import AnalysisError
 
@@ -61,13 +61,3 @@ def format_left_table(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in lines
     )
-
-
-def format_series(
-    pairs: Iterable[Tuple[Cell, Cell]],
-    x_label: str = "x",
-    y_label: str = "y",
-    title: str = "",
-) -> str:
-    """Two-column rendering of a series (one figure line)."""
-    return format_table([x_label, y_label], list(pairs), title=title)

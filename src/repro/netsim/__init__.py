@@ -5,10 +5,12 @@ studies.  It produces per-session traces of the four metrics the MS Teams
 client reports every five seconds — latency, packet loss, jitter and
 available bandwidth (§3.1) — and converts them into experienced quality:
 
-* condition *processes* with realistic temporal structure
-  (:mod:`repro.netsim.link`, :mod:`repro.netsim.loss`,
-  :mod:`repro.netsim.jitter`, composed by :mod:`repro.netsim.path`),
-* five-second sampling into traces (:mod:`repro.netsim.trace`),
+* link profiles and their condition tiers (:mod:`repro.netsim.link`),
+  grounded in bottleneck queueing (:mod:`repro.netsim.queueing`), with
+  Gilbert–Elliott bursty loss (:mod:`repro.netsim.loss`),
+* five-second sampling into per-session traces
+  (:mod:`repro.netsim.trace`; :mod:`repro.netsim.vectorized` runs the
+  same process over blocks of sessions at once),
 * the application-layer safeguards the paper credits for the weak loss
   effect — FEC, jitter buffering, concealment
   (:mod:`repro.netsim.mitigation`), and
@@ -16,18 +18,11 @@ available bandwidth (§3.1) — and converts them into experienced quality:
   video and interactivity quality (:mod:`repro.netsim.qoe`).
 """
 
-from repro.netsim.jitter import JitterProcess
 from repro.netsim.link import LinkProfile, NETWORK_TIERS, sample_link_profile
-from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss
+from repro.netsim.loss import GilbertElliottLoss
 from repro.netsim.mitigation import EffectiveConditions, MitigationStack
-from repro.netsim.path import NetworkPath
 from repro.netsim.qoe import QoeModel, QualityScores
-from repro.netsim.trace import (
-    ConditionSample,
-    ConditionTrace,
-    TraceGenerator,
-    generate_condition_arrays,
-)
+from repro.netsim.trace import ConditionSample, generate_condition_arrays
 from repro.netsim.abr import AbrController, AbrResult, simulate_abr
 from repro.netsim.queueing import BottleneckQueue, profile_for_load, simulate_queue
 from repro.netsim.tuning import MitigationTuner, TuningResult, tuning_gain
@@ -41,25 +36,20 @@ from repro.netsim.vectorized import (
 __all__ = [
     "AbrController",
     "AbrResult",
-    "BernoulliLoss",
     "BottleneckQueue",
     "ConditionSample",
-    "ConditionTrace",
     "EffectiveArrays",
     "EffectiveConditions",
     "GilbertElliottLoss",
-    "JitterProcess",
     "LinkProfile",
     "MitigationStack",
     "MitigationTuner",
     "NETWORK_TIERS",
     "TuningResult",
     "tuning_gain",
-    "NetworkPath",
     "QoeModel",
     "QualityArrays",
     "QualityScores",
-    "TraceGenerator",
     "generate_condition_arrays",
     "mitigate_arrays",
     "profile_for_load",

@@ -2,9 +2,9 @@
 
 A :class:`LinkProfile` captures the *typical* conditions of one user's
 path for one call — base propagation latency, mean loss rate, jitter
-scale and available bandwidth.  The dynamic processes in
-:mod:`repro.netsim.loss` / :mod:`repro.netsim.jitter` add within-session
-variation around these anchors.
+scale and available bandwidth.  The session trace
+(:mod:`repro.netsim.trace`, with :mod:`repro.netsim.loss`) adds
+within-session variation around these anchors.
 
 ``NETWORK_TIERS`` spans the condition space of Fig. 1: the paper's call
 population mixes everything from pristine enterprise fibre to congested
@@ -14,7 +14,7 @@ along each metric axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -51,17 +51,6 @@ class LinkProfile:
             raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth_mbps}")
         if not 0 <= self.burstiness <= 1:
             raise ConfigError(f"burstiness must be in [0, 1], got {self.burstiness}")
-
-    def scaled(self, latency: float = 1.0, loss: float = 1.0,
-               jitter: float = 1.0, bandwidth: float = 1.0) -> "LinkProfile":
-        """A copy with metrics multiplied by the given factors."""
-        return replace(
-            self,
-            base_latency_ms=self.base_latency_ms * latency,
-            loss_rate=min(1.0, self.loss_rate * loss),
-            jitter_ms=self.jitter_ms * jitter,
-            bandwidth_mbps=self.bandwidth_mbps * bandwidth,
-        )
 
 
 # Condition tiers spanning the axes of Fig. 1.  Weights approximate a

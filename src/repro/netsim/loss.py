@@ -1,19 +1,15 @@
-"""Packet-loss processes.
+"""Packet-loss process: the Gilbert–Elliott chain.
 
-Two models are provided:
+:class:`GilbertElliottLoss` is the classic two-state Markov model in
+which a path alternates between a *good* state (near-zero loss) and a
+*bad* state (heavy loss).  Bursty loss is what makes forward error
+correction partially ineffective, which in turn shapes how well the
+application-layer safeguards of :mod:`repro.netsim.mitigation` hide loss
+from the user — the mechanism behind the paper's observation that loss
+up to 2 % barely moves engagement (Fig. 1, middle-left).
 
-* :class:`BernoulliLoss` — independent per-packet losses; the right model
-  for random tail drops on an uncongested path.
-* :class:`GilbertElliottLoss` — the classic two-state Markov model in
-  which a path alternates between a *good* state (near-zero loss) and a
-  *bad* state (heavy loss).  Bursty loss is what makes forward error
-  correction partially ineffective, which in turn shapes how well the
-  application-layer safeguards of :mod:`repro.netsim.mitigation` hide loss
-  from the user — the mechanism behind the paper's observation that loss
-  up to 2 % barely moves engagement (Fig. 1, middle-left).
-
-Both expose ``interval_loss_rate`` which returns the realised loss
-fraction over one five-second reporting interval; the telemetry client is
+``interval_loss_rates`` returns the realised loss fraction over each
+five-second reporting interval of a session; the telemetry client is
 modelled as counting lost/total packets per interval, exactly what a real
 RTP receiver report provides.
 """
@@ -27,32 +23,6 @@ import numpy as np
 from repro.errors import ConfigError
 
 PACKETS_PER_SECOND = 50  # 20 ms audio/video packetisation.
-
-
-@dataclass
-class BernoulliLoss:
-    """Independent per-packet loss at a fixed rate."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rate <= 1:
-            raise ConfigError(f"loss rate must be in [0, 1], got {self.rate}")
-
-    def interval_loss_rate(self, rng: np.random.Generator,
-                           duration_s: float = 5.0) -> float:
-        """Realised loss fraction over an interval of ``duration_s``."""
-        n_packets = max(1, int(duration_s * PACKETS_PER_SECOND))
-        lost = rng.binomial(n_packets, self.rate)
-        return float(lost) / n_packets
-
-    def burst_fraction(self) -> float:
-        """Fraction of losses arriving in bursts (length >= 2).
-
-        For independent losses this is simply the loss rate itself — the
-        probability that the packet following a lost one is also lost.
-        """
-        return self.rate
 
 
 @dataclass
@@ -100,34 +70,6 @@ class GilbertElliottLoss:
         p_gb = p_bg * pi_bad / (1 - pi_bad)
         return min(1.0, p_gb), min(1.0, p_bg)
 
-    def interval_loss_rate(self, rng: np.random.Generator,
-                           duration_s: float = 5.0) -> float:
-        """Simulate packet-by-packet through the Markov chain.
-
-        State persists across calls, so consecutive intervals of a session
-        show realistic loss correlation (a burst can straddle intervals).
-        """
-        if self.rate == 0:
-            return 0.0
-        n_packets = max(1, int(duration_s * PACKETS_PER_SECOND))
-        p_gb, p_bg = self._transition_probs()
-        lost = 0
-        bad = self._state_bad
-        # Vectorised draw: one uniform per packet for transition, one for loss.
-        trans = rng.random(n_packets)
-        drops = rng.random(n_packets)
-        for i in range(n_packets):
-            if bad:
-                if drops[i] < self.bad_loss:
-                    lost += 1
-                if trans[i] < p_bg:
-                    bad = False
-            else:
-                if trans[i] < p_gb:
-                    bad = True
-        self._state_bad = bad
-        return lost / n_packets
-
     def expected_burst_length(self) -> float:
         """Mean number of packets per bad-state visit."""
         _, p_bg = self._transition_probs()
@@ -143,12 +85,11 @@ class GilbertElliottLoss:
     ) -> np.ndarray:
         """Realised loss fraction for ``n_intervals`` consecutive intervals.
 
-        Fast path for session-scale simulation: instead of stepping the
-        chain packet-by-packet, alternate geometric good/bad sojourns
-        (state run lengths) across the whole session and bin bad-state
-        packets into intervals.  Statistically identical to
-        :meth:`interval_loss_rate` but O(number of state runs) instead of
-        O(number of packets).
+        Instead of stepping the chain packet by packet, alternate
+        geometric good/bad sojourns (state run lengths) across the whole
+        session and bin bad-state packets into intervals: O(number of
+        state runs) instead of O(number of packets).  The chain's state
+        persists across calls.
         """
         if n_intervals < 1:
             raise ConfigError(f"n_intervals must be >= 1, got {n_intervals}")

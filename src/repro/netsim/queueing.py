@@ -9,8 +9,7 @@ offered load:
 * :class:`BottleneckQueue` gives the closed-form M/M/1/K quantities
   (mean wait, delay variation, blocking probability);
 * :func:`simulate_queue` is a small discrete-event simulation of the same
-  queue, used by the tests to validate the formulas and available for
-  workloads that are not Poisson;
+  queue, the reference the tests check the formulas against;
 * :func:`profile_for_load` converts (propagation delay, offered load)
   into a :class:`~repro.netsim.link.LinkProfile`, so a whole family of
   tier anchors can be derived from one physical story.
@@ -147,104 +146,6 @@ def simulate_queue(
         free_at = departure
         sojourns.append(departure - arrival)
     return np.asarray(sojourns), dropped / n_packets
-
-
-@dataclass(frozen=True)
-class PriorityBottleneck:
-    """Two-class non-preemptive priority at the same bottleneck.
-
-    Conferencing traffic is commonly DSCP-marked so audio (class 1)
-    queues ahead of video/bulk (class 2).  The classic M/M/1
-    non-preemptive priority results give per-class mean waits:
-
-        W_q1 = R / (1 - rho1)
-        W_q2 = R / ((1 - rho1)(1 - rho1 - rho2))
-
-    with R the mean residual service time of the job in service.  This is
-    why audio stays interactive on a loaded link long after video has
-    gone to mush — the physical complement of the FEC/concealment story.
-    """
-
-    queue: BottleneckQueue = BottleneckQueue()
-
-    def _rhos(self, audio_mbps: float, video_mbps: float) -> Tuple[float, float]:
-        if audio_mbps < 0 or video_mbps < 0:
-            raise ConfigError("offered loads must be >= 0")
-        rho1 = audio_mbps / self.queue.capacity_mbps
-        rho2 = video_mbps / self.queue.capacity_mbps
-        if rho1 + rho2 >= 1:
-            raise ConfigError(
-                f"total load {rho1 + rho2:.2f} >= 1 has no steady state"
-            )
-        return rho1, rho2
-
-    def mean_waits_ms(self, audio_mbps: float,
-                      video_mbps: float) -> Tuple[float, float]:
-        """(audio, video) mean *queueing* waits, excluding service."""
-        rho1, rho2 = self._rhos(audio_mbps, video_mbps)
-        service = self.queue.service_time_ms
-        # Exponential service: mean residual = rho_total * service.
-        residual = (rho1 + rho2) * service
-        wait_audio = residual / (1 - rho1)
-        wait_video = residual / ((1 - rho1) * (1 - rho1 - rho2))
-        return wait_audio, wait_video
-
-    def protection_factor(self, audio_mbps: float,
-                          video_mbps: float) -> float:
-        """How many times shorter the audio wait is than the video wait."""
-        wait_audio, wait_video = self.mean_waits_ms(audio_mbps, video_mbps)
-        if wait_audio <= 0:
-            return float("inf")
-        return wait_video / wait_audio
-
-
-def simulate_priority_queue(
-    rng: np.random.Generator,
-    bottleneck: PriorityBottleneck,
-    audio_mbps: float,
-    video_mbps: float,
-    n_packets: int = 30000,
-) -> Tuple[float, float]:
-    """Event simulation of the two-class queue; returns mean waits (ms).
-
-    Non-preemptive: the packet in service finishes; among waiting
-    packets, audio always goes first (FIFO within class).
-    """
-    rho1, rho2 = bottleneck._rhos(audio_mbps, video_mbps)
-    service_ms = bottleneck.queue.service_time_ms
-    total_rate = (rho1 + rho2) / service_ms  # packets per ms
-    if total_rate <= 0:
-        raise SimulationError("need positive offered load")
-    p_audio = rho1 / (rho1 + rho2)
-
-    arrivals = np.cumsum(rng.exponential(1 / total_rate, size=n_packets))
-    classes = rng.random(n_packets) < p_audio
-    services = rng.exponential(service_ms, size=n_packets)
-
-    waits = {True: [], False: []}
-    queue_audio: List[int] = []
-    queue_video: List[int] = []
-    clock = 0.0
-    next_arrival = 0
-    while next_arrival < n_packets or queue_audio or queue_video:
-        # Admit everything that has arrived by the current clock.
-        while next_arrival < n_packets and arrivals[next_arrival] <= clock:
-            (queue_audio if classes[next_arrival] else queue_video).append(
-                next_arrival
-            )
-            next_arrival += 1
-        if not queue_audio and not queue_video:
-            if next_arrival >= n_packets:
-                break
-            clock = arrivals[next_arrival]
-            continue
-        index = queue_audio.pop(0) if queue_audio else queue_video.pop(0)
-        start = max(clock, arrivals[index])
-        waits[bool(classes[index])].append(start - arrivals[index])
-        clock = start + services[index]
-    mean_audio = float(np.mean(waits[True])) if waits[True] else 0.0
-    mean_video = float(np.mean(waits[False])) if waits[False] else 0.0
-    return mean_audio, mean_video
 
 
 def profile_for_load(

@@ -6,19 +6,20 @@ information every 5 seconds.  When the user session ends, each client
 computes the mean, median, and 95th percentile (P95) value for each of
 these metrics per session."*
 
-:class:`TraceGenerator` produces exactly that stream for a given path, and
-:class:`ConditionTrace` performs the end-of-session aggregation.
+:func:`generate_condition_arrays` produces that stream for one session's
+link profile, one array per metric; the record generator aggregates it
+per session.  :class:`ConditionSample` is one sample, the input of the
+scalar mitigation model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.netsim.jitter import JitterProcess
 from repro.netsim.link import LinkProfile
 from repro.netsim.loss import GilbertElliottLoss
 
@@ -44,52 +45,6 @@ class ConditionSample:
             raise ConfigError("bandwidth must be non-negative")
 
 
-class ConditionTrace:
-    """An ordered list of samples with per-session aggregation."""
-
-    METRICS = ("latency_ms", "loss_pct", "jitter_ms", "bandwidth_mbps")
-
-    def __init__(self, samples: Sequence[ConditionSample]) -> None:
-        if not samples:
-            raise SimulationError("a trace needs at least one sample")
-        self._samples: List[ConditionSample] = list(samples)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self) -> Iterator[ConditionSample]:
-        return iter(self._samples)
-
-    def __getitem__(self, i: int) -> ConditionSample:
-        return self._samples[i]
-
-    @property
-    def duration_s(self) -> float:
-        return len(self._samples) * SAMPLE_INTERVAL_S
-
-    def metric(self, name: str) -> np.ndarray:
-        if name not in self.METRICS:
-            raise SimulationError(f"unknown trace metric {name!r}")
-        return np.array([getattr(s, name) for s in self._samples])
-
-    def aggregate(self) -> Dict[str, Dict[str, float]]:
-        """Per-metric mean / median / P95, as computed at session end."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for name in self.METRICS:
-            values = self.metric(name)
-            summary[name] = {
-                "mean": float(values.mean()),
-                "median": float(np.median(values)),
-                "p95": float(np.percentile(values, 95)),
-            }
-        return summary
-
-    def truncated(self, duration_s: float) -> "ConditionTrace":
-        """The prefix of the trace a user who left early actually saw."""
-        n = max(1, int(round(duration_s / SAMPLE_INTERVAL_S)))
-        return ConditionTrace(self._samples[:n])
-
-
 def generate_condition_arrays(
     profile: LinkProfile,
     rng: np.random.Generator,
@@ -97,10 +52,10 @@ def generate_condition_arrays(
 ) -> Dict[str, np.ndarray]:
     """Vectorised session trace: one array per metric, length ``n_intervals``.
 
-    This is the fast path used by the telemetry generator.  It mirrors
-    :meth:`TraceGenerator.generate`: AR(1) jitter with spikes, queueing
-    delay co-moving with jitter, run-length Gilbert–Elliott loss and a
-    clipped multiplicative bandwidth walk.
+    The record generator and :class:`~repro.netsim.tuning.MitigationTuner`
+    run it: AR(1) jitter with spikes, queueing delay co-moving with
+    jitter, run-length Gilbert–Elliott loss and a clipped multiplicative
+    bandwidth walk.
     """
     if n_intervals < 1:
         raise SimulationError(f"n_intervals must be >= 1, got {n_intervals}")
@@ -154,53 +109,3 @@ def generate_condition_arrays(
         "jitter_ms": jitter,
         "bandwidth_mbps": bandwidth,
     }
-
-
-class TraceGenerator:
-    """Generate a session-long condition trace for one participant's path.
-
-    Latency varies around the path baseline with load-dependent inflation
-    (standing queues correlate with jitter), loss follows a Gilbert–Elliott
-    chain whose burstiness comes from the profile, and bandwidth wanders
-    slowly around the bottleneck value.
-    """
-
-    def __init__(self, profile: LinkProfile) -> None:
-        self._profile = profile
-        self._loss = GilbertElliottLoss(
-            rate=profile.loss_rate, burstiness=min(profile.burstiness, 0.95)
-        )
-        self._jitter = JitterProcess(scale_ms=profile.jitter_ms)
-
-    def generate(self, rng: np.random.Generator, duration_s: float) -> ConditionTrace:
-        if duration_s <= 0:
-            raise SimulationError(f"duration must be positive, got {duration_s}")
-        n_samples = max(1, int(round(duration_s / SAMPLE_INTERVAL_S)))
-        self._jitter.reset()
-        samples: List[ConditionSample] = []
-        bandwidth_level = self._profile.bandwidth_mbps
-        for i in range(n_samples):
-            jitter_ms = self._jitter.sample_interval(rng)
-            # Queueing delay co-moves with jitter: both come from queues.
-            queueing_ms = 1.5 * jitter_ms * rng.random()
-            latency_ms = self._profile.base_latency_ms + queueing_ms + abs(
-                rng.normal(0, 0.03 * self._profile.base_latency_ms + 0.5)
-            )
-            loss_frac = self._loss.interval_loss_rate(rng, SAMPLE_INTERVAL_S)
-            # Slow multiplicative random walk for available bandwidth.
-            bandwidth_level *= float(np.exp(rng.normal(0, 0.05)))
-            bandwidth_level = float(
-                np.clip(bandwidth_level,
-                        0.3 * self._profile.bandwidth_mbps,
-                        1.5 * self._profile.bandwidth_mbps)
-            )
-            samples.append(
-                ConditionSample(
-                    t_s=i * SAMPLE_INTERVAL_S,
-                    latency_ms=float(latency_ms),
-                    loss_pct=float(min(100.0, loss_frac * 100)),
-                    jitter_ms=float(jitter_ms),
-                    bandwidth_mbps=bandwidth_level,
-                )
-            )
-        return ConditionTrace(samples)

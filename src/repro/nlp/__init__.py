@@ -21,7 +21,7 @@ from repro.nlp.keywords import OUTAGE_KEYWORDS, KeywordDictionary
 from repro.nlp.news import NewsArticle, NewsIndex
 from repro.nlp.sentiment import SentimentAnalyzer, SentimentScores
 from repro.nlp.stopwords import STOPWORDS
-from repro.nlp.tokenize import sentences, tokenize
+from repro.nlp.tokenize import tokenize
 from repro.nlp.trends import EmergingTopic, TrendMiner
 from repro.nlp.wordcloud import WordCloud, build_wordcloud
 
@@ -37,6 +37,5 @@ __all__ = [
     "TrendMiner",
     "WordCloud",
     "build_wordcloud",
-    "sentences",
     "tokenize",
 ]

@@ -47,8 +47,3 @@ def _build() -> FrozenSet[str]:
 
 
 STOPWORDS: FrozenSet[str] = _build()
-
-
-def is_stopword(token: str) -> bool:
-    """Case-insensitive stopword check."""
-    return token.lower() in STOPWORDS

@@ -19,7 +19,6 @@ _TOKEN_RE = re.compile(
     r"[A-Za-z]+(?:'[A-Za-z]+)?|\d+(?:\.\d+)?|[!?]+"
     r"|[\U0001F300-\U0001FAFF☀-➿]"
 )
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 
 def tokenize(text: str, lowercase: bool = False) -> List[str]:
@@ -41,14 +40,6 @@ def tokenize(text: str, lowercase: bool = False) -> List[str]:
 def words(text: str) -> List[str]:
     """Lowercased alphabetic tokens only (word-cloud input)."""
     return [t.lower() for t in tokenize(text) if t[0].isalpha()]
-
-
-def sentences(text: str) -> List[str]:
-    """Naive sentence split on terminal punctuation."""
-    if not isinstance(text, str):
-        raise TypeError(f"expected str, got {type(text).__name__}")
-    parts = _SENTENCE_SPLIT_RE.split(text.strip())
-    return [p for p in (part.strip() for part in parts) if p]
 
 
 def bigrams(tokens: List[str]) -> List[str]:

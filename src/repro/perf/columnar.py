@@ -394,8 +394,7 @@ class CorpusColumns:
         this object, so the timeline, the outage monitor, the fulcrum
         and the USaaS social export all reuse one scoring pass.  An
         explicit analyzer — anything with ``score_many``, such as a
-        configured :class:`SentimentAnalyzer` or a fallback chain —
-        scores fresh.
+        configured :class:`SentimentAnalyzer` — scores fresh.
         """
         if analyzer is None:
             if self._sentiment is None:

@@ -7,9 +7,8 @@ three layers:
 * :mod:`repro.prediction.model` — :class:`ColumnarMosPredictor`, ridge
   regression trained on the sparse ``rating`` column of a
   :class:`~repro.perf.columnar.ParticipantColumns` block and predicting
-  for every row in one vectorized call, plus the held-out evaluators
-  :func:`kfold_evaluate` / :func:`train_test_evaluate`, which take
-  participant records;
+  for every row in one vectorized call, plus the held-out evaluator
+  :func:`train_test_evaluate`, which takes participant records;
 * :mod:`repro.prediction.emodel` — the vectorized E-model prior
   (:func:`emodel_prior_mos`), the deadline-pressure fallback that needs
   no training and no engagement features;
@@ -38,7 +37,6 @@ from repro.prediction.model import (
     NETWORK_FEATURES,
     ColumnarMosPredictor,
     PredictionReport,
-    kfold_evaluate,
     train_test_evaluate,
 )
 from repro.prediction.service import (
@@ -68,7 +66,6 @@ __all__ = [
     "emodel_prior_from_arrays",
     "emodel_prior_mos",
     "evaluate_ground_truth",
-    "kfold_evaluate",
     "run_prediction_soak",
     "synthetic_prediction_server",
     "train_test_evaluate",

@@ -18,9 +18,9 @@ results are a pure function of the rows and their order.
 ``tests/prediction/test_model.py`` pins weights and predictions
 ``tobytes``-equal to a record-at-a-time oracle.
 
-:func:`kfold_evaluate` and :func:`train_test_evaluate` grade the model
-on held-out ratings, comparing a network-only feature set against
-network+engagement to quantify how much signal the user actions add.
+:func:`train_test_evaluate` grades the model on held-out ratings,
+comparing a network-only feature set against network+engagement to
+quantify how much signal the user actions add.
 """
 
 from __future__ import annotations
@@ -114,19 +114,8 @@ class ColumnarMosPredictor:
             columns.append(col if rows is None else col[rows])
         return np.array(columns, dtype=float).T
 
-    def fit_columns(
-        self,
-        cols: ParticipantColumns,
-        exclude: Optional[np.ndarray] = None,
-    ) -> "ColumnarMosPredictor":
+    def fit_columns(self, cols: ParticipantColumns) -> "ColumnarMosPredictor":
         """Fit on the block's rated rows (NaN in ``rating`` = unrated).
-
-        ``exclude`` is an optional boolean mask over *all* rows marking
-        ratings the trainer must not learn from — typically
-        :func:`repro.integrity.trust.fraud_rating_mask`, so a rating-
-        fraud campaign cannot steer the model.  With ``exclude=None``
-        (or an all-False mask) the fit is byte-identical to the
-        unfiltered path.
 
         Raises:
             InsufficientRatingsError: fewer rated rows than the model
@@ -136,16 +125,7 @@ class ColumnarMosPredictor:
                 instead of surfacing as a numpy ``LinAlgError``.
         """
         rating = np.asarray(cols.rating, dtype=float)
-        finite = np.isfinite(rating)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=bool)
-            if exclude.shape != rating.shape:
-                raise AnalysisError(
-                    f"exclude mask must cover all rows: "
-                    f"{exclude.shape} != {rating.shape}"
-                )
-            finite = finite & ~exclude
-        rated = np.flatnonzero(finite)
+        rated = np.flatnonzero(np.isfinite(rating))
         required = len(self._features) + 2
         if len(rated) < required:
             raise InsufficientRatingsError(len(rated), required)
@@ -203,46 +183,6 @@ def _report(
         n_test=len(actual),
         features=tuple(features),
     )
-
-
-def kfold_evaluate(
-    sessions: Iterable[ParticipantRecord],
-    features: Sequence[str] = ALL_FEATURES,
-    k: int = 5,
-    l2: float = 1.0,
-    seed: int = 0,
-) -> PredictionReport:
-    """K-fold cross-validated evaluation (pooled out-of-fold predictions).
-
-    More stable than a single split for the modest rated-session counts
-    realistic sampling rates produce.  The fold assignment comes from
-    the ``derive(seed, "predictor", "kfold")`` substream, so a given
-    seed yields a byte-identical split (and report) across runs — the
-    same discipline every other seeded path in the repo follows.  Each
-    fold trains on a block of the remaining rated sessions in their
-    original order and predicts a block of the fold's sessions in fold
-    order.
-    """
-    if k < 2:
-        raise AnalysisError("k must be >= 2")
-    rated = [p for p in sessions if p.rating is not None]
-    if len(rated) < 4 * k:
-        raise InsufficientRatingsError(len(rated), 4 * k)
-    rng = derive(seed, "predictor", "kfold")
-    order = rng.permutation(len(rated))
-    folds = np.array_split(order, k)
-
-    predictions = np.empty(len(rated))
-    for fold in folds:
-        test_idx = set(fold.tolist())
-        train = [p for i, p in enumerate(rated) if i not in test_idx]
-        model = ColumnarMosPredictor(features=features, l2=l2)
-        model.fit_columns(participant_columns(train))
-        test = [rated[i] for i in fold.tolist()]
-        predictions[fold] = model.predict_columns(participant_columns(test))
-
-    actual = np.array([float(p.rating) for p in rated])
-    return _report(predictions, actual, len(rated) - len(folds[0]), features)
 
 
 def train_test_evaluate(

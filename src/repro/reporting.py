@@ -1,16 +1,15 @@
 """Study-report generation: the analyses as a shareable document.
 
-Turns a call dataset and/or a social corpus into a plain-text study
-report covering the same ground as the paper's §3 and §4 — headline
-numbers, per-figure sections, and the USaaS digest.  Used by the CLI
-(``--report``) and the examples; also a convenient single entry point
-for users who just want "run everything and show me".
+Turns a call dataset (:func:`teams_report`) or a social corpus
+(:func:`starlink_report`) into a plain-text study report covering the
+same ground as the paper's §3 or §4 — headline numbers and per-figure
+sections.  The CLI's ``analyze-teams`` and ``analyze-starlink`` print
+them with ``--report``; ``usaas`` answers the §5 query.
 """
 
 from __future__ import annotations
 
-import datetime as dt
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -140,48 +139,3 @@ def starlink_report(corpus, n_peaks: int = 3) -> str:
         except AnalysisError as exc:
             lines.append(f"fulcrum unavailable: {exc}")
     return "\n".join(lines).strip() + "\n"
-
-
-def full_report(
-    dataset=None,
-    corpus=None,
-    network: str = "starlink",
-    service: Optional[str] = "teams",
-) -> str:
-    """§3 + §4 + the §5 USaaS digest, in one document."""
-    if dataset is None and corpus is None:
-        raise AnalysisError("need a dataset, a corpus, or both")
-    parts: List[str] = [
-        "USER-SIGNAL STUDY REPORT",
-        f"generated {dt.date.today().isoformat()} — repro of "
-        "'Don't Forget the User' (HotNets '23)",
-    ]
-    if dataset is not None:
-        parts.append(teams_report(dataset))
-    if corpus is not None:
-        parts.append(starlink_report(corpus))
-    if dataset is not None or corpus is not None:
-        from repro.core.usaas import (
-            UsaasQuery,
-            UsaasService,
-            social_signals,
-            telemetry_signals,
-        )
-
-        service_obj = UsaasService()
-        if dataset is not None:
-            service_obj.register_source(
-                "telemetry",
-                lambda: telemetry_signals(dataset, network=network,
-                                          service=service or "teams"),
-            )
-        if corpus is not None:
-            service_obj.register_source(
-                "social", lambda: social_signals(corpus, network=network)
-            )
-        parts += _section("USaaS digest (paper §5)")
-        report = service_obj.answer(
-            UsaasQuery(network=network, service=service)
-        )
-        parts.append(report.summary)
-    return "\n".join(parts).strip() + "\n"

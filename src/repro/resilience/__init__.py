@@ -9,8 +9,8 @@ the whole service down:
 
 * :mod:`repro.resilience.clock` — injectable time so nothing here ever
   needs a real ``sleep`` under test;
-* :mod:`repro.resilience.policy` — :class:`RetryPolicy` (deterministic
-  exponential backoff with seeded jitter) and :class:`Fallback` chains;
+* :mod:`repro.resilience.policy` — :class:`RetryPolicy`, deterministic
+  exponential backoff with seeded jitter;
 * :mod:`repro.resilience.breaker` — a :class:`CircuitBreaker` with
   closed/open/half-open states over a rolling outcome window;
 * :mod:`repro.resilience.health` — per-source :class:`SourceHealth`
@@ -37,20 +37,13 @@ from repro.resilience.faults import (
     LoadSpikeSpec,
 )
 from repro.resilience.health import HealthLedger, SourceHealth, health_table
-from repro.resilience.policy import (
-    Fallback,
-    FallbackResult,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.resilience.policy import RetryPolicy
 
 __all__ = [
     "Arrival",
     "BreakerState",
     "CircuitBreaker",
     "Clock",
-    "Fallback",
-    "FallbackResult",
     "FaultPlan",
     "FaultSpec",
     "FetchOutcome",
@@ -63,6 +56,5 @@ __all__ = [
     "RetryPolicy",
     "SourceExecutor",
     "SourceHealth",
-    "call_with_retry",
     "health_table",
 ]

@@ -16,11 +16,6 @@ import numpy as np
 DEFAULT_SEED = 20231128  # HotNets '23 opening day.
 
 
-def make_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    """Create a root generator from an integer seed."""
-    return np.random.default_rng(seed)
-
-
 def derive(seed: int, *keys: str) -> np.random.Generator:
     """Derive an independent generator from a root seed and string keys.
 

@@ -20,7 +20,6 @@ from repro.social.events import Event, EventCalendar, build_news_index
 from repro.social.reports import SpeedTestShare
 from repro.social.schema import Post
 from repro.social.textgen import TextGenerator
-from repro.social.threads import ThreadExpander, thread_polarity
 
 __all__ = [
     "Author",
@@ -33,7 +32,5 @@ __all__ = [
     "RedditCorpus",
     "SpeedTestShare",
     "TextGenerator",
-    "ThreadExpander",
     "build_news_index",
-    "thread_polarity",
 ]

@@ -40,9 +40,7 @@ def social_stream(
     With the default analyzer (``None``) the polarity comes from the
     corpus-wide sentiment block shared with the §4 analyses.  An
     explicit ``analyzer`` must have ``score_many`` (a configured
-    :class:`SentimentAnalyzer` or a
-    :class:`~repro.core.usaas.adapters.FallbackSentimentChain`); it
-    scores the posts afresh.
+    :class:`SentimentAnalyzer`, for one); it scores the posts afresh.
     """
     cols = corpus_columns(corpus)
     if len(cols) == 0:

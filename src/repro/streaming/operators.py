@@ -246,15 +246,6 @@ class DecayedAggregate:
         self._roles: Dict[str, str] = {}
         self._next_sample_s: Optional[float] = None
 
-    def value_at(self, metric: str, at_s: float) -> float:
-        """The decayed mean of ``metric``, decayed forward to ``at_s``."""
-        cell = self._state[metric]
-        # num and den decay by the same factor, so the ratio is
-        # time-invariant between updates; at_s only matters for clamping.
-        if at_s < cell[2]:
-            raise ConfigError("cannot sample a decayed mean in the past")
-        return cell[0] / cell[1]
-
     def process(
         self, records: List[StreamRecord], watermark_s: float
     ) -> List[Emission]:
@@ -322,7 +313,12 @@ class DecayedAggregate:
 
     def _sample(self) -> List[Emission]:
         """Every metric's decayed mean at the next grid point, which
-        then moves one step on."""
+        then moves one step on.
+
+        ``num`` and ``den`` decay by the same factor, so the mean is
+        constant between folds: a grid point with no fold since the last
+        one emits the same value again.
+        """
         s = self._next_sample_s
         self._next_sample_s = s + self.sample_every_s
         return [

@@ -173,14 +173,20 @@ class StreamRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StreamRecord":
+        """The record a wire dict describes.
+
+        The fields go to the constructor as they are, uncoerced, so a
+        dict is refused exactly when the record would refuse its fields
+        (a bool or string time or value, a non-string source).
+        """
         try:
             return cls(
-                float(data["event_time_s"]),
-                str(data["source"]),
-                str(data["metric"]),
-                float(data["value"]),
-                str(data.get("key", "")),
-                str(data.get("role", "network")),
+                data["event_time_s"],
+                data["source"],
+                data["metric"],
+                data["value"],
+                data.get("key", ""),
+                data.get("role", "network"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad stream record: {exc}") from exc

@@ -75,9 +75,6 @@ class WatermarkTracker:
                 self._floor_s,
             )
 
-    def is_late(self, event_time_s: float) -> bool:
-        return event_time_s < self.watermark_s
-
     def observe(self, event_time_s: float) -> float:
         """Fold one event time in; returns the (possibly advanced) watermark."""
         self.observed += 1

@@ -102,11 +102,3 @@ PLATFORMS: Dict[str, Platform] = {
         mitigation_strength=0.7, population_share=0.10,
     ),
 }
-
-
-def platform_for(key: str) -> Platform:
-    """Look up a platform by key, raising a library error if unknown."""
-    try:
-        return PLATFORMS[key]
-    except KeyError:
-        raise ConfigError(f"unknown platform {key!r}") from None

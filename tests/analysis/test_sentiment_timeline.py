@@ -50,34 +50,6 @@ class TestSentimentTimeline:
                 return
         pytest.skip("every day had strong posts")
 
-    def test_scoring_unit_ablation(self, small_corpus):
-        """Post-only vs whole-thread scoring ranks the same worst days.
-
-        The paper scores posts; an alternative unit is the full thread.
-        The headline outage days must dominate either way."""
-        import datetime as dt
-
-        from repro.nlp.sentiment import SentimentAnalyzer
-        from repro.social.threads import ThreadExpander
-
-        expanded = ThreadExpander(seed=1).expand(small_corpus)
-        analyzer = SentimentAnalyzer()
-
-        def worst_days(corpus, text_of):
-            daily = {}
-            for post in corpus:
-                if analyzer.score(text_of(post)).is_strong_negative:
-                    daily[post.date] = daily.get(post.date, 0) + 1
-            return {
-                d for d, _ in sorted(daily.items(), key=lambda kv: -kv[1])[:2]
-            }
-
-        post_unit = worst_days(expanded, lambda p: p.full_text)
-        thread_unit = worst_days(expanded, lambda p: p.thread_text)
-        headline = {dt.date(2022, 1, 7), dt.date(2022, 4, 22)}
-        assert post_unit == headline
-        assert thread_unit == headline
-
     def test_combined_is_sum(self, timeline):
         combined = timeline.combined()
         total = (

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.stats import (
     BinnedCurve,
     bin_statistic,
-    bootstrap_ci,
     pearson,
     percentile,
     spearman,
@@ -61,12 +60,6 @@ class TestBinStatistic:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(AnalysisError):
             bin_statistic([1, 2], [1], [0, 3])
-
-    def test_nonempty_strips_empty_bins(self):
-        curve = bin_statistic([0.5, 2.5], [1, 2], [0, 1, 2, 3])
-        stripped = curve.nonempty()
-        assert stripped.n_bins == 2
-        assert not np.isnan(stripped.stat).any()
 
     @given(
         st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=50),
@@ -146,24 +139,3 @@ class TestPercentile:
     def test_rejects_empty(self):
         with pytest.raises(AnalysisError):
             percentile([], 50)
-
-
-class TestBootstrap:
-    def test_ci_contains_estimate(self, fresh_rng):
-        values = list(range(100))
-        result = bootstrap_ci(values, rng=fresh_rng)
-        assert result.low <= result.estimate <= result.high
-        assert result.contains(result.estimate)
-
-    def test_narrow_for_constant_data(self, fresh_rng):
-        result = bootstrap_ci([5.0] * 50, rng=fresh_rng)
-        assert result.width == 0.0
-        assert result.estimate == 5.0
-
-    def test_rejects_empty(self, fresh_rng):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([], rng=fresh_rng)
-
-    def test_rejects_bad_confidence(self, fresh_rng):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0], confidence=1.5, rng=fresh_rng)

@@ -6,7 +6,6 @@ import pytest
 from repro.engagement.adjustment import (
     adjusted_curve,
     composition_bias_demo,
-    stratify_by_conditioning,
     stratify_by_device_class,
     stratify_by_platform,
 )
@@ -49,17 +48,6 @@ class TestStratifiers:
     def test_device_class(self):
         assert stratify_by_device_class(make_participant("ios_mobile", 1, 1)) == "mobile"
         assert stratify_by_device_class(make_participant("mac_pc", 1, 1)) == "pc"
-
-    def test_conditioning_bands(self):
-        assert stratify_by_conditioning(
-            make_participant("mac_pc", 1, 1, conditioning=0.1)
-        ) == "hardened"
-        assert stratify_by_conditioning(
-            make_participant("mac_pc", 1, 1, conditioning=0.5)
-        ) == "average"
-        assert stratify_by_conditioning(
-            make_participant("mac_pc", 1, 1, conditioning=0.9)
-        ) == "sensitive"
 
     def test_platform_identity(self):
         assert stratify_by_platform(make_participant("mac_pc", 1, 1)) == "mac_pc"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engagement.curves import DEFAULT_EDGES, fig1_curves
-from repro.engagement.metrics import engagement_frame, normalize_to_best
+from repro.engagement.metrics import normalize_to_best
 from repro.errors import AnalysisError
 from repro.netsim.link import LinkProfile
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
@@ -67,20 +67,6 @@ class TestFig1Curves:
 
 
 class TestMetricsHelpers:
-    def test_engagement_frame_columns(self, latency_sweep):
-        frame = engagement_frame(latency_sweep)
-        assert set(frame) >= {
-            "presence_pct", "cam_on_pct", "mic_on_pct",
-            "latency_ms", "loss_pct", "jitter_ms", "bandwidth_mbps",
-            "dropped_early", "rating", "conditioning",
-        }
-        n = len(latency_sweep)
-        assert all(len(col) == n for col in frame.values())
-
-    def test_engagement_frame_rejects_empty(self):
-        with pytest.raises(AnalysisError):
-            engagement_frame([])
-
     def test_normalize_to_best(self):
         normalized = normalize_to_best([50.0, 100.0, np.nan])
         assert normalized[1] == 100.0

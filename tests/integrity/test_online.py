@@ -258,6 +258,25 @@ class TestBoundaryParser:
         assert report.quarantined[reason] == 1
         assert report.n_quarantined == 1
 
+    @pytest.mark.parametrize("fields, reason", [
+        ({"event_time_s": True, "value": "2.5"}, "bad_event_time"),
+        ({"event_time_s": "3", "value": False}, "bad_event_time"),
+        ({"value": "2.5"}, "bad_value"),
+        ({"value": False}, "bad_value"),
+        ({"source": 5}, "other"),
+        ({"key": 7}, "other"),
+        (None, "other"),
+    ])
+    def test_fields_the_record_refuses_are_quarantined(self, fields, reason):
+        """The boundary accepts exactly what ``StreamRecord`` accepts:
+        no coercion of a bool or string time or value, or of a
+        non-string source or key."""
+        entry = None if fields is None else dict(self._good(), **fields)
+        report = parse_stream_dicts([self._good(), entry])
+        assert len(report.records) == 1
+        assert report.quarantined[reason] == 1
+        assert report.n_quarantined == 1
+
     def test_every_bucket_is_a_documented_reason(self):
         report = parse_stream_dicts([])
         assert set(report.quarantined) == set(BOUNDARY_REASONS)

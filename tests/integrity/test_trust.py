@@ -5,7 +5,6 @@ import pytest
 
 from repro.integrity import (
     contamination_estimate,
-    fraud_rating_mask,
     post_weights,
     rated_weights,
     score_authors,
@@ -200,67 +199,3 @@ class TestSignalUnits:
             network="starlink", metric="latency_ms", value=40.0,
         )]
         assert score_signal_units(signals) == {}
-
-
-class TestPredictionFilter:
-    """fit_columns(exclude=...) keeps fraud out of the trainer."""
-
-    def test_none_and_all_false_are_byte_identical(self, fraud_calls):
-        from repro.perf.columnar import ParticipantColumns
-        from repro.prediction import ColumnarMosPredictor
-
-        cols = ParticipantColumns.from_dataset(fraud_calls.dataset)
-        plain = ColumnarMosPredictor().fit_columns(cols)
-        masked = ColumnarMosPredictor().fit_columns(
-            cols, exclude=np.zeros(len(cols), dtype=bool)
-        )
-        for name, w in plain.weights().items():
-            assert np.float64(w).tobytes() == np.float64(
-                masked.weights()[name]
-            ).tobytes()
-
-    def test_fraud_mask_changes_the_fit(self, fraud_calls):
-        from repro.perf.columnar import ParticipantColumns
-        from repro.prediction import ColumnarMosPredictor
-
-        cols = ParticipantColumns.from_dataset(fraud_calls.dataset)
-        scores = score_raters(fraud_calls.dataset)
-        mask = fraud_rating_mask(cols, scores)
-        assert mask.any()
-        plain = ColumnarMosPredictor().fit_columns(cols)
-        filtered = ColumnarMosPredictor().fit_columns(cols, exclude=mask)
-        assert plain.weights() != filtered.weights()
-
-    def test_filtered_fit_matches_clean_reference_better(
-        self, small_dataset_module, fraud_calls,
-    ):
-        """Dropping fraud rows pulls the intercept back toward clean."""
-        from repro.perf.columnar import ParticipantColumns
-        from repro.prediction import ColumnarMosPredictor
-
-        clean_cols = ParticipantColumns.from_dataset(small_dataset_module)
-        tainted_cols = ParticipantColumns.from_dataset(fraud_calls.dataset)
-        scores = score_raters(fraud_calls.dataset)
-        mask = fraud_rating_mask(tainted_cols, scores)
-
-        clean_mean = float(np.nanmean(
-            np.asarray(clean_cols.rating, dtype=float)
-        ))
-        naive_pred = ColumnarMosPredictor().fit_columns(tainted_cols)
-        safe_pred = ColumnarMosPredictor().fit_columns(
-            tainted_cols, exclude=mask
-        )
-        naive_mean = float(np.mean(naive_pred.predict_columns(clean_cols)))
-        safe_mean = float(np.mean(safe_pred.predict_columns(clean_cols)))
-        assert abs(safe_mean - clean_mean) < abs(naive_mean - clean_mean)
-
-    def test_misshapen_mask_rejected(self, fraud_calls):
-        from repro.errors import AnalysisError
-        from repro.perf.columnar import ParticipantColumns
-        from repro.prediction import ColumnarMosPredictor
-
-        cols = ParticipantColumns.from_dataset(fraud_calls.dataset)
-        with pytest.raises(AnalysisError):
-            ColumnarMosPredictor().fit_columns(
-                cols, exclude=np.zeros(3, dtype=bool)
-            )

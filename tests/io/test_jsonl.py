@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.io.jsonl import iter_jsonl, read_jsonl, write_jsonl
+from repro.io.jsonl import salvage_jsonl, write_jsonl
+
+
+def read_back(path):
+    """The records of a file that must read back without a bad line."""
+    result = salvage_jsonl(path)
+    assert result.clean
+    return list(result.records)
 
 
 class TestRoundTrip:
@@ -14,38 +21,27 @@ class TestRoundTrip:
         path = tmp_path / "x.jsonl"
         records = [{"a": 1}, {"b": [1, 2]}, "plain", 42]
         assert write_jsonl(path, records) == 4
-        assert read_jsonl(path) == records
+        assert read_back(path) == records
 
     def test_dates_serialised(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"day": dt.date(2022, 4, 22)}])
-        assert read_jsonl(path) == [{"day": "2022-04-22"}]
+        assert read_back(path) == [{"day": "2022-04-22"}]
 
     def test_numpy_scalars_serialised(self, tmp_path):
         path = tmp_path / "n.jsonl"
         write_jsonl(path, [{"v": np.float64(1.5), "i": np.int64(3)}])
-        assert read_jsonl(path) == [{"v": 1.5, "i": 3}]
+        assert read_back(path) == [{"v": 1.5, "i": 3}]
 
     def test_unserialisable_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         with pytest.raises(TypeError):
             write_jsonl(path, [{"f": object()}])
 
-    def test_bad_line_reports_number(self, tmp_path):
-        path = tmp_path / "corrupt.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(SchemaError, match="2"):
-            read_jsonl(path)
-
-    def test_iter_streams(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        write_jsonl(path, [{"i": i} for i in range(5)])
-        assert sum(r["i"] for r in iter_jsonl(path)) == 10
-
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "b.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
-        assert len(read_jsonl(path)) == 2
+        assert len(read_back(path)) == 2
 
 
 class TestSalvage:
@@ -60,12 +56,6 @@ class TestSalvage:
             '{"ok": 3}\n'
         )
         return path
-
-    def test_strict_read_still_aborts(self, tmp_path):
-        from repro.io.jsonl import read_jsonl
-
-        with pytest.raises(SchemaError, match="2"):
-            read_jsonl(self._mixed_file(tmp_path))
 
     def test_salvage_keeps_good_lines_and_counts_bad(self, tmp_path):
         from repro.io.jsonl import salvage_jsonl
@@ -136,7 +126,7 @@ class TestAtomicWrite:
         write_jsonl(path, [{"a": 1}])
         with pytest.raises(TypeError):
             write_jsonl(path, [{"a": 1}, {"bad": object()}])
-        assert read_jsonl(path) == [{"a": 1}]
+        assert read_back(path) == [{"a": 1}]
         assert not (tmp_path / "out.jsonl.tmp").exists()
 
 

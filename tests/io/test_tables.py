@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.io.tables import format_left_table, format_series, format_table
+from repro.io.tables import format_left_table, format_table
 
 
 class TestFormatTable:
@@ -35,13 +35,6 @@ class TestFormatTable:
     def test_floats_formatted(self):
         text = format_table(["v"], [[3.14159]])
         assert "3.14" in text and "3.14159" not in text
-
-
-class TestFormatSeries:
-    def test_pairs_rendered(self):
-        text = format_series([(1, 10.0), (2, 20.0)], "month", "mbps")
-        assert "month" in text and "mbps" in text
-        assert "20.00" in text
 
 
 class TestFormatLeftTable:

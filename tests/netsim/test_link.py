@@ -24,20 +24,6 @@ class TestLinkProfile:
         with pytest.raises(ConfigError):
             LinkProfile(**kwargs)
 
-    def test_scaled(self):
-        p = LinkProfile(base_latency_ms=10, loss_rate=0.01, jitter_ms=2,
-                        bandwidth_mbps=2.0)
-        scaled = p.scaled(latency=2.0, loss=3.0, jitter=0.5, bandwidth=2.0)
-        assert scaled.base_latency_ms == 20
-        assert scaled.loss_rate == pytest.approx(0.03)
-        assert scaled.jitter_ms == 1.0
-        assert scaled.bandwidth_mbps == 4.0
-
-    def test_scaled_caps_loss_at_one(self):
-        p = LinkProfile(base_latency_ms=10, loss_rate=0.5, jitter_ms=1,
-                        bandwidth_mbps=1.0)
-        assert p.scaled(loss=10).loss_rate == 1.0
-
 
 class TestTiers:
     def test_weights_sum_to_one(self):

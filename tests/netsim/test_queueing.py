@@ -88,49 +88,6 @@ class TestSimulationAgreement:
             simulate_queue(fresh_rng, queue, 0.0)
 
 
-class TestPriorityBottleneck:
-    from repro.netsim.queueing import PriorityBottleneck
-
-    @pytest.fixture(scope="class")
-    def bottleneck(self):
-        from repro.netsim.queueing import PriorityBottleneck
-
-        return PriorityBottleneck(
-            BottleneckQueue(capacity_mbps=10, buffer_packets=10**6)
-        )
-
-    def test_audio_always_faster(self, bottleneck):
-        wait_audio, wait_video = bottleneck.mean_waits_ms(0.5, 8.0)
-        assert wait_audio < wait_video
-
-    def test_protection_grows_with_video_load(self, bottleneck):
-        light = bottleneck.protection_factor(0.5, 5.0)
-        heavy = bottleneck.protection_factor(0.5, 9.0)
-        assert heavy > light
-
-    def test_audio_wait_insensitive_to_video_load(self, bottleneck):
-        """The DSCP story: piling on video barely moves audio's wait."""
-        wait_low, _ = bottleneck.mean_waits_ms(0.5, 3.0)
-        wait_high, _ = bottleneck.mean_waits_ms(0.5, 9.0)
-        assert wait_high < wait_low * 3
-
-    def test_rejects_saturation(self, bottleneck):
-        with pytest.raises(ConfigError):
-            bottleneck.mean_waits_ms(5.0, 6.0)
-
-    @pytest.mark.parametrize("audio,video", [(0.5, 7.0), (2.0, 6.0)])
-    def test_simulation_matches_analytic(self, bottleneck, audio, video):
-        from repro.netsim.queueing import simulate_priority_queue
-
-        rng = derive(75, "pq", str(audio), str(video))
-        sim_audio, sim_video = simulate_priority_queue(
-            rng, bottleneck, audio, video, n_packets=40000
-        )
-        ana_audio, ana_video = bottleneck.mean_waits_ms(audio, video)
-        assert sim_audio == pytest.approx(ana_audio, rel=0.15)
-        assert sim_video == pytest.approx(ana_video, rel=0.15)
-
-
 class TestProfileForLoad:
     def test_light_load_is_clean(self):
         profile = profile_for_load(20, 2.0)

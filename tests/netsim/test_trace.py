@@ -1,4 +1,4 @@
-"""Tests for trace generation and aggregation."""
+"""Tests for five-second condition trace generation."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ from repro.netsim.link import LinkProfile
 from repro.netsim.trace import (
     SAMPLE_INTERVAL_S,
     ConditionSample,
-    ConditionTrace,
-    TraceGenerator,
     generate_condition_arrays,
 )
 from repro.rng import derive
+from tests.netsim.oracle import TraceGenerator
 
 
 def profile(lat=30, loss=0.005, jit=3, bw=3.0):
@@ -38,55 +37,6 @@ class TestConditionSample:
             sample(loss=150)
 
 
-class TestConditionTrace:
-    def test_rejects_empty(self):
-        with pytest.raises(SimulationError):
-            ConditionTrace([])
-
-    def test_duration(self):
-        trace = ConditionTrace([sample(t=i * 5.0) for i in range(12)])
-        assert trace.duration_s == 60.0
-
-    def test_aggregate_stats(self):
-        trace = ConditionTrace([sample(lat=v) for v in (10, 20, 30)])
-        agg = trace.aggregate()
-        assert agg["latency_ms"]["mean"] == pytest.approx(20.0)
-        assert agg["latency_ms"]["median"] == pytest.approx(20.0)
-        assert set(agg) == {"latency_ms", "loss_pct", "jitter_ms", "bandwidth_mbps"}
-
-    def test_metric_rejects_unknown(self):
-        trace = ConditionTrace([sample()])
-        with pytest.raises(SimulationError):
-            trace.metric("rtt")
-
-    def test_truncated_prefix(self):
-        trace = ConditionTrace([sample(t=i * 5.0, lat=i) for i in range(10)])
-        prefix = trace.truncated(25.0)
-        assert len(prefix) == 5
-        assert prefix[4].latency_ms == 4
-
-
-class TestTraceGenerator:
-    def test_generates_expected_sample_count(self, fresh_rng):
-        trace = TraceGenerator(profile()).generate(fresh_rng, 600)
-        assert len(trace) == int(600 / SAMPLE_INTERVAL_S)
-
-    def test_rejects_nonpositive_duration(self, fresh_rng):
-        with pytest.raises(SimulationError):
-            TraceGenerator(profile()).generate(fresh_rng, 0)
-
-    def test_latency_anchored_to_profile(self):
-        rng = derive(31, "trace")
-        trace = TraceGenerator(profile(lat=100, jit=1)).generate(rng, 1800)
-        mean = trace.aggregate()["latency_ms"]["mean"]
-        assert 100 <= mean <= 115  # baseline plus queueing, never below
-
-    def test_loss_rate_tracks_profile(self):
-        rng = derive(32, "trace-loss")
-        trace = TraceGenerator(profile(loss=0.02)).generate(rng, 3600)
-        assert trace.aggregate()["loss_pct"]["mean"] == pytest.approx(2.0, abs=0.8)
-
-
 class TestGenerateConditionArrays:
     def test_shapes_and_keys(self, fresh_rng):
         arrays = generate_condition_arrays(profile(), fresh_rng, 100)
@@ -96,6 +46,37 @@ class TestGenerateConditionArrays:
     def test_rejects_zero_intervals(self, fresh_rng):
         with pytest.raises(SimulationError):
             generate_condition_arrays(profile(), fresh_rng, 0)
+
+    def test_latency_anchored_to_profile(self):
+        rng = derive(31, "trace")
+        arrays = generate_condition_arrays(profile(lat=100, jit=1), rng, 360)
+        # Baseline plus queueing and noise, never below the baseline.
+        assert arrays["latency_ms"].min() >= 100
+        assert arrays["latency_ms"].mean() <= 115
+
+    def test_loss_rate_tracks_profile(self):
+        rng = derive(32, "trace-loss")
+        arrays = generate_condition_arrays(profile(loss=0.02), rng, 720)
+        assert arrays["loss_pct"].mean() == pytest.approx(2.0, abs=0.8)
+
+    def test_jitter_mean_tracks_scale(self):
+        rng = derive(21, "jitter")
+        arrays = generate_condition_arrays(profile(jit=5), rng, 2000)
+        jitter = arrays["jitter_ms"]
+        assert jitter.mean() == pytest.approx(5.0, rel=0.15)
+        assert (jitter > 0).all()
+
+    def test_jitter_samples_positive(self):
+        rng = derive(22, "jitter-pos")
+        arrays = generate_condition_arrays(profile(jit=1), rng, 500)
+        assert (arrays["jitter_ms"] > 0).all()
+
+    def test_jitter_temporal_correlation(self):
+        """AR(1) jitter: a jittery stretch of a session stays jittery."""
+        rng = derive(24, "jitter-corr")
+        arrays = generate_condition_arrays(profile(jit=5), rng, 3000)
+        jitter = arrays["jitter_ms"]
+        assert np.corrcoef(jitter[:-1], jitter[1:])[0, 1] > 0.3
 
     def test_statistics_match_scalar_generator(self):
         """Fast path and scalar path agree on per-session aggregates."""

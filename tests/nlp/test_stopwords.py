@@ -1,6 +1,6 @@
 """Tests for the stopword list."""
 
-from repro.nlp.stopwords import STOPWORDS, is_stopword
+from repro.nlp.stopwords import STOPWORDS
 
 
 class TestStopwords:
@@ -26,11 +26,6 @@ class TestStopwords:
         from repro.nlp.keywords import OUTAGE_KEYWORDS
 
         assert OUTAGE_KEYWORDS.matches("everything is down")
-
-    def test_is_stopword_case_insensitive(self):
-        assert is_stopword("The")
-        assert is_stopword("STARLINK")
-        assert not is_stopword("Outage")
 
     def test_frozen(self):
         assert isinstance(STOPWORDS, frozenset)

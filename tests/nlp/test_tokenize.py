@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.tokenize import bigrams, sentences, tokenize, words
+from repro.nlp.tokenize import bigrams, tokenize, words
 
 
 class TestTokenize:
@@ -47,19 +47,6 @@ class TestTokenize:
 class TestWords:
     def test_lowercased_alpha_only(self):
         assert words("Got 50 Mbps TODAY!") == ["got", "mbps", "today"]
-
-
-class TestSentences:
-    def test_split_on_terminators(self):
-        parts = sentences("It works. It is fast! Is it stable?")
-        assert len(parts) == 3
-
-    def test_empty(self):
-        assert sentences("   ") == []
-
-    def test_rejects_non_string(self):
-        with pytest.raises(TypeError):
-            sentences(None)
 
 
 class TestBigrams:

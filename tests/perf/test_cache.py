@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime as dt
+import json
 
 import pytest
 
@@ -19,11 +20,15 @@ class FakeConfig:
 
 def _jsonl_io(build_value):
     """(build, load, dump) adapters for a list-of-ints artifact."""
-    from repro.io.jsonl import read_jsonl, write_jsonl
+    from repro.io.jsonl import write_jsonl
+
+    def load(path):
+        with open(path, encoding="utf-8") as f:
+            return [json.loads(line) for line in f]
 
     return (
         lambda: list(build_value),
-        lambda path: list(read_jsonl(path)),
+        load,
         lambda value, path: write_jsonl(path, value),
     )
 

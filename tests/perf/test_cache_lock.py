@@ -15,11 +15,15 @@ from pathlib import Path
 import pytest
 
 from repro.errors import LockTimeoutError
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import write_jsonl
 from repro.io.locks import STALE_LOCK_S, file_lock
 from repro.perf.cache import ArtifactCache
 
 N_RECORDS = 50
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 class TestFileLock:

@@ -18,11 +18,7 @@ from repro.analysis.outage_monitor import outage_keyword_series
 from repro.analysis.sentiment_timeline import sentiment_timeline
 from repro.core.signals import ImplicitSignal, SignalKind, SignalSeries
 from repro.core.timeline import MonthlySeries
-from repro.core.usaas import (
-    FallbackSentimentChain,
-    social_signals,
-    telemetry_signals,
-)
+from repro.core.usaas import social_signals, telemetry_signals
 from repro.engagement import (
     DEFAULT_EDGES,
     control_windows_except,
@@ -30,6 +26,7 @@ from repro.engagement import (
     engagement_curve,
 )
 from repro.errors import QueryError, SchemaError
+from repro.nlp.sentiment import SentimentAnalyzer
 from repro.perf.columnar import (
     ParticipantColumns,
     corpus_columns,
@@ -198,21 +195,24 @@ class TestSignalEquivalence:
         col = social_signals(corpus, network="starlink")
         assert list(col) == list(rec)
 
-    def test_fallback_chain_scores_through_columns(self, corpus):
-        # Every post falls back past a primary scorer that always
-        # raises, and the offline lexicon still produces the exact same
-        # signals as the default path, one fallback per post.
-        def down(text):
-            raise ConnectionError("sentiment API unreachable")
+    def test_explicit_analyzer_scores_through_columns(self, corpus):
+        # A caller's scorer sees every post once, and a lexicon scorer
+        # produces the exact same signals as the shared default block.
+        class CountingScorer:
+            def __init__(self):
+                self.analyzer = SentimentAnalyzer()
+                self.texts = 0
 
-        chain = FallbackSentimentChain(("hosted", down))
-        rec = social_signals(corpus, network="starlink", analyzer=chain)
+            def score_many(self, texts):
+                texts = list(texts)
+                self.texts += len(texts)
+                return self.analyzer.score_many(texts)
+
+        scorer = CountingScorer()
+        rec = social_signals(corpus, network="starlink", analyzer=scorer)
         col = social_signals(corpus, network="starlink")
         assert list(col) == list(rec)
-        assert chain.served_by == {
-            "hosted": 0, FallbackSentimentChain.OFFLINE: len(corpus)
-        }
-        assert chain.fallback_calls == len(corpus)
+        assert scorer.texts == len(corpus)
 
 
 class TestExtendColumns:
@@ -333,7 +333,7 @@ class TestSharedSentimentBlock:
 
     def test_outage_series_matches_record_path(self, corpus):
         rec = outage_keyword_series_records(corpus)
-        for analyzer in (None, FallbackSentimentChain()):
+        for analyzer in (None, SentimentAnalyzer()):
             col = outage_keyword_series(corpus, analyzer=analyzer)
             assert (
                 col.occurrences.values.tobytes()

@@ -2,9 +2,8 @@
 
 :class:`MosPredictor` is the ridge model as it ran on participant
 records before :class:`~repro.prediction.ColumnarMosPredictor` became
-the only implementation; :func:`kfold_evaluate_records` and
-:func:`train_test_evaluate_records` are the evaluators as they ran on
-top of it.  They live here only so tests can pin the columnar model
+the only implementation; :func:`train_test_evaluate_records` is the
+evaluator as it ran on top of it.  They live here only so tests can pin the columnar model
 ``tobytes``-equal and the evaluators ``==`` against them; nothing in
 ``src/`` calls them, and no columnar code runs inside them.
 """
@@ -100,42 +99,6 @@ class MosPredictor:
         if not self.is_fitted:
             raise AnalysisError("predictor is not fitted")
         return dict(zip(self._features, (float(w) for w in self._weights)))
-
-
-def kfold_evaluate_records(
-    sessions: Iterable[ParticipantRecord],
-    features: Sequence[str] = ALL_FEATURES,
-    k: int = 5,
-    l2: float = 1.0,
-    seed: int = 0,
-) -> PredictionReport:
-    if k < 2:
-        raise AnalysisError("k must be >= 2")
-    rated = [p for p in sessions if p.rating is not None]
-    if len(rated) < 4 * k:
-        raise InsufficientRatingsError(len(rated), 4 * k)
-    rng = derive(seed, "predictor", "kfold")
-    order = rng.permutation(len(rated))
-    folds = np.array_split(order, k)
-
-    predictions = np.empty(len(rated))
-    for fold in folds:
-        test_idx = set(int(i) for i in fold)
-        train = [rated[i] for i in range(len(rated)) if i not in test_idx]
-        model = MosPredictor(features=features, l2=l2).fit(train)
-        fold_sessions = [rated[int(i)] for i in fold]
-        predictions[fold] = model.predict(fold_sessions)
-
-    actual = np.array([float(p.rating) for p in rated])
-    errors = predictions - actual
-    return PredictionReport(
-        mae=float(np.abs(errors).mean()),
-        rmse=float(np.sqrt((errors**2).mean())),
-        correlation=pearson(predictions, actual),
-        n_train=len(rated) - len(folds[0]),
-        n_test=len(rated),
-        features=tuple(features),
-    )
 
 
 def train_test_evaluate_records(

@@ -11,13 +11,11 @@ from repro.prediction import (
     ALL_FEATURES,
     NETWORK_FEATURES,
     ColumnarMosPredictor,
-    kfold_evaluate,
     train_test_evaluate,
 )
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
 from tests.prediction.oracle import (
     MosPredictor,
-    kfold_evaluate_records,
     train_test_evaluate_records,
 )
 
@@ -120,14 +118,6 @@ class TestInsufficientRatings:
 class TestSplitDeterminism:
     """Evaluation splits come from derive() substreams: stable per seed."""
 
-    def test_kfold_is_a_pure_function_of_seed_and_data(self, rated_dataset):
-        parts = list(rated_dataset.participants())
-        a = kfold_evaluate(parts, seed=11)
-        # Interleave unrelated global RNG activity: must not perturb.
-        np.random.default_rng().random(1000)
-        b = kfold_evaluate(list(rated_dataset.participants()), seed=11)
-        assert a == b
-
     def test_train_test_split_is_seed_stable(self, rated_dataset):
         parts = list(rated_dataset.participants())
         a = train_test_evaluate(parts, seed=11)
@@ -147,14 +137,8 @@ def sessions_by_seed():
 @pytest.mark.parametrize("split_seed", [0, 11])
 class TestEvaluatorsMatchOracle:
     """Each split's block keeps the record path's row order, so the
-    reports are ``==`` the oracle's — an order-changing block (e.g. an
-    ``exclude=`` mask over the full block) differs in the last ulp."""
-
-    def test_kfold(self, sessions_by_seed, seed, features, split_seed):
-        parts = sessions_by_seed[seed]
-        assert kfold_evaluate(
-            parts, features=features, seed=split_seed
-        ) == kfold_evaluate_records(parts, features=features, seed=split_seed)
+    reports are ``==`` the oracle's — a block in another row order
+    differs in the last ulp."""
 
     def test_train_test(self, sessions_by_seed, seed, features, split_seed):
         parts = sessions_by_seed[seed]

@@ -1,17 +1,15 @@
-"""RetryPolicy schedules, call_with_retry, Fallback chains."""
+"""RetryPolicy schedules, and the retry contract fetch runs them under."""
 
 import pytest
 
-from repro.errors import (
-    AnalysisError,
-    ConfigError,
-    SourceUnavailableError,
-)
+from repro.core.signals import SignalSeries
+from repro.core.usaas.registry import SignalSourceRegistry
+from repro.errors import AnalysisError, ConfigError
 from repro.resilience import (
-    Fallback,
     ManualClock,
+    ResilienceConfig,
     RetryPolicy,
-    call_with_retry,
+    SourceExecutor,
 )
 
 
@@ -53,7 +51,19 @@ class TestSchedule:
             RetryPolicy(**kwargs)
 
 
-class TestCallWithRetry:
+class TestFetchRetryContract:
+    """How ``SourceExecutor.fetch``, the retry loop every USaaS answer
+    runs, applies a policy to one source."""
+
+    @staticmethod
+    def fetch(source, policy, clock):
+        registry = SignalSourceRegistry()
+        registry.register("feed", source)
+        executor = SourceExecutor(
+            config=ResilienceConfig(retry=policy), clock=clock
+        )
+        return executor.fetch(registry, "feed")
+
     def test_transient_failure_then_success(self):
         clock = ManualClock()
         calls = {"n": 0}
@@ -62,24 +72,15 @@ class TestCallWithRetry:
             calls["n"] += 1
             if calls["n"] < 3:
                 raise AnalysisError("transient")
-            return "ok"
+            return SignalSeries()
 
         policy = RetryPolicy(max_attempts=3, jitter=0.0, base_delay_s=1.0)
-        assert call_with_retry(flaky, policy, "k", clock) == "ok"
+        assert self.fetch(flaky, policy, clock).ok
         assert calls["n"] == 3
         assert clock.sleeps == [1.0, 2.0]  # backoff consumed via the clock
 
-    def test_exhaustion_raises_with_cause(self):
-        policy = RetryPolicy(max_attempts=2, jitter=0.0)
-
-        def broken():
-            raise AnalysisError("still down")
-
-        with pytest.raises(SourceUnavailableError) as excinfo:
-            call_with_retry(broken, policy, "k", ManualClock())
-        assert isinstance(excinfo.value.__cause__, AnalysisError)
-
     def test_programming_errors_propagate_unretried(self):
+        clock = ManualClock()
         calls = {"n": 0}
 
         def buggy():
@@ -87,69 +88,6 @@ class TestCallWithRetry:
             raise TypeError("bug")
 
         with pytest.raises(TypeError):
-            call_with_retry(buggy, RetryPolicy(), "k", ManualClock())
+            self.fetch(buggy, RetryPolicy(), clock)
         assert calls["n"] == 1
-
-    def test_timeout_budget_counts_as_failure(self):
-        clock = ManualClock()
-
-        def slow():
-            clock.advance(5.0)  # simulated 5s call
-            return "late"
-
-        policy = RetryPolicy(
-            max_attempts=2, attempt_timeout_s=1.0, jitter=0.0
-        )
-        with pytest.raises(SourceUnavailableError, match="budget"):
-            call_with_retry(slow, policy, "k", clock)
-
-    def test_no_sleep_after_final_attempt(self):
-        clock = ManualClock()
-
-        def broken():
-            raise AnalysisError("down")
-
-        policy = RetryPolicy(max_attempts=3, jitter=0.0, base_delay_s=1.0)
-        with pytest.raises(SourceUnavailableError):
-            call_with_retry(broken, policy, "k", clock)
-        assert len(clock.sleeps) == 2
-
-
-class TestFallback:
-    def test_primary_serves(self):
-        chain = Fallback(("azure", lambda t: t.upper()),
-                         ("offline", lambda t: t))
-        result = chain.call("hi")
-        assert result.value == "HI"
-        assert result.used == "azure"
-        assert not result.degraded
-        assert chain.served_by == {"azure": 1, "offline": 0}
-
-    def test_fallback_serves_when_primary_raises(self):
-        def azure(text):
-            raise OSError("503 service unavailable")
-
-        chain = Fallback(("azure", azure), ("offline", lambda t: t))
-        result = chain.call("hi")
-        assert result.value == "hi"
-        assert result.used == "offline"
-        assert result.used_index == 1
-        assert result.degraded
-        assert result.errors[0][0] == "azure"
-        assert "503" in result.errors[0][1]
-
-    def test_every_link_failing_raises(self):
-        def down(text):
-            raise OSError("down")
-
-        chain = Fallback(("a", down), ("b", down))
-        with pytest.raises(SourceUnavailableError, match="a: .*; b: "):
-            chain.call("hi")
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ConfigError):
-            Fallback(("a", str), ("a", str))
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ConfigError):
-            Fallback()
+        assert clock.sleeps == []

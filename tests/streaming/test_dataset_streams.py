@@ -4,7 +4,6 @@ import datetime as dt
 
 import pytest
 
-from repro.core.usaas.adapters import FallbackSentimentChain
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.perf.columnar import corpus_columns
 from repro.social.corpus import CorpusConfig, CorpusGenerator, RedditCorpus
@@ -147,11 +146,9 @@ class TestExportsMatchRecordOracles:
 
     def test_social_explicit_analyzer(self, seeded):
         _, corpus = seeded
-        chain, oracle_chain = FallbackSentimentChain(), FallbackSentimentChain()
-        assert social_stream(fresh(corpus), analyzer=chain) == (
-            social_stream_records(corpus, analyzer=oracle_chain)
+        assert social_stream(fresh(corpus), analyzer=SentimentAnalyzer()) == (
+            social_stream_records(corpus, analyzer=SentimentAnalyzer())
         )
-        assert chain.served_by == oracle_chain.served_by
 
     def test_empty_dataset(self):
         assert telemetry_stream(CallDataset()) == []

@@ -97,7 +97,7 @@ class TestDecayedAggregate:
             ),
         ], watermark_s=0.0) == []
         # weights: 0.5 on the old sample, 1.0 on the new
-        assert op.value_at("m", 10.0) == pytest.approx(3.0 / 1.5)
+        assert op.flush(10.0)[-1].value == pytest.approx(3.0 / 1.5)
 
     def test_equivalence_under_any_batching(self):
         records = make_records(n=200)
@@ -116,14 +116,6 @@ class TestDecayedAggregate:
             return out
 
         assert run([50, 100, 150]) == run([3, 7, 199]) == run([])
-
-    def test_sample_in_the_past_rejected(self):
-        op = DecayedAggregate(half_life_s=10.0, sample_every_s=5.0)
-        op.process([StreamRecord(
-            event_time_s=10.0, source="t", metric="m", value=1.0, key="a",
-        )], watermark_s=0.0)
-        with pytest.raises(ConfigError):
-            op.value_at("m", 5.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

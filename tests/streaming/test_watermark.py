@@ -4,9 +4,12 @@ import pytest
 
 from repro import rng as rng_mod
 from repro.errors import ConfigError, SchemaError
+from repro.resilience.clock import ManualClock
 from repro.streaming import (
     DedupFilter,
     ReorderBuffer,
+    StreamConfig,
+    StreamPipeline,
     StreamRecord,
     WatermarkTracker,
 )
@@ -36,14 +39,23 @@ class TestWatermarkTracker:
     def test_starts_at_no_watermark(self):
         wm = WatermarkTracker(allowed_lateness_s=10.0)
         assert wm.watermark_s == NO_WATERMARK
-        assert not wm.is_late(0.0)
 
     def test_watermark_trails_by_allowed_lateness(self):
         wm = WatermarkTracker(allowed_lateness_s=10.0)
         wm.observe(100.0)
         assert wm.watermark_s == 90.0
-        assert wm.is_late(89.9)
-        assert not wm.is_late(90.0)  # boundary: exactly-at is on time
+
+    def test_pipeline_drops_only_below_the_watermark(self):
+        """Boundary: a record exactly at the watermark is on time."""
+        pipeline = StreamPipeline(
+            StreamConfig(allowed_lateness_s=10.0), clock=ManualClock()
+        )
+        for t in (100.0, 90.0, 89.9):
+            pipeline.ingest(StreamRecord(
+                event_time_s=t, source="s", metric="m", value=1.0,
+                key=str(t),
+            ))
+        assert pipeline.counters.late_dropped == 1
 
     def test_monotonic_under_adversarial_event_times(self):
         """The watermark never regresses, however disordered arrivals are."""

@@ -164,6 +164,24 @@ class TestSweep:
         with pytest.raises(ConfigError):
             gen.generate_sweep(base, "rtt", [1.0], calls_per_value=1)
 
+    def test_mobile_focal_more_loss_sensitive(self):
+        """Fig. 3: at the same loss, mobile users leave sooner than PC users."""
+        base = LinkProfile(base_latency_ms=25, loss_rate=0.001, jitter_ms=2,
+                           bandwidth_mbps=3.5)
+        drop = {}
+        for key in ("windows_pc", "android_mobile"):
+            dataset = CallDatasetGenerator(
+                GeneratorConfig(n_calls=0, seed=66)
+            ).generate_sweep(base, "loss", [0.001, 0.04], calls_per_value=20,
+                             platform_key=key)
+            presence = {0.001: [], 0.04: []}
+            for call in dataset:
+                presence[sweep_value_of(call)].append(
+                    call.participants[0].presence_pct
+                )
+            drop[key] = np.mean(presence[0.001]) - np.mean(presence[0.04])
+        assert drop["android_mobile"] > drop["windows_pc"]
+
     def test_mitigation_ablation_changes_outcomes(self):
         base = LinkProfile(base_latency_ms=20, loss_rate=0.015, jitter_ms=2,
                            bandwidth_mbps=3.5)

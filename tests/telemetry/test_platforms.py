@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.netsim.mitigation import MitigationStack
-from repro.telemetry.platforms import PLATFORMS, Platform, platform_for
+from repro.telemetry.platforms import PLATFORMS, Platform
 
 
 class TestCatalog:
@@ -28,14 +28,6 @@ class TestCatalog:
         for platform in PLATFORMS.values():
             if platform.is_mobile:
                 assert platform.mitigation_strength < 1.0
-
-    def test_lookup(self):
-        assert platform_for("windows_pc").key == "windows_pc"
-
-    def test_lookup_unknown_raises(self):
-        with pytest.raises(ConfigError):
-            platform_for("blackberry")
-
 
 class TestPlatform:
     def test_mitigation_stack_scaled(self):

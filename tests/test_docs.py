@@ -1,8 +1,13 @@
 """Documentation integrity tests: the docs must not drift from the code."""
 
+import ast
+import importlib
+import os
 import py_compile
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +76,38 @@ def unparseable(calls):
     return broken
 
 
+def design_section(text, number):
+    """The body of DESIGN.md's ``## <number>.`` section."""
+    return re.search(
+        rf"^## {number}\. [^\n]*\n(.*?)(?=^## |\Z)", text, re.M | re.S,
+    ).group(1)
+
+
+def inventory_modules(text):
+    """Every module DESIGN.md names, as a fully qualified path."""
+    dotted = r"[a-z_]+(?:\.[a-z_]+)*"
+    modules = set(re.findall(r"`(repro(?:\.[a-z_]+)+)`", text))
+    # §3: each bullet names a package, then modules relative to it.
+    for package, body in re.findall(
+        rf"^- `(repro(?:\.[a-z_]+)*)`(.*?)(?=^- |^#|\Z)",
+        design_section(text, 3), re.M | re.S,
+    ):
+        modules.update(
+            f"{package}.{name}"
+            for name in re.findall(rf"(?<!`)`({dotted})`(?!`)", body)
+        )
+    # §4: the Modules column, relative to ``repro``.
+    for cell in re.findall(
+        r"^\|[^|\n]*\|[^|\n]*\|[^|\n]*\|([^|\n]*)\|[^|\n]*\|$",
+        design_section(text, 4), re.M,
+    ):
+        for entry in cell.split(","):
+            name = re.sub(r"\(.*?\)", "", entry).strip()
+            if re.fullmatch(dotted, name):
+                modules.add(f"repro.{name}")
+    return modules
+
+
 class TestDesignIndex:
     def test_every_bench_target_exists(self):
         """DESIGN.md's experiment index must point at real files."""
@@ -87,14 +124,18 @@ class TestDesignIndex:
             assert path.name in text, f"{path.name} missing from DESIGN.md"
 
     def test_inventory_modules_exist(self):
-        """Module paths named in the DESIGN inventory must import."""
-        text = (ROOT / "DESIGN.md").read_text()
-        modules = set(re.findall(r"`(repro(?:\.[a-z_]+)+)`", text))
+        """Module paths named in the DESIGN inventory must import: the
+        fully qualified ones anywhere, §3's bare names relative to their
+        bullet's package and §4's Modules column relative to ``repro``."""
+        modules = inventory_modules((ROOT / "DESIGN.md").read_text())
         assert modules
-        import importlib
-
-        for module in modules:
-            importlib.import_module(module)
+        missing = []
+        for module in sorted(modules):
+            try:
+                importlib.import_module(module)
+            except ImportError:
+                missing.append(module)
+        assert missing == []
 
 
 class TestReadme:
@@ -165,6 +206,68 @@ class TestExamples:
 
     def test_at_least_five_examples(self):
         assert len(list((ROOT / "examples").glob("*.py"))) >= 5
+
+    def test_substrate_tour_runs(self):
+        """The one example over the netsim classes, run end to end."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "substrate_tour.py")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def repro_imports(source):
+    """``(module, name)`` per ``repro`` import in ``source``; ``name``
+    is None for ``import repro...``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif (
+            isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "repro"
+        ):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def unresolved(module, name):
+    """Whether ``from module import name`` (or ``import module``) fails."""
+    try:
+        imported = importlib.import_module(module)
+    except ImportError:
+        return True
+    if name is None or hasattr(imported, name):
+        return False
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return True
+    return False
+
+
+class TestEntryPointImports:
+    """``examples/`` and ``benchmarks/`` are entry points that tier-1
+    does not run, so a ``src/`` deletion that breaks one of their
+    imports must fail here."""
+
+    @pytest.mark.parametrize("script", sorted(
+        [*(ROOT / "examples").glob("*.py"),
+         *(ROOT / "benchmarks").glob("*.py")],
+        key=lambda p: (p.parent.name, p.name),
+    ), ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_repro_imports_resolve(self, script):
+        missing = [
+            f"{module}:{name}"
+            for module, name in repro_imports(script.read_text())
+            if unresolved(module, name)
+        ]
+        assert missing == []
 
 
 class TestDocstrings:

@@ -50,22 +50,6 @@ class TestTimelineEdges:
         assert len(peaks) == 2  # span only has two days
 
 
-class TestStatsEdges:
-    def test_nonempty_on_fully_empty_curve(self):
-        from repro.core.stats import bin_statistic
-
-        curve = bin_statistic([99.0], [1.0], [0, 1, 2])  # key out of range
-        stripped = curve.nonempty()
-        assert stripped.n_bins == 0
-
-    def test_bootstrap_single_value(self, fresh_rng):
-        from repro.core.stats import bootstrap_ci
-
-        result = bootstrap_ci([3.0], rng=fresh_rng)
-        assert result.estimate == 3.0
-        assert result.width == 0.0
-
-
 class TestFig1ResultEdges:
     def test_slope_requires_two_bins(self, small_dataset):
         from repro.engagement import CohortFilter, fig1_curves
@@ -102,17 +86,6 @@ class TestSignalSeriesEdges:
 
 
 class TestIoEdges:
-    def test_iter_jsonl_bad_line(self, tmp_path):
-        from repro.errors import SchemaError
-        from repro.io.jsonl import iter_jsonl
-
-        path = tmp_path / "x.jsonl"
-        path.write_text('{"a": 1}\nbroken\n')
-        iterator = iter_jsonl(path)
-        assert next(iterator) == {"a": 1}
-        with pytest.raises(SchemaError):
-            next(iterator)
-
     def test_format_table_int_cells(self):
         from repro.io.tables import format_table
 

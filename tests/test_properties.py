@@ -197,7 +197,9 @@ class TestOcrProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_clean_roundtrip_exact(self, provider, dl, ul, lat):
-        assume(dl > ul)  # physical for Starlink; the engine enforces it
+        # Physical for Starlink; the engine enforces it on the rounded
+        # values the screenshot shows.
+        assume(round(dl, 1) > round(ul, 1))
         share = SpeedTestShare(
             provider=provider,
             download_mbps=round(dl, 1),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.reporting import full_report, starlink_report, teams_report
+from repro.reporting import starlink_report, teams_report
 
 
 class TestTeamsReport:
@@ -35,20 +35,3 @@ class TestStarlinkReport:
 
         with pytest.raises(AnalysisError):
             starlink_report(RedditCorpus([], CorpusConfig()))
-
-
-class TestFullReport:
-    def test_both_halves_plus_digest(self, small_dataset, small_corpus):
-        text = full_report(dataset=small_dataset, corpus=small_corpus)
-        assert "Implicit user signals" in text
-        assert "Explicit user signals" in text
-        assert "USaaS digest" in text
-
-    def test_corpus_only(self, small_corpus):
-        text = full_report(corpus=small_corpus)
-        assert "Implicit user signals" not in text
-        assert "USaaS digest" in text
-
-    def test_requires_some_input(self):
-        with pytest.raises(AnalysisError):
-            full_report()

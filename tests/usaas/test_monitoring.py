@@ -136,27 +136,3 @@ class TestWatchMetricColumns:
             assert watch_metric(series, "drop_off", DriftDetector(**detector)) == (
                 watch_metric_records(want, "drop_off", DriftDetector(**detector))
             )
-
-
-class TestKfoldPredictor:
-    def test_kfold_runs(self, small_dataset):
-        from repro.prediction import kfold_evaluate
-
-        report = kfold_evaluate(small_dataset.participants(), k=4)
-        assert report.n_test == len(small_dataset.rated_participants())
-        assert -1 <= report.correlation <= 1
-        assert report.mae > 0
-
-    def test_kfold_deterministic(self, small_dataset):
-        from repro.prediction import kfold_evaluate
-
-        a = kfold_evaluate(small_dataset.participants(), seed=3)
-        b = kfold_evaluate(small_dataset.participants(), seed=3)
-        assert a.mae == b.mae
-
-    def test_kfold_rejects_small_k(self, small_dataset):
-        from repro.prediction import kfold_evaluate
-        from repro.errors import AnalysisError
-
-        with pytest.raises(AnalysisError):
-            kfold_evaluate(small_dataset.participants(), k=1)

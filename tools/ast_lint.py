@@ -1,11 +1,13 @@
-"""Shared driver for the repo's AST lints, with one coverage table.
+"""Shared driver for the repo's AST lints, with one exemption table.
 
-Each lint (``check_clock_discipline.py``, ``check_no_bare_except.py``)
-supplies a ``check_file`` for its rule; this module decides where the
-rule applies and walks a tree with it.  Every module under a ``repro``
-package is covered by every rule, so a new package is covered the day
-it lands.  The only way out is a row in :data:`EXEMPTIONS`, which names
-the module and says why.
+Each per-file lint (``check_clock_discipline.py``,
+``check_no_bare_except.py``) supplies a ``check_file`` for its rule;
+this module decides where the rule applies and walks a tree with it.
+Every module under a ``repro`` package is covered by every rule, so a
+new package is covered the day it lands.  The only way out is a row in
+:data:`EXEMPTIONS`, which names the module and says why.  The
+whole-tree reachability lint (``check_reachable.py``) reads its
+``"reachable"`` rows, which name one def each, from the same table.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Callable, List, Optional, Tuple
 
 Violation = Tuple[Path, int, str]
 
-#: rule -> module path under ``repro`` -> why the rule skips it.
+#: rule -> module path under ``repro`` (or ``"<module>:<name>"``) -> why
+#: the rule skips it.
 EXEMPTIONS = {
     "clock": {
         "resilience/clock.py":
@@ -37,6 +40,32 @@ EXEMPTIONS = {
             "already have broken as stale",
         "telemetry/generator.py":
             "a sweep-id parse miss falls through to a typed ConfigError",
+    },
+    # Keyed "<module>:<name>": top-level defs no entry point reaches
+    # that stay (tools/check_reachable.py).
+    "reachable": {
+        "io/jsonl.py:salvage_jsonl":
+            "torn-tail recovery behind StreamJournal.recover; the journal "
+            "is to become the durable emission log that resume reads",
+        "io/jsonl.py:SalvageResult":
+            "the result type of salvage_jsonl",
+        "io/jsonl.py:write_jsonl":
+            "StreamJournal.recover rewrites the salvaged journal with it",
+        "netsim/queueing.py:simulate_queue":
+            "the discrete-event reference the tests check "
+            "BottleneckQueue's closed form against",
+        "netsim/vectorized.py:condition_blocks":
+            "single-call form of the block engine the vectorized "
+            "generator runs; the block equivalence tests drive it",
+        "netsim/vectorized.py:loss_pct_block":
+            "single-call form of the block loss draw; the block "
+            "statistics tests drive it",
+        "integrity/trust.py:score_signal_units":
+            "public form of signal_unit_scores; tests pin it against "
+            "the record oracle",
+        "core/usaas/correlator.py:correlate_series":
+            "public form of correlate_daily; tests pin it against the "
+            "record oracle",
     },
 }
 
