@@ -73,6 +73,9 @@ class UsaasQuery:
             if any(r < 0 for r in rows):
                 raise QueryError("predict_mos rows must be non-negative")
             object.__setattr__(self, "rows", rows)
+        # Tuples keep the query hashable: answers are memoized on it.
+        for name in ("implicit_metrics", "explicit_metrics"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.implicit_metrics and not self.explicit_metrics:
             raise QueryError("query must request at least one metric")
         if self.start is not None and self.end is not None:

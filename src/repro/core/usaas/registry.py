@@ -15,16 +15,24 @@ class SignalSourceRegistry:
 
     Sources are callables returning a :class:`SignalSeries` so that
     expensive exports (scoring a whole corpus) only run when a query
-    actually needs them; results are cached per source.
+    actually needs them.
 
-    Cache coherence rules:
+    The guarded fetch (:meth:`SourceExecutor.fetch
+    <repro.resilience.executor.SourceExecutor.fetch>`) calls
+    :meth:`load`, and so the source, on every fetch, and passes
+    each result that arrived within budget to :meth:`commit`.  What it
+    reads back is only the *last-good* slot: the stale-fallback value
+    served while a source is down.  ``UsaasService.answer`` sees
+    appended rows because its memo is keyed on each fetched series'
+    identity and length, not through :meth:`invalidate`.
+
+    :meth:`series` / :meth:`all_series` read a per-source cache that
+    :meth:`commit` fills and :meth:`invalidate` clears:
 
     * a source that raises **never** populates the cache — the exception
       propagates and the next call re-runs the source;
     * a source that returns the wrong type never populates the cache;
-    * every successful fetch also updates a *last-good* slot that
-      survives :meth:`invalidate`, so the resilient ingestion path can
-      serve stale data while a source is down.
+    * the last-good slot survives :meth:`invalidate`.
     """
 
     def __init__(self) -> None:
@@ -110,10 +118,13 @@ class SignalSourceRegistry:
         return self._last_good.get(name)
 
     def invalidate(self, name: str) -> None:
-        """Drop the cached value so the next fetch re-runs the source.
+        """Drop the cached value so the next :meth:`series` re-runs the source.
 
         Keeps the last-good slot: invalidation means "the data may be
-        out of date", not "the data never existed".
+        out of date", not "the data never existed".  The guarded fetch
+        runs the source every time and never reads this cache, so
+        invalidating changes nothing that ``UsaasService.answer``
+        returns.
         """
         if name not in self._sources:
             raise QueryError(f"source {name!r} not registered")

@@ -14,8 +14,10 @@ is that loop:
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,16 +80,47 @@ class UsaasReport:
         return self.integrity.table()
 
 
+#: Most reports one service's answer memo keeps; the least recently
+#: used goes first.  ``perfbench``'s ``serve`` workload asks 48 query
+#: shapes.
+ANSWER_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class GatherResult:
-    """Guarded-gather outcome: merged pool + per-source accounting."""
+    """One guarded fetch of every source: what each survivor served,
+    in ``survivors`` order, and the per-source accounting."""
 
-    pool: SignalSeries
+    series: Tuple[SignalSeries, ...]
     health: Tuple[SourceHealth, ...]
-    degraded: bool
     survivors: Tuple[str, ...]
     failed: Tuple[str, ...]
     stale: Tuple[str, ...]
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.failed or self.stale)
+
+    def pool(self, query: UsaasQuery) -> SignalSeries:
+        """The rows of the query's network and window, merged."""
+        return concat_series([
+            series.filter(
+                network=query.network, start=query.start, end=query.end
+            )
+            for series in self.series
+        ])
+
+    def identity(self) -> Hashable:
+        """Which data was served, by identity rather than by content.
+
+        A ``SignalSeries`` is append-only, so the same object at the
+        same length holds the same rows: an appended write, a swapped
+        series or a failed fetch changes this value.  The weak
+        references keep no series alive."""
+        return (
+            self.survivors, self.failed, self.stale,
+            tuple((weakref.ref(series), len(series)) for series in self.series),
+        )
 
 
 class UsaasService:
@@ -98,6 +131,10 @@ class UsaasService:
     one raising or hanging feed degrades the answer instead of aborting
     it.  ``resilience`` tunes that behaviour; ``clock`` injects time for
     deterministic tests.
+
+    ``answer`` fetches every source on every call, then memoizes the
+    report on the query and :meth:`GatherResult.identity`; a repeat
+    over unchanged data gets the memoized report with fresh health.
     """
 
     def __init__(
@@ -111,6 +148,7 @@ class UsaasService:
         self._privacy = privacy or PrivacyGuard()
         self._bias = bias or BiasCorrector()
         self._executor = SourceExecutor(resilience or ResilienceConfig(), clock)
+        self._memo: "OrderedDict[Hashable, UsaasReport]" = OrderedDict()
 
     @property
     def registry(self) -> SignalSourceRegistry:
@@ -129,9 +167,7 @@ class UsaasService:
 
     # -- query execution -------------------------------------------------
 
-    def _gather(
-        self, query: UsaasQuery, deadline: Optional["Deadline"] = None
-    ) -> GatherResult:
+    def _gather(self, deadline: Optional["Deadline"] = None) -> GatherResult:
         """Pull every source through the guard stack; never raises for a
         failing source — degradation is decided by the caller's config.
 
@@ -139,7 +175,7 @@ class UsaasService:
         into every fetch: once it expires, remaining sources fail fast
         instead of burning their full retry schedules, so a late answer
         degrades rather than running arbitrarily long."""
-        parts: List[SignalSeries] = []
+        served: List[SignalSeries] = []
         survivors: List[str] = []
         failed: List[str] = []
         stale: List[str] = []
@@ -149,11 +185,7 @@ class UsaasService:
                 survivors.append(name)
                 if outcome.stale:
                     stale.append(name)
-                parts.append(outcome.series.filter(
-                    network=query.network,
-                    start=query.start,
-                    end=query.end,
-                ))
+                served.append(outcome.series)
             else:
                 failed.append(name)
         config = self._executor.config
@@ -168,9 +200,8 @@ class UsaasService:
                 f"failed: {', '.join(failed) or 'none'}"
             )
         return GatherResult(
-            pool=concat_series(parts),
+            series=tuple(served),
             health=self._executor.ledger.snapshot(),
-            degraded=bool(failed or stale),
             survivors=tuple(survivors),
             failed=tuple(failed),
             stale=tuple(stale),
@@ -186,6 +217,10 @@ class UsaasService:
         ``deadline`` bounds ingestion time (see
         :class:`repro.serving.Deadline`): expired budgets cut retries
         and backoff short so the answer degrades instead of overrunning.
+
+        Every call fetches every source.  When the query and what the
+        fetches served match a memoized answer, that report comes back
+        with this call's health snapshot; an error is never memoized.
 
         Raises:
             QueryError: no sources registered.
@@ -203,8 +238,21 @@ class UsaasService:
             )
         if len(self._registry) == 0:
             raise QueryError("no signal sources registered")
-        gathered = self._gather(query, deadline)
-        pool = gathered.pool
+        gathered = self._gather(deadline)
+        key = (query, gathered.identity())
+        report = self._memo.get(key)
+        if report is not None:
+            self._memo.move_to_end(key)
+            return replace(report, source_health=gathered.health)
+        report = self._report(query, gathered)
+        self._memo[key] = report
+        if len(self._memo) > ANSWER_MEMO_SIZE:
+            self._memo.popitem(last=False)
+        return report
+
+    def _report(self, query: UsaasQuery, gathered: GatherResult) -> UsaasReport:
+        """Compute ``query``'s report over what ``gathered`` served."""
+        pool = gathered.pool(query)
         guard = (
             PrivacyGuard(query.min_users)
             if query.min_users is not None
@@ -455,7 +503,7 @@ class UsaasService:
         for network in (network_a, network_b):
             query = UsaasQuery(network=network, service=service,
                                implicit_metrics=metrics)
-            pool = self._gather(query).pool
+            pool = self._gather().pool(query)
             self._privacy.assert_scrubbed(pool)
             self._privacy.check(pool, context=f"compare({network})")
             pools[network] = self._bias.apply(pool).filter(

@@ -20,7 +20,7 @@ is still answerable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -111,6 +111,7 @@ class SourceExecutor:
         self.clock = clock or MonotonicClock()
         self.ledger = HealthLedger()
         self._breakers: Dict[str, CircuitBreaker] = {}
+        self._delays: Dict[str, Tuple[float, ...]] = {}
 
     def breaker(self, name: str) -> CircuitBreaker:
         if name not in self._breakers:
@@ -156,7 +157,6 @@ class SourceExecutor:
             return self._fallback(registry, name, health, exc)
 
         policy = self.config.retry
-        delays = policy.schedule(name)
         last_error: BaseException = SourceUnavailableError(
             f"{name}: no attempt made"
         )
@@ -204,8 +204,12 @@ class SourceExecutor:
             health.breaker_state = breaker.state.value
             if not breaker.allow():
                 break  # breaker tripped mid-retry; stop burning attempts
-            if attempt < len(delays):
-                delay = delays[attempt]
+            if attempt < policy.max_attempts - 1:
+                # Derived at the source's first failed attempt and kept:
+                # the policy is frozen.
+                if name not in self._delays:
+                    self._delays[name] = policy.schedule(name)
+                delay = self._delays[name][attempt]
                 if (
                     deadline is not None
                     and delay >= deadline.remaining()

@@ -391,6 +391,11 @@ class CallDatasetGenerator:
             raise ConfigError(f"unknown sweep metric {sweep_metric!r}")
         if calls_per_value < 1:
             raise ConfigError("calls_per_value must be >= 1")
+        if platform_key and platform_key not in PLATFORMS:
+            raise ConfigError(
+                f"unknown platform {platform_key!r}; expected one of "
+                f"{tuple(PLATFORMS)}"
+            )
         platform = PLATFORMS[platform_key] if platform_key else None
 
         dataset = CallDataset()

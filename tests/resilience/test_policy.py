@@ -91,3 +91,53 @@ class TestFetchRetryContract:
             self.fetch(buggy, RetryPolicy(), clock)
         assert calls["n"] == 1
         assert clock.sleeps == []
+
+    def test_a_failing_source_sleeps_exactly_its_schedule(self):
+        clock = ManualClock()
+        policy = RetryPolicy(max_attempts=4, base_delay_s=0.5, seed=11)
+        registry = SignalSourceRegistry()
+
+        def down():
+            raise AnalysisError("down")
+
+        registry.register("feed", down)
+        executor = SourceExecutor(
+            config=ResilienceConfig(
+                retry=policy, breaker_window=20, breaker_min_calls=20,
+            ),
+            clock=clock,
+        )
+        for _ in range(3):
+            assert not executor.fetch(registry, "feed").usable
+        assert clock.sleeps == list(policy.schedule("feed")) * 3
+
+    def test_successful_fetches_derive_at_most_once_per_source(
+        self, monkeypatch
+    ):
+        first_delay = RetryPolicy().schedule("flaky")[0]
+        derived = []
+        schedule = RetryPolicy.schedule
+
+        def counting(policy, key):
+            derived.append(key)
+            return schedule(policy, key)
+
+        monkeypatch.setattr(RetryPolicy, "schedule", counting)
+        calls = {"n": 0}
+
+        def once_flaky():
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise AnalysisError("transient")
+            return SignalSeries()
+
+        registry = SignalSourceRegistry()
+        registry.register("steady", lambda: SignalSeries())
+        registry.register("flaky", once_flaky)
+        clock = ManualClock()
+        executor = SourceExecutor(clock=clock)
+        for _ in range(5):
+            for name in ("steady", "flaky"):
+                assert executor.fetch(registry, name).ok
+        assert sorted(set(derived)) == sorted(derived)
+        assert clock.sleeps == [first_delay]

@@ -164,6 +164,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             gen.generate_sweep(base, "rtt", [1.0], calls_per_value=1)
 
+    def test_rejects_unknown_platform_before_generating(self, monkeypatch):
+        gen = CallDatasetGenerator(GeneratorConfig(n_calls=0))
+        base = LinkProfile(base_latency_ms=20, loss_rate=0.001, jitter_ms=2,
+                           bandwidth_mbps=3.5)
+
+        def no_calls(*args, **kwargs):
+            raise AssertionError("a call was generated")
+
+        monkeypatch.setattr(gen, "_build_call", no_calls)
+        with pytest.raises(ConfigError, match="'blackberry'.*windows_pc"):
+            gen.generate_sweep(base, "loss", [0.01], calls_per_value=1,
+                               platform_key="blackberry")
+
     def test_mobile_focal_more_loss_sensitive(self):
         """Fig. 3: at the same loss, mobile users leave sooner than PC users."""
         base = LinkProfile(base_latency_ms=25, loss_rate=0.001, jitter_ms=2,

@@ -44,7 +44,6 @@ from repro.core.usaas.summarize import summarize_insights
 from repro.engagement.early_warning import DriftDetector
 from repro.errors import (
     AnalysisError,
-    DegradedServiceError,
     PrivacyError,
     QueryError,
     SchemaError,
@@ -365,42 +364,14 @@ def score_signal_units_records(signals) -> Dict[str, TrustScore]:
 class OracleService(UsaasService):
     """``UsaasService`` with every read step on the record loops above."""
 
-    def _gather(self, query, deadline=None) -> GatherResult:
+    def _record_pool(self, gathered: GatherResult, query) -> List[Signal]:
         merged: List[Signal] = []
-        survivors: List[str] = []
-        failed: List[str] = []
-        stale: List[str] = []
-        for name in self._registry.names():
-            outcome = self._executor.fetch(self._registry, name, deadline)
-            if outcome.usable:
-                survivors.append(name)
-                if outcome.stale:
-                    stale.append(name)
-                merged.extend(filter_records(
-                    outcome.series, network=query.network,
-                    start=query.start, end=query.end,
-                ))
-            else:
-                failed.append(name)
-        config = self._executor.config
-        if failed and config.strict:
-            raise DegradedServiceError(
-                f"strict mode: source(s) failed: {', '.join(failed)}"
-            )
-        if len(survivors) < config.min_sources:
-            raise DegradedServiceError(
-                f"only {len(survivors)} of {len(self._registry)} sources "
-                f"survived (min_sources={config.min_sources}); "
-                f"failed: {', '.join(failed) or 'none'}"
-            )
-        return GatherResult(
-            pool=merged,
-            health=self._executor.ledger.snapshot(),
-            degraded=bool(failed or stale),
-            survivors=tuple(survivors),
-            failed=tuple(failed),
-            stale=tuple(stale),
-        )
+        for series in gathered.series:
+            merged.extend(filter_records(
+                series, network=query.network,
+                start=query.start, end=query.end,
+            ))
+        return merged
 
     def answer(self, query: UsaasQuery, deadline=None) -> UsaasReport:
         if query.kind != "insights":
@@ -411,8 +382,8 @@ class OracleService(UsaasService):
             )
         if len(self._registry) == 0:
             raise QueryError("no signal sources registered")
-        gathered = self._gather(query, deadline)
-        pool = gathered.pool
+        gathered = self._gather(deadline)
+        pool = self._record_pool(gathered, query)
         guard = (
             PrivacyGuard(query.min_users)
             if query.min_users is not None
@@ -616,7 +587,7 @@ class OracleService(UsaasService):
         for network in (network_a, network_b):
             query = UsaasQuery(network=network, service=service,
                                implicit_metrics=metrics)
-            pool = self._gather(query).pool
+            pool = self._record_pool(self._gather(), query)
             assert_scrubbed_records(pool)
             check_records(self._privacy, pool, context=f"compare({network})")
             pools[network] = filter_records(
