@@ -64,12 +64,6 @@ class Signal:
         if self.weight < 0:
             raise SchemaError(f"weight must be non-negative, got {self.weight}")
 
-    def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.attrs:
-            if k == key:
-                return v
-        return default
-
     @property
     def date(self) -> dt.date:
         return self.timestamp.date()
@@ -285,7 +279,7 @@ class _Columns:
             for key, word in pairs:
                 if key not in per_key:
                     per_key[key] = [-1] * len(combos.words)
-                if per_key[key][j] < 0:  # Signal.attr reads the first pair per key
+                if per_key[key][j] < 0:  # the first pair per key wins
                     per_key[key][j] = self._attr_vocab(key).add(word)
         self._push(columns, {
             key: np.array(lut, dtype=np.int64)[combo]
@@ -710,11 +704,6 @@ class SignalSeries:
         if total_weight == 0:
             raise SchemaError("all signals have zero weight")
         return _sequential_sum(self._col("value") * weight) / total_weight
-
-    def daily_mean(self) -> Dict[dt.date, float]:
-        """Per-day weighted mean — the join key for cross-signal queries."""
-        days, means = self._daily()
-        return dict(zip(map(dt.date.fromordinal, days.tolist()), means.tolist()))
 
 
 def _sequential_sum(x: np.ndarray) -> float:

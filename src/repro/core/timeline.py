@@ -133,10 +133,6 @@ class DailySeries:
             chosen_idx.append(int(idx))
         return chosen
 
-    def weekly_average(self) -> float:
-        """Mean value per 7-day week across the span (§4.1 volume stats)."""
-        return float(self.values.sum() / (len(self.values) / 7.0))
-
     def monthly(self, reducer: str = "sum") -> "MonthlySeries":
         """Collapse to a monthly series via ``sum``, ``mean`` or ``median``."""
         buckets: Dict[Month, List[float]] = {}

@@ -55,7 +55,7 @@ class BiasCorrector:
         kept = np.arange(len(series))
 
         if self.per_author_daily_cap > 0:
-            # ``signal.attr("user") or "?"``: absent, "" and "?" are one author.
+            # Absent, "" and "?" users are one author.
             author, vocab = series._attr("user")
             author = np.where(
                 np.isin(author, (vocab.code(""), vocab.code("?"))), -1, author

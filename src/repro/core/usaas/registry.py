@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.signals import SignalSeries
 from repro.errors import QueryError, SchemaError
@@ -19,25 +19,17 @@ class SignalSourceRegistry:
 
     The guarded fetch (:meth:`SourceExecutor.fetch
     <repro.resilience.executor.SourceExecutor.fetch>`) calls
-    :meth:`load`, and so the source, on every fetch, and passes
-    each result that arrived within budget to :meth:`commit`.  What it
-    reads back is only the *last-good* slot: the stale-fallback value
-    served while a source is down.  ``UsaasService.answer`` sees
-    appended rows because its memo is keyed on each fetched series'
-    identity and length, not through :meth:`invalidate`.
-
-    :meth:`series` / :meth:`all_series` read a per-source cache that
-    :meth:`commit` fills and :meth:`invalidate` clears:
-
-    * a source that raises **never** populates the cache — the exception
-      propagates and the next call re-runs the source;
-    * a source that returns the wrong type never populates the cache;
-    * the last-good slot survives :meth:`invalidate`.
+    :meth:`load`, and so the source, on every fetch, and passes each
+    result that arrived within budget to :meth:`commit`.  That fills
+    the *last-good* slot, the stale-fallback value served while a
+    source is down; the registry keeps nothing else.  A source that
+    raises or returns the wrong type never reaches :meth:`commit`.
+    ``UsaasService.answer`` sees appended rows because its memo is
+    keyed on each fetched series' identity and length.
     """
 
     def __init__(self) -> None:
         self._sources: Dict[str, SourceFn] = {}
-        self._cache: Dict[str, SignalSeries] = {}
         self._last_good: Dict[str, SignalSeries] = {}
 
     def register(self, name: str, source: SourceFn) -> None:
@@ -48,13 +40,6 @@ class SignalSourceRegistry:
         if not callable(source):
             raise QueryError(f"source {name!r} must be callable")
         self._sources[name] = source
-
-    def unregister(self, name: str) -> None:
-        if name not in self._sources:
-            raise QueryError(f"source {name!r} not registered")
-        del self._sources[name]
-        self._cache.pop(name, None)
-        self._last_good.pop(name, None)
 
     def names(self) -> List[str]:
         return sorted(self._sources)
@@ -68,9 +53,9 @@ class SignalSourceRegistry:
     # -- fetching ---------------------------------------------------------
 
     def load(self, name: str) -> SignalSeries:
-        """Run the source *without* caching; validates the return type.
+        """Run the source and check that it returned a SignalSeries.
 
-        The guarded ingestion path uses this per attempt and only
+        The guarded fetch calls this per attempt and only
         :meth:`commit`\\ s a result that arrived within budget.
         """
         if name not in self._sources:
@@ -84,59 +69,24 @@ class SignalSourceRegistry:
         return series
 
     def commit(self, name: str, series: SignalSeries) -> None:
-        """Store a successfully-fetched series (cache + last-good)."""
+        """Store a successfully-fetched series as the last-good value."""
         if name not in self._sources:
             raise QueryError(f"source {name!r} not registered")
         if not isinstance(series, SignalSeries):
             raise SchemaError("commit requires a SignalSeries")
-        self._cache[name] = series
         self._last_good[name] = series
 
-    def series(self, name: str) -> SignalSeries:
-        """Cached fetch: load + commit on first use."""
-        if name not in self._sources:
-            raise QueryError(f"source {name!r} not registered")
-        if name not in self._cache:
-            self.commit(name, self.load(name))
-        return self._cache[name]
-
-    def all_series(self) -> Iterator[Tuple[str, SignalSeries]]:
-        for name in self.names():
-            yield name, self.series(name)
-
-    # -- cache coherence --------------------------------------------------
-
-    def cached(self, name: str) -> bool:
-        return name in self._cache
-
     def last_good(self, name: str) -> Optional[SignalSeries]:
-        """The most recent successfully-committed series, if any.
-
-        Survives :meth:`invalidate` — this is the stale-fallback value
-        the resilient path serves while a source is down.
-        """
+        """The most recent successfully-committed series, if any: the
+        stale-fallback value the resilient path serves while a source
+        is down."""
         return self._last_good.get(name)
 
     def invalidate(self, name: str) -> None:
-        """Drop the cached value so the next :meth:`series` re-runs the source.
+        """Check that ``name`` is registered; there is no cache to drop.
 
-        Keeps the last-good slot: invalidation means "the data may be
-        out of date", not "the data never existed".  The guarded fetch
-        runs the source every time and never reads this cache, so
-        invalidating changes nothing that ``UsaasService.answer``
-        returns.
+        The guarded fetch runs the source every time, and answers see
+        appends through their memo's key.  The last-good slot is kept.
         """
         if name not in self._sources:
             raise QueryError(f"source {name!r} not registered")
-        self._cache.pop(name, None)
-
-    def refresh(self, name: Optional[str] = None) -> None:
-        """Invalidate and eagerly re-fetch one source (or all of them).
-
-        A refresh that raises leaves the cache empty for that source but
-        keeps the previous last-good value available for fallback.
-        """
-        targets = [name] if name is not None else self.names()
-        for target in targets:
-            self.invalidate(target)
-            self.commit(target, self.load(target))

@@ -139,14 +139,12 @@ class UsaasService:
 
     def __init__(
         self,
-        privacy: Optional[PrivacyGuard] = None,
-        bias: Optional[BiasCorrector] = None,
         resilience: Optional[ResilienceConfig] = None,
         clock: Optional[Clock] = None,
     ) -> None:
         self._registry = SignalSourceRegistry()
-        self._privacy = privacy or PrivacyGuard()
-        self._bias = bias or BiasCorrector()
+        self._privacy = PrivacyGuard()
+        self._bias = BiasCorrector()
         self._executor = SourceExecutor(resilience or ResilienceConfig(), clock)
         self._memo: "OrderedDict[Hashable, UsaasReport]" = OrderedDict()
 
@@ -500,10 +498,11 @@ class UsaasService:
             raise QueryError("compare needs two distinct networks")
         rows: List[MetricComparison] = []
         pools = {}
+        gathered = self._gather()
         for network in (network_a, network_b):
             query = UsaasQuery(network=network, service=service,
                                implicit_metrics=metrics)
-            pool = self._gather().pool(query)
+            pool = gathered.pool(query)
             self._privacy.assert_scrubbed(pool)
             self._privacy.check(pool, context=f"compare({network})")
             pools[network] = self._bias.apply(pool).filter(

@@ -14,10 +14,9 @@ This module provides the two standard observational fixes:
 * **direct standardisation** — a single adjusted curve re-weighted to a
   fixed reference mix of strata, comparable across bins by construction.
 
-``confounder_gap`` quantifies how much adjustment mattered: the mean
-absolute difference between raw and adjusted curves, in engagement
-points.  An "effective USaaS should take into account all such
-confounders" — this is the taking-into-account.
+The gap between the raw and adjusted curves, in engagement points, is
+how much adjustment mattered.  An "effective USaaS should take into
+account all such confounders" — this is the taking-into-account.
 """
 
 from __future__ import annotations
@@ -62,13 +61,6 @@ class AdjustedCurve:
     adjusted: BinnedCurve
     strata: Dict[str, BinnedCurve]
     reference_mix: Dict[str, float]
-
-    def confounder_gap(self) -> float:
-        """Mean |raw − adjusted| over bins where both are finite."""
-        mask = ~(np.isnan(self.raw.stat) | np.isnan(self.adjusted.stat))
-        if not mask.any():
-            raise AnalysisError("no commonly populated bins")
-        return float(np.abs(self.raw.stat[mask] - self.adjusted.stat[mask]).mean())
 
 
 def adjusted_curve(

@@ -14,11 +14,11 @@ curves look like without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import AnalysisError
-from repro.telemetry.schema import NETWORK_METRICS, ParticipantRecord
+from repro.telemetry.schema import NETWORK_METRICS
 from repro.telemetry.store import CallDataset
 
 
@@ -60,17 +60,6 @@ class CohortFilter:
 
         return dataset.filter_calls(keep)
 
-    @classmethod
-    def permissive(cls) -> "CohortFilter":
-        """No filtering at all — the ablation baseline."""
-        return cls(
-            enterprise_only=False,
-            business_hours_only=False,
-            weekdays_only=False,
-            min_participants=1,
-            countries=None,
-        )
-
 
 @dataclass(frozen=True)
 class ConditionWindow:
@@ -86,10 +75,6 @@ class ConditionWindow:
             raise AnalysisError(f"unknown network metric {self.metric!r}")
         if self.high < self.low:
             raise AnalysisError(f"window high {self.high} < low {self.low}")
-
-    def contains(self, participant: ParticipantRecord) -> bool:
-        value = participant.metric(self.metric, self.stat)
-        return self.low <= value <= self.high
 
 
 # The paper's §3.2 control windows, keyed by metric.

@@ -56,30 +56,6 @@ class Fig1Result:
             raise AnalysisError("curve has no finite bins")
         return float(100.0 - normalized[finite[-1]])
 
-    def slope(
-        self,
-        network_metric: str,
-        engagement_metric: str,
-        x_low: float,
-        x_high: float,
-    ) -> float:
-        """Least-squares slope of the curve over [x_low, x_high].
-
-        Used to verify the "steeper until 150 ms, plateau after" claim for
-        Mic On vs latency.
-        """
-        curve = self.panel(network_metric)[engagement_metric]
-        mask = (
-            (curve.centers >= x_low)
-            & (curve.centers <= x_high)
-            & ~np.isnan(curve.stat)
-        )
-        if mask.sum() < 2:
-            raise AnalysisError(
-                f"not enough bins in [{x_low}, {x_high}] to fit a slope"
-            )
-        return float(np.polyfit(curve.centers[mask], curve.stat[mask], 1)[0])
-
 
 def fig1_curves(
     participants: Iterable[ParticipantRecord],

@@ -10,7 +10,7 @@ keyword occurrences per text, supporting both unigrams and phrases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.errors import ExtractionError
 from repro.nlp.tokenize import bigrams, words
@@ -81,21 +81,6 @@ class KeywordDictionary:
             if not consumed[i] and token in unigram_set:
                 count += 1
         return count
-
-    def matches(self, text: str) -> bool:
-        return self.count_matches(text) > 0
-
-    def matched_terms(self, text: str) -> Dict[str, int]:
-        """Per-term occurrence counts (for reporting)."""
-        tokens = words(text)
-        out: Dict[str, int] = {}
-        for pair in bigrams(tokens):
-            if pair in self.phrases:
-                out[pair] = out.get(pair, 0) + 1
-        for token in tokens:
-            if token in self.unigrams:
-                out[token] = out.get(token, 0) + 1
-        return out
 
 
 OUTAGE_KEYWORDS = KeywordDictionary.from_terms("outage", OUTAGE_TERMS)

@@ -49,9 +49,6 @@ class NewsIndex:
         self._articles.append(article)
         self._articles.sort(key=lambda a: a.date)
 
-    def all_articles(self) -> List[NewsArticle]:
-        return list(self._articles)
-
     def search(
         self,
         keywords: Sequence[str],

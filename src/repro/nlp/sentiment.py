@@ -92,15 +92,6 @@ class SentimentAnalyzer:
         self._memo_cap = int(memo_cap)
         self._memo: "OrderedDict[str, SentimentScores]" = OrderedDict()
 
-    @property
-    def memo_cap(self) -> int:
-        return self._memo_cap
-
-    @property
-    def memo_size(self) -> int:
-        """Distinct texts currently memoised (always <= ``memo_cap``)."""
-        return len(self._memo)
-
     def score(self, text: str) -> SentimentScores:
         """Score one piece of text."""
         tokens = tokenize(text)

@@ -30,21 +30,6 @@ class WordCloud:
             raise ExtractionError("k must be >= 1")
         return Counter(self.unigram_counts).most_common(k)
 
-    def rank_of(self, term: str) -> int:
-        """1-based frequency rank of a unigram; raises if absent.
-
-        Used to check claims like "the third most common word ... is
-        outage".
-        """
-        ordered = Counter(self.unigram_counts).most_common()
-        for rank, (word, _) in enumerate(ordered, start=1):
-            if word == term.lower():
-                return rank
-        raise ExtractionError(f"term {term!r} not in cloud")
-
-    def contains(self, term: str) -> bool:
-        return term.lower() in self.unigram_counts
-
 
 def build_wordcloud(
     texts: Iterable[str],

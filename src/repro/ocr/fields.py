@@ -37,14 +37,6 @@ class ExtractedReport:
                 raise ExtractionError(f"{name} must be positive or None")
 
     @property
-    def is_complete(self) -> bool:
-        return (
-            self.download_mbps is not None
-            and self.upload_mbps is not None
-            and self.latency_ms is not None
-        )
-
-    @property
     def has_download(self) -> bool:
         """The Fig. 7 analysis only strictly needs the downlink number."""
         return self.download_mbps is not None

@@ -56,11 +56,6 @@ class NoiseModel:
         """No corruption — for pipeline tests."""
         return cls(confusion_rate=0.0, dropout_rate=0.0, token_loss_rate=0.0)
 
-    @classmethod
-    def harsh(cls) -> "NoiseModel":
-        """A bad photo — for robustness tests."""
-        return cls(confusion_rate=0.12, dropout_rate=0.05, token_loss_rate=0.08)
-
     def _corrupt_text(self, rng: np.random.Generator, text: str) -> str:
         out: List[str] = []
         for ch in text:

@@ -56,13 +56,6 @@ class Screenshot:
         """Tokens sorted top-to-bottom, left-to-right (row tolerance 8px)."""
         return sorted(self.tokens, key=lambda t: (t.y // 8, t.x))
 
-    def text_lines(self) -> List[str]:
-        """Tokens joined per row — handy for debugging and tests."""
-        rows: dict = {}
-        for token in self.reading_order():
-            rows.setdefault(token.y // 8, []).append(token.text)
-        return [" ".join(parts) for _, parts in sorted(rows.items())]
-
 
 def _fmt(value: float) -> str:
     """Format a number the way test apps do (no trailing .0)."""

@@ -147,8 +147,8 @@ class ParticipantColumns:
 
         Windows are duck-typed (``.metric`` / ``.stat`` / ``.low`` /
         ``.high``) so this layer stays independent of
-        :mod:`repro.engagement.cohort`; the comparisons are the exact
-        ones :meth:`ConditionWindow.contains` performs.
+        :mod:`repro.engagement.cohort`; a session is inside a window
+        when ``low <= value <= high``.
         """
         mask = np.ones(len(self), dtype=bool)
         for w in windows:

@@ -87,10 +87,6 @@ class ColumnarMosPredictor:
         self._intercept: float = 0.0
 
     @property
-    def features(self) -> Tuple[str, ...]:
-        return self._features
-
-    @property
     def is_fitted(self) -> bool:
         return self._weights is not None
 

@@ -129,10 +129,6 @@ class PredictionEngine:
         self.coalesced_queries = 0
 
     @property
-    def columns(self) -> ParticipantColumns:
-        return self._columns
-
-    @property
     def model(self) -> ColumnarMosPredictor:
         return self._model
 

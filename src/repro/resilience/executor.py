@@ -6,8 +6,9 @@ full guard stack:
 
 1. breaker admission (open circuits shed the call instantly),
 2. retry loop with deterministic backoff and per-attempt timeout budget,
-3. on success within budget: the result is committed to the registry
-   cache (becoming the stale-fallback value for later outages),
+3. on success within budget: the result is committed to the
+   registry's last-good slot (the stale-fallback value for later
+   outages),
 4. on exhaustion: the last known-good series is served *stale* when the
    configuration allows it, else the source is reported failed.
 
@@ -49,9 +50,11 @@ class ResilienceConfig:
 
     Attributes:
         retry: per-source retry/backoff/timeout policy.
-        breaker_window / breaker_failure_rate / breaker_min_calls /
-            breaker_recovery_s / breaker_half_open_max_calls: breaker
-            construction parameters (one breaker per source).
+        breaker_window / breaker_min_calls / breaker_recovery_s:
+            breaker construction parameters (one breaker per source;
+            it opens at a 50 % failure rate and lets one probe call
+            through when half-open, the :class:`CircuitBreaker`
+            defaults).
         min_sources: fewest healthy-or-stale sources for a query to be
             answerable; below this ``answer()`` raises
             :class:`~repro.errors.DegradedServiceError`.
@@ -62,10 +65,8 @@ class ResilienceConfig:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_window: int = 10
-    breaker_failure_rate: float = 0.5
     breaker_min_calls: int = 4
     breaker_recovery_s: float = 30.0
-    breaker_half_open_max_calls: int = 1
     min_sources: int = 1
     strict: bool = False
     allow_stale: bool = True
@@ -118,10 +119,8 @@ class SourceExecutor:
             cfg = self.config
             self._breakers[name] = CircuitBreaker(
                 window=cfg.breaker_window,
-                failure_rate_threshold=cfg.breaker_failure_rate,
                 min_calls=cfg.breaker_min_calls,
                 recovery_s=cfg.breaker_recovery_s,
-                half_open_max_calls=cfg.breaker_half_open_max_calls,
                 clock=self.clock,
                 name=name,
             )

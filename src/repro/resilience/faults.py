@@ -1,7 +1,7 @@
 """Deterministic chaos: seeded fault injection for sources and records.
 
-A :class:`FaultPlan` wraps any source callable (or record stream) so that
-calls fail, stall, or yield corrupt records on a schedule derived from
+A :class:`FaultPlan` wraps any source callable so that calls fail or
+stall, and contaminates datasets and streams, on a schedule derived from
 ``repro.rng`` — the same seed always produces the same fault sequence,
 which is what lets the chaos suite assert byte-identical health records
 across runs.  Simulated slowness advances a
@@ -12,7 +12,7 @@ across runs.  Simulated slowness advances a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro import rng as rng_mod
 from repro.errors import ConfigError, ReproError
@@ -29,17 +29,15 @@ class FaultSpec:
 
     Per call, one uniform draw picks the action: ``fail`` with
     probability ``fail_rate``, else ``slow`` with probability
-    ``slow_rate``, else the call proceeds normally.  ``corrupt_rate``
-    applies per *record* when wrapping a record stream.
+    ``slow_rate``, else the call proceeds normally.
     """
 
     fail_rate: float = 0.0
     slow_rate: float = 0.0
     slow_s: float = 0.0
-    corrupt_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("fail_rate", "slow_rate", "corrupt_rate"):
+        for name in ("fail_rate", "slow_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -287,14 +285,6 @@ class ContaminatedCalls:
     fraud_users: Tuple[str, ...]
     fraud_sessions: Tuple[Tuple[str, str], ...]
     drifted_sessions: Tuple[Tuple[str, str], ...]
-
-    @property
-    def n_fraud(self) -> int:
-        return len(self.fraud_sessions)
-
-    @property
-    def n_drifted(self) -> int:
-        return len(self.drifted_sessions)
 
 
 @dataclass(frozen=True)
@@ -569,38 +559,6 @@ class FaultPlan:
 
         return wrapped
 
-    def wrap_records(
-        self,
-        name: str,
-        records: Iterable[Any],
-        spec: FaultSpec,
-        corrupt: Optional[Callable[[Any], Any]] = None,
-    ) -> Iterator[Any]:
-        """Yield ``records`` with some deterministically corrupted.
-
-        ``corrupt`` maps a clean record to its corrupted form; the
-        default replaces it with a sentinel string no schema accepts.
-        """
-        stream = self._stream(name + "#records")
-        for record in records:
-            if float(stream.random()) < spec.corrupt_rate:
-                self.log.append((name, "corrupt"))
-                yield corrupt(record) if corrupt else "\x00corrupt\x00"
-            else:
-                yield record
-
-    def corrupt_jsonl_lines(
-        self, name: str, lines: Iterable[str], spec: FaultSpec
-    ) -> Iterator[str]:
-        """Deterministically truncate JSONL lines (for salvage tests)."""
-        stream = self._stream(name + "#lines")
-        for line in lines:
-            if float(stream.random()) < spec.corrupt_rate and line.strip():
-                self.log.append((name, "corrupt"))
-                yield line[: max(1, len(line) // 2)]
-            else:
-                yield line
-
     def data_faults(
         self, name: str, spec: DataFaultSpec
     ) -> DataFaultInjector:
@@ -709,51 +667,3 @@ class FaultPlan:
         deliveries.sort(key=lambda d: (d.at_s, d.seq))
         self.log.append((name, f"stream_faults.{len(deliveries)}"))
         return tuple(deliveries)
-
-    def torn_write(self, name: str, path: Any, data: bytes) -> int:
-        """Simulate a crash mid-write: persist only a prefix of ``data``.
-
-        The cut point is drawn from this plan's seeded stream for
-        ``name`` (never zero bytes, never the full payload for data of
-        two or more bytes), so the same seed tears the same byte — which
-        lets the salvage regression tests pin their truncated tail.
-        Returns the number of bytes actually written.
-        """
-        stream = self._stream(name + "#torn")
-        if len(data) < 2:
-            cut = len(data)
-        else:
-            cut = 1 + int(float(stream.random()) * (len(data) - 1))
-        with open(path, "wb") as f:
-            f.write(data[:cut])
-        self.log.append((name, "torn"))
-        return cut
-
-    def torn_append(self, name: str, path: Any, data: bytes) -> int:
-        """Simulate a crash mid-*append*: the file keeps its existing
-        contents and gains only a prefix of ``data``.
-
-        Same seeded cut-point scheme as :meth:`torn_write`, but opened
-        in append mode — the failure an append-only journal actually
-        suffers, where everything before the torn tail is intact.
-        Returns the number of bytes appended.
-        """
-        stream = self._stream(name + "#torn-append")
-        if len(data) < 2:
-            cut = len(data)
-        else:
-            cut = 1 + int(float(stream.random()) * (len(data) - 1))
-        with open(path, "ab") as f:
-            f.write(data[:cut])
-        self.log.append((name, "torn_append"))
-        return cut
-
-    def actions(self, name: str, spec: FaultSpec, n: int) -> Tuple[str, ...]:
-        """Preview the next ``n`` actions for a *fresh* target name.
-
-        Uses the same derivation as :meth:`wrap_source`, so a plan with
-        the same seed reports the same sequence — the determinism the
-        test suite pins down.
-        """
-        preview = FaultPlan(self.seed)
-        return tuple(preview._action(name, spec) for _ in range(n))

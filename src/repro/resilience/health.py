@@ -51,10 +51,6 @@ class SourceHealth:
     last_cycle_elapsed_s: float = 0.0
 
     @property
-    def healthy(self) -> bool:
-        return self.consecutive_failures == 0 and self.breaker_state == "closed"
-
-    @property
     def status(self) -> str:
         """``ok`` | ``stale`` | ``failed`` — the one-word table cell."""
         if self.stale:

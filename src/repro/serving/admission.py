@@ -101,10 +101,6 @@ class AdmissionController:
     # -- introspection ----------------------------------------------------
 
     @property
-    def admitting(self) -> bool:
-        return self._admitting
-
-    @property
     def in_flight_count(self) -> int:
         return len(self._in_flight)
 
@@ -214,10 +210,3 @@ class AdmissionController:
                 f"ticket {ticket.id} is not in flight"
             )
         self._in_flight.discard(ticket.id)
-
-    def pending_tickets(self) -> Tuple[Ticket, ...]:
-        """Every still-queued ticket, priority order (for drain reports)."""
-        out: List[Ticket] = []
-        for name in PRIORITY_CLASSES:
-            out.extend(self._pending[name])
-        return tuple(out)

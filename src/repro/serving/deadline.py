@@ -50,9 +50,6 @@ class Deadline:
     def expires_at(self) -> float:
         return self.started_at + self.budget_s
 
-    def elapsed(self) -> float:
-        return self._clock.now() - self.started_at
-
     def remaining(self) -> float:
         """Budget left; negative once the deadline has passed."""
         return self.expires_at - self._clock.now()

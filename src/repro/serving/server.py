@@ -227,13 +227,10 @@ class UsaasServer:
         max_pending: int = 16,
         max_concurrent: int = 1,
         shed_policy: str = "priority",
-        default_deadline_s: Optional[float] = None,
         min_feasible_s: Optional[float] = None,
         prediction=None,
         coalescer=None,
     ) -> None:
-        if default_deadline_s is not None and default_deadline_s <= 0:
-            raise ConfigError("default_deadline_s must be positive")
         self._service = service
         self._clock: Clock = service.executor.clock
         if min_feasible_s is None:
@@ -246,7 +243,6 @@ class UsaasServer:
             shed_policy=shed_policy,
             min_feasible_s=min_feasible_s,
         )
-        self.default_deadline_s = default_deadline_s
         self.prediction = prediction
         self.coalescer = None
         if coalescer is not None:
@@ -354,9 +350,9 @@ class UsaasServer:
             # Validate rows against the bound block *before* minting a
             # ticket: a malformed query is a caller bug, not shed load.
             self.prediction.check_rows(getattr(query, "rows", None))
-        budget = deadline_s if deadline_s is not None else self.default_deadline_s
         deadline = (
-            Deadline.start(self._clock, budget) if budget is not None else None
+            Deadline.start(self._clock, deadline_s)
+            if deadline_s is not None else None
         )
         ticket = Ticket(
             id=self._next_id,
@@ -513,15 +509,14 @@ class UsaasServer:
             self.admission.release(ticket)
         return result
 
-    def run_pending(self, limit: Optional[int] = None) -> List[QueryOutcome]:
-        """Run queued queries until the queue is empty (or ``limit``)."""
+    def run_pending(self) -> List[QueryOutcome]:
+        """Run queued queries until the queue is empty."""
         outcomes: List[QueryOutcome] = []
-        while limit is None or len(outcomes) < limit:
+        while True:
             outcome = self.run_next()
             if outcome is None:
-                break
+                return outcomes
             outcomes.append(outcome)
-        return outcomes
 
     def _execute(self, ticket: Ticket) -> QueryOutcome:
         deadline = ticket.deadline

@@ -244,6 +244,7 @@ def synthetic_soak_service(
     return service
 
 
-def estimated_service_time_s(slow_s: float, n_sources: int = 2) -> float:
-    """Simulated clock cost of one fully-healthy query."""
-    return float(slow_s) * int(n_sources)
+def estimated_service_time_s(slow_s: float) -> float:
+    """Simulated clock cost of one fully-healthy query: the two healthy
+    feeds of :func:`synthetic_soak_service` take ``slow_s`` each."""
+    return float(slow_s) * 2

@@ -156,12 +156,3 @@ class AuthorPool:
                 subscribers = narrowed
         weights = np.array([a.verbosity for a in subscribers])
         return SubscriberPool(subscribers, weights / weights.sum())
-
-    def sample_subscriber(
-        self,
-        rng: np.random.Generator,
-        day: dt.date,
-        predicate: Optional[Callable[[Author], bool]] = None,
-    ) -> Author:
-        """Draw one author from :meth:`subscribers_on`."""
-        return self.subscribers_on(day, predicate).sample(rng)

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.timeline import DailySeries, MonthlySeries, month_of
+from repro.core.timeline import MonthlySeries, month_of
 from repro.errors import ConfigError
 from repro.rng import DEFAULT_SEED, derive
 from repro.social.authors import Author, AuthorPool, SubscriberPool
@@ -140,12 +140,6 @@ class RedditCorpus:
             "upvotes_per_week": sum(p.upvotes for p in self._posts) / n_weeks,
             "comments_per_week": sum(p.n_comments for p in self._posts) / n_weeks,
         }
-
-    def daily_counts(self) -> DailySeries:
-        series = DailySeries.zeros(self._config.span_start, self._config.span_end)
-        for post in self._posts:
-            series.add(post.date)
-        return series
 
     # --- persistence ---------------------------------------------------
 

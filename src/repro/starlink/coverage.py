@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.errors import ConfigError
 from repro.rng import derive
@@ -128,8 +126,3 @@ class OutageProcess:
                     )
                 )
         return sorted(outages, key=lambda o: o.date)
-
-    def on(self, day: dt.date, outages: Optional[List[Outage]] = None) -> List[Outage]:
-        """Outages active on a given day."""
-        pool = outages if outages is not None else self.generate()
-        return [o for o in pool if o.date == day]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigError
 
@@ -72,24 +72,6 @@ class Footprint:
         return sorted(
             c for c, start in self.service_start.items() if day >= start
         )
-
-    def country_count(self, day: dt.date) -> int:
-        return len(self.available_countries(day))
-
-    def launch_quarter_counts(self) -> Dict[str, int]:
-        """Countries gaining service per quarter — the expansion cadence."""
-        out: Dict[str, int] = {}
-        for start in self.service_start.values():
-            quarter = f"{start.year}Q{(start.month - 1) // 3 + 1}"
-            out[quarter] = out.get(quarter, 0) + 1
-        return out
-
-    def service_age_days(self, country: str, day: dt.date) -> Optional[int]:
-        """Days since service started in a country (None if not served)."""
-        start = self.service_start.get(country)
-        if start is None or day < start:
-            return None
-        return (day - start).days
 
 
 DEFAULT_FOOTPRINT = Footprint()

@@ -75,10 +75,6 @@ class PlanOutcome:
     min_satisfaction: float
     final_speed_mbps: float
 
-    @property
-    def n_extra(self) -> int:
-        return sum(self.extra_launches.values())
-
 
 def plan_outcome(
     extra_launches: Dict[Month, int],

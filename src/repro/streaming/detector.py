@@ -101,6 +101,11 @@ class ChangePoint:
         return line
 
 
+#: Smallest reference spread the z-test divides by, so a flat
+#: reference window cannot make every wobble infinitely significant.
+STD_FLOOR = 1e-3
+
+
 class OnlineChangePointDetector:
     """Two-sample z-test over a bounded trailing emission window.
 
@@ -124,7 +129,6 @@ class OnlineChangePointDetector:
         z_threshold: float = 5.0,
         min_gap_s: float = 120.0,
         attribution_horizon_s: float = 300.0,
-        std_floor: float = 1e-3,
         min_shift_frac: float = 0.1,
     ) -> None:
         if reference_n < 2:
@@ -137,8 +141,6 @@ class OnlineChangePointDetector:
             raise ConfigError("min_gap_s must be non-negative")
         if attribution_horizon_s < 0:
             raise ConfigError("attribution_horizon_s must be non-negative")
-        if std_floor <= 0:
-            raise ConfigError("std_floor must be positive")
         if min_shift_frac < 0:
             raise ConfigError("min_shift_frac must be non-negative")
         self.reference_n = int(reference_n)
@@ -146,7 +148,6 @@ class OnlineChangePointDetector:
         self.z_threshold = float(z_threshold)
         self.min_gap_s = float(min_gap_s)
         self.attribution_horizon_s = float(attribution_horizon_s)
-        self.std_floor = float(std_floor)
         self.min_shift_frac = float(min_shift_frac)
         self._tails: Dict[str, Deque[Tuple[float, float]]] = {}
         self._roles: Dict[str, str] = {}
@@ -196,7 +197,7 @@ class OnlineChangePointDetector:
         test = values[self.reference_n:]
         ref_mean = sum(ref) / len(ref)
         ref_var = sum((v - ref_mean) ** 2 for v in ref) / len(ref)
-        ref_std = max(ref_var ** 0.5, self.std_floor)
+        ref_std = max(ref_var ** 0.5, STD_FLOOR)
         test_mean = sum(test) / len(test)
         z = (test_mean - ref_mean) / ref_std
         if abs(z) < self.z_threshold:

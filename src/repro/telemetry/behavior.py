@@ -118,10 +118,6 @@ class BehaviorModel:
     def __init__(self, params: BehaviorParams = BehaviorParams()) -> None:
         self._params = params
 
-    @property
-    def params(self) -> BehaviorParams:
-        return self._params
-
     def simulate_session(
         self,
         rng: np.random.Generator,

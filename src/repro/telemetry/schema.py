@@ -121,7 +121,3 @@ class CallRecord:
     @property
     def countries(self) -> List[str]:
         return sorted({p.country for p in self.participants})
-
-    def is_business_hours(self, start_hour: int = 9, end_hour: int = 20) -> bool:
-        """Weekday and within [start_hour, end_hour) local time (§3.1)."""
-        return self.start.weekday() < 5 and start_hour <= self.start.hour < end_hour

@@ -113,12 +113,6 @@ class UserPopulation:
     def __iter__(self):
         return iter(self._users)
 
-    def by_id(self, user_id: str) -> User:
-        for user in self._users:
-            if user.user_id == user_id:
-                return user
-        raise ConfigError(f"unknown user {user_id!r}")
-
     def sample(self, rng: np.random.Generator, n: int) -> List[User]:
         """Draw ``n`` distinct users for one meeting."""
         if n > len(self._users):

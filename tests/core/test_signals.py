@@ -27,10 +27,9 @@ class TestSignal:
 
     def test_attrs_sorted_and_readable(self):
         s = make_signal(platform="ios", country="US")
-        assert s.attr("platform") == "ios"
-        assert s.attr("country") == "US"
-        assert s.attr("missing") is None
-        assert s.attr("missing", "x") == "x"
+        assert s.attrs == (("country", "US"), ("platform", "ios"))
+        assert list(SignalSeries([s]).filter(platform="ios", country="US")) == [s]
+        assert len(SignalSeries([s]).filter(platform="android")) == 0
 
     def test_requires_network_and_metric(self):
         with pytest.raises(SchemaError):
@@ -112,6 +111,6 @@ class TestSignalSeries:
             ImplicitSignal(TS.replace(hour=20), "n", "m", 30.0),
             ImplicitSignal(other_day, "n", "m", 50.0),
         ])
-        daily = series.daily_mean()
-        assert daily[TS.date()] == pytest.approx(20.0)
-        assert daily[other_day.date()] == pytest.approx(50.0)
+        days, means = series._daily()
+        assert days.tolist() == [TS.toordinal(), other_day.toordinal()]
+        assert means.tolist() == pytest.approx([20.0, 50.0])

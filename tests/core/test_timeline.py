@@ -85,12 +85,6 @@ class TestDailySeries:
         assert dt.date(2022, 1, 25) in days
         assert dt.date(2022, 1, 11) not in days
 
-    def test_weekly_average(self):
-        s = DailySeries.zeros(JAN1, dt.date(2022, 1, 14))  # exactly 2 weeks
-        for day, _ in s.items():
-            s[day] = 1.0
-        assert s.weekly_average() == pytest.approx(7.0)
-
     def test_monthly_rollup(self):
         s = DailySeries.zeros(JAN1, dt.date(2022, 2, 28))
         s[JAN1] = 10

@@ -25,7 +25,9 @@ def apply_windows(
     """Keep sessions inside every window."""
     window_list = list(windows)
     return [
-        p for p in participants if all(w.contains(p) for w in window_list)
+        p for p in participants
+        if all(w.low <= p.metric(w.metric, w.stat) <= w.high
+               for w in window_list)
     ]
 
 

@@ -31,9 +31,11 @@ class TestCohortFilter:
         assert 0 < len(cohort) < len(small_dataset)
 
     def test_permissive_keeps_everything(self, small_dataset):
-        assert len(CohortFilter.permissive().apply(small_dataset)) == len(
-            small_dataset
+        permissive = CohortFilter(
+            enterprise_only=False, business_hours_only=False,
+            weekdays_only=False, min_participants=1, countries=None,
         )
+        assert len(permissive.apply(small_dataset)) == len(small_dataset)
 
     def test_rejects_bad_hours(self):
         with pytest.raises(AnalysisError):
@@ -47,12 +49,13 @@ class TestCohortFilter:
 class TestConditionWindow:
     def test_contains(self):
         window = ConditionWindow("latency_ms", 0, 40)
-        p = participant()  # latency 20
-        assert window.contains(p)
+        cols = participant_columns([participant()])  # latency 20
+        assert cols.window_mask([window]).tolist() == [True]
 
     def test_excludes(self):
         window = ConditionWindow("latency_ms", 0, 10)
-        assert not window.contains(participant())
+        cols = participant_columns([participant()])
+        assert cols.window_mask([window]).tolist() == [False]
 
     def test_rejects_unknown_metric(self):
         with pytest.raises(AnalysisError):

@@ -129,7 +129,7 @@ class TestBrigadeGroundTruth:
 class TestFraudGroundTruth:
     def test_fraud_sessions_have_the_planted_rating(self, clean_dataset):
         out = _fraud(11, clean_dataset)
-        assert out.n_fraud > 0
+        assert len(out.fraud_sessions) > 0
         by_user = {}
         for p in out.dataset.participants():
             by_user.setdefault(p.user_id, []).append(p.rating)
@@ -146,7 +146,7 @@ class TestFraudGroundTruth:
             ),
         )
         out = injector.contaminate_calls(clean_dataset)
-        assert out.n_drifted > 0
+        assert len(out.drifted_sessions) > 0
         clean = {
             (c.call_id, p.user_id): p
             for c in clean_dataset for p in c.participants

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.io.jsonl import salvage_jsonl, write_jsonl
+from tests.faults import torn_write, truncate_lines
 
 
 def read_back(path):
@@ -98,24 +99,19 @@ class TestSalvage:
     def test_salvage_of_fault_injected_export(self, tmp_path):
         """End-to-end: chaos-corrupted JSONL -> salvage recovers the rest."""
         from repro.io.jsonl import salvage_jsonl, write_jsonl
-        from repro.resilience import FaultPlan, FaultSpec
 
         path = tmp_path / "export.jsonl"
         write_jsonl(path, [{"i": i, "pad": "x" * 40} for i in range(40)])
-        plan = FaultPlan(seed=21)
-        corrupted = plan.corrupt_jsonl_lines(
-            "export", path.read_text().splitlines(),
-            FaultSpec(corrupt_rate=0.25),
+        corrupted, n_cut = truncate_lines(
+            path.read_text().splitlines(), seed=21, rate=0.25
         )
         path.write_text("\n".join(corrupted) + "\n")
 
         result = salvage_jsonl(path)
         assert 0 < result.n_bad < 40
         assert len(result.records) == 40 - result.n_bad
-        # Determinism: the same seed corrupts the same lines.
-        assert result.n_bad == len(
-            [a for a in plan.log if a == ("export", "corrupt")]
-        )
+        # Every truncated line, and only those, is reported bad.
+        assert result.n_bad == n_cut
 
 
 class TestAtomicWrite:
@@ -141,15 +137,12 @@ class TestTornWriteSalvage:
 
     def test_torn_final_line_is_quarantined(self, tmp_path):
         from repro.io.jsonl import salvage_jsonl
-        from repro.resilience import FaultPlan
 
         records = [{"i": i, "pad": "x" * 30} for i in range(20)]
         data = self._export_bytes(records)
         path = tmp_path / "torn.jsonl"
-        plan = FaultPlan(seed=5)
-        cut = plan.torn_write("export", path, data)
+        cut = torn_write(path, data, seed=5)
         assert 0 < cut < len(data)
-        assert ("export", "torn") in plan.log
 
         result = salvage_jsonl(path, quarantine=tmp_path / "torn.bad")
         # Every fully-written line survives; only the torn tail is lost.
@@ -175,19 +168,6 @@ class TestTornWriteSalvage:
         assert result.n_bad == 1
         assert "undecodable" in result.bad_lines[0][1] or "invalid JSON" in result.bad_lines[0][1]
         assert (tmp_path / "torn.bad").exists()
-
-    def test_torn_write_is_deterministic(self, tmp_path):
-        from repro.resilience import FaultPlan
-
-        data = self._export_bytes([{"i": i} for i in range(50)])
-        cuts = []
-        for run in range(2):
-            path = tmp_path / f"torn-{run}.jsonl"
-            cuts.append(FaultPlan(seed=9).torn_write("export", path, data))
-        assert cuts[0] == cuts[1]
-        assert (tmp_path / "torn-0.jsonl").read_bytes() == (
-            tmp_path / "torn-1.jsonl"
-        ).read_bytes()
 
 
 class TestTailOnlySalvage:

@@ -53,7 +53,8 @@ class TestNewsIndex:
         index = NewsIndex()
         index.add(article(date=DAY + dt.timedelta(days=5)))
         index.add(article(date=DAY))
-        dates = [a.date for a in index.all_articles()]
+        dates = [a.date for a in index.search(["outage"], DAY, window_days=5)]
+        assert len(dates) == 2
         assert dates == sorted(dates)
 
     def test_len(self):

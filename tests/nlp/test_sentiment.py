@@ -165,14 +165,14 @@ class TestMemoCap:
     def test_memo_never_exceeds_cap(self):
         analyzer = SentimentAnalyzer(memo_cap=8)
         analyzer.score_many(f"distinct text number {i}" for i in range(50))
-        assert analyzer.memo_size <= analyzer.memo_cap == 8
+        assert len(analyzer._memo) == 8
 
     def test_eviction_is_lru(self):
         analyzer = SentimentAnalyzer(memo_cap=2)
         analyzer.score_many(["alpha", "beta"])
         # Touch alpha so beta is the least recently used, then insert.
         analyzer.score_many(["alpha", "gamma"])
-        assert analyzer.memo_size == 2
+        assert len(analyzer._memo) == 2
         assert "alpha" in analyzer._memo and "beta" not in analyzer._memo
 
     def test_scores_byte_identical_at_any_cap(self):
@@ -188,7 +188,7 @@ class TestMemoCap:
         analyzer.score_many(
             f"Completely unusable tonight, ticket {i}!!" for i in range(500)
         )
-        assert analyzer.memo_size == 16
+        assert len(analyzer._memo) == 16
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ExtractionError):

@@ -25,7 +25,7 @@ class TestStopwords:
     def test_keyword_matcher_immune_to_stopwords(self):
         from repro.nlp.keywords import OUTAGE_KEYWORDS
 
-        assert OUTAGE_KEYWORDS.matches("everything is down")
+        assert OUTAGE_KEYWORDS.count_matches("everything is down")
 
     def test_frozen(self):
         assert isinstance(STOPWORDS, frozenset)

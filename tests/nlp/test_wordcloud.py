@@ -29,16 +29,6 @@ class TestBuildWordcloud:
         assert top[0] == ("alpha", 3)
         assert top[1] == ("beta", 2)
 
-    def test_rank_of(self):
-        cloud = build_wordcloud(["alpha alpha beta outage"])
-        assert cloud.rank_of("alpha") == 1
-        assert cloud.rank_of("outage") in (2, 3)
-
-    def test_rank_of_missing_raises(self):
-        cloud = build_wordcloud(["alpha"])
-        with pytest.raises(ExtractionError):
-            cloud.rank_of("zeta")
-
     def test_extra_stopwords(self):
         cloud = build_wordcloud(["outage outage chimney"],
                                 extra_stopwords=["outage"])

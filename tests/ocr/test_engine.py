@@ -10,6 +10,7 @@ from repro.ocr.render import PlacedToken, Screenshot, render_screenshot
 from repro.rng import derive
 from repro.social.reports import sample_speed_test
 from repro.social.schema import PROVIDERS, SpeedTestShare
+from tests.ocr.test_noise import HARSH
 
 
 def share(provider="ookla", dl=112.4, ul=14.2, lat=38):
@@ -80,7 +81,7 @@ class TestNoisyExtraction:
 
     def test_harsh_noise_degrades_but_does_not_crash(self):
         rng = derive(72, "ocr")
-        engine, noise = OcrEngine(), NoiseModel.harsh()
+        engine, noise = OcrEngine(), HARSH
         outcomes = []
         for _ in range(150):
             truth = sample_speed_test(rng, 70.0)
@@ -117,7 +118,6 @@ class TestNoisyExtraction:
         )
         assert report.download_mbps is not None
         assert report.upload_mbps is None
-        assert not report.is_complete
 
     def test_fast_headline_fallback(self):
         """Fast's download has no label; the big-font fallback finds it."""

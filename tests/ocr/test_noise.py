@@ -8,6 +8,9 @@ from repro.ocr.render import render_screenshot
 from repro.rng import derive
 from repro.social.schema import SpeedTestShare
 
+#: A bad photo, for the robustness tests.
+HARSH = NoiseModel(confusion_rate=0.12, dropout_rate=0.05, token_loss_rate=0.08)
+
 
 def shot():
     return render_screenshot(
@@ -25,7 +28,7 @@ class TestNoiseModel:
     def test_harsh_corrupts_something(self):
         rng = derive(61, "noise")
         original = shot()
-        noisy = NoiseModel.harsh().apply(rng, original)
+        noisy = HARSH.apply(rng, original)
         assert [t.text for t in noisy.tokens] != [t.text for t in original.tokens]
 
     def test_confusions_are_visually_plausible(self):
@@ -54,6 +57,6 @@ class TestNoiseModel:
             NoiseModel(small_font_penalty=0.5)
 
     def test_deterministic_given_stream(self):
-        a = NoiseModel.harsh().apply(derive(63, "n"), shot())
-        b = NoiseModel.harsh().apply(derive(63, "n"), shot())
+        a = HARSH.apply(derive(63, "n"), shot())
+        b = HARSH.apply(derive(63, "n"), shot())
         assert [t.text for t in a.tokens] == [t.text for t in b.tokens]

@@ -49,10 +49,6 @@ class TestRenderScreenshot:
             ys[i] // 8 <= ys[i + 1] // 8 for i in range(len(ys) - 1)
         )
 
-    def test_text_lines_debuggable(self):
-        lines = render_screenshot(share()).text_lines()
-        assert any("DOWNLOAD" in line for line in lines)
-
     def test_fast_headline_is_biggest_token(self):
         shot = render_screenshot(share(provider="fast"))
         biggest = max(shot.tokens, key=lambda t: t.size)

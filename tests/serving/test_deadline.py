@@ -20,7 +20,6 @@ class TestBudgetArithmetic:
         assert deadline.remaining() == pytest.approx(2.0)
         clock.advance(0.75)
         assert deadline.remaining() == pytest.approx(1.25)
-        assert deadline.elapsed() == pytest.approx(0.75)
 
     def test_remaining_goes_negative_past_expiry(self, clock):
         deadline = Deadline.start(clock, 1.0)

@@ -47,22 +47,16 @@ class TestAuthorPool:
 
     def test_sample_subscriber_returns_subscriber(self):
         pool = AuthorPool(size=200, seed=7)
-        author = pool.sample_subscriber(derive(8, "authors"), dt.date(2022, 6, 1))
-        assert author.is_subscriber
-
-    def test_subscriber_pool_draws_like_sample_subscriber(self):
-        pool = AuthorPool(size=200, seed=7)
         day = dt.date(2022, 6, 1)
         served = lambda a: a.country == "US"  # noqa: E731
         subscribers = pool.subscribers_on(day, served)
         assert subscribers.p.sum() == pytest.approx(1.0)
         assert all(a.is_subscriber and a.country == "US"
                    for a in subscribers.authors)
-        a, b = derive(8, "authors"), derive(8, "authors")
+        rng = derive(8, "authors")
         for _ in range(20):
-            drawn = pool.sample_subscriber(a, day, served)
-            assert drawn is subscribers.sample(b)
-        assert a.random() == b.random()
+            drawn = subscribers.sample(rng)
+            assert drawn.is_subscriber and drawn.country == "US"
 
     def test_subscriber_pool_falls_back_when_nobody_matches(self):
         pool = AuthorPool(size=200, seed=7)

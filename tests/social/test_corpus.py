@@ -120,10 +120,6 @@ class TestGeneratedCorpus:
             assert post.speed_test is not None
             assert post.topic == "speed_test_share"
 
-    def test_daily_counts_sum_to_total(self, small_corpus):
-        series = small_corpus.daily_counts()
-        assert series.values.sum() == len(small_corpus)
-
 
 class TestQueryIndexMemo:
     """posts_on / speed_shares ride one lazily-built by-day index."""

@@ -61,14 +61,6 @@ class TestOutageProcess:
         assert all(o.date.year == 2021 for o in outages)
         assert not any(o.is_headline for o in outages)
 
-    def test_on_filters_by_day(self):
-        process = OutageProcess(seed=4)
-        pool = process.generate()
-        day = dt.date(2022, 1, 7)
-        todays = process.on(day, pool)
-        assert all(o.date == day for o in todays)
-        assert any(o.is_headline for o in todays)
-
     def test_rejects_reversed_span(self):
         with pytest.raises(ConfigError):
             OutageProcess(

@@ -22,24 +22,15 @@ class TestFootprint:
     def test_footprint_grows_monotonically(self):
         days = [dt.date(2021, 1, 15), dt.date(2021, 9, 15),
                 dt.date(2022, 4, 22), dt.date(2022, 12, 15)]
-        counts = [DEFAULT_FOOTPRINT.country_count(d) for d in days]
+        counts = [len(DEFAULT_FOOTPRINT.available_countries(d)) for d in days]
         assert counts == sorted(counts)
         assert counts[0] >= 3
 
     def test_april_2022_outage_had_14_plus_countries(self):
         """§4.1: Redditors from 14 countries confirmed the 22 Apr '22
         outage — at least that many must have been served."""
-        assert DEFAULT_FOOTPRINT.country_count(dt.date(2022, 4, 22)) >= 14
-
-    def test_service_age(self):
-        age = DEFAULT_FOOTPRINT.service_age_days("UK", dt.date(2021, 1, 31))
-        assert age == 30
-        assert DEFAULT_FOOTPRINT.service_age_days("JP", dt.date(2021, 1, 1)) is None
-
-    def test_quarter_counts_cover_span(self):
-        quarters = DEFAULT_FOOTPRINT.launch_quarter_counts()
-        assert sum(quarters.values()) == len(DEFAULT_FOOTPRINT.service_start)
-        assert "2021Q1" in quarters
+        served = DEFAULT_FOOTPRINT.available_countries(dt.date(2022, 4, 22))
+        assert len(served) >= 14
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):

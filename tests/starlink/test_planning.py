@@ -56,7 +56,7 @@ class TestPlanOutcome:
         outcome = plan_outcome({})
         assert 0 < outcome.mean_satisfaction < 1
         assert outcome.min_satisfaction <= outcome.mean_satisfaction
-        assert outcome.n_extra == 0
+        assert sum(outcome.extra_launches.values()) == 0
 
     def test_more_launches_help_satisfaction(self):
         base = plan_outcome({})
@@ -78,7 +78,7 @@ class TestLaunchPlanner:
         planned = planner.plan(2, candidates)
         baseline = plan_outcome({})
         assert planned.mean_satisfaction >= baseline.mean_satisfaction
-        assert planned.n_extra == 2
+        assert sum(planned.extra_launches.values()) == 2
 
     def test_bigger_budget_never_worse(self):
         planner = LaunchPlanner()

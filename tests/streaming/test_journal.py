@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.errors import SchemaError
-from repro.resilience.faults import FaultPlan
 from repro.streaming import StreamJournal
 from repro.streaming.operators import Emission
+from tests.faults import torn_write
 
 
 def emissions(n, start=0):
@@ -32,7 +32,7 @@ class TestAppendRecover:
         assert StreamJournal(tmp_path / "absent.jsonl").recover() == []
 
     def test_torn_append_regression(self, tmp_path):
-        """FaultPlan.torn_append tears the 6th record mid-line; recovery
+        """A torn append tears the 6th record mid-line; recovery
         quarantines exactly that tail and the journal keeps appending."""
         path = tmp_path / "j.jsonl"
         journal = StreamJournal(path)
@@ -41,7 +41,7 @@ class TestAppendRecover:
 
         sixth = emissions(1, start=5)[0]
         line = (json.dumps(sixth.to_dict()) + "\n").encode()
-        FaultPlan(seed=41).torn_append("journal", path, line)
+        torn_write(path, line, seed=41, append=True)
 
         quarantine = tmp_path / "torn.bad"
         fresh = StreamJournal(path)

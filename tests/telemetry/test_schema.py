@@ -106,8 +106,13 @@ class TestCallRecord:
         (dt.datetime(2022, 3, 5, 10, 0), False),   # Saturday
     ])
     def test_business_hours(self, when, expected):
+        """§3.1's window (weekdays, [9, 20) local), as the cohort applies it."""
+        from repro.engagement.cohort import CohortFilter
+        from repro.telemetry.store import CallDataset
+
         call = CallRecord(
             call_id="c", start=when, scheduled_duration_s=600,
-            is_enterprise=True, participants=[],
+            is_enterprise=True, participants=[participant(call_id="c")],
         )
-        assert call.is_business_hours() is expected
+        cohort = CohortFilter(min_participants=1, countries=None)
+        assert (len(cohort.apply(CallDataset([call]))) == 1) is expected

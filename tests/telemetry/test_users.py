@@ -74,13 +74,6 @@ class TestUserPopulation:
                   if not u.platform.is_mobile]
         assert np.mean(mobile_lat) > np.mean(pc_lat)
 
-    def test_by_id(self):
-        population = UserPopulation(size=20, seed=6)
-        user = next(iter(population))
-        assert population.by_id(user.user_id) is user
-        with pytest.raises(ConfigError):
-            population.by_id("ghost")
-
 
 class TestPersistentGeneration:
     @pytest.fixture(scope="class")

@@ -5,8 +5,6 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
-
 
 class TestTimelineEdges:
     def test_daily_series_custom_fill(self):
@@ -38,7 +36,7 @@ class TestTimelineEdges:
         day = dt.date(2022, 4, 22)
         series = DailySeries.zeros(day, day)
         series.add(day, 3)
-        assert series.weekly_average() == pytest.approx(21.0)
+        assert series.values.tolist() == [3.0]
         assert series.top_peaks(1) == [(day, 3.0)]
 
     def test_top_peaks_more_than_available(self):
@@ -48,18 +46,6 @@ class TestTimelineEdges:
         series[dt.date(2022, 1, 1)] = 5
         peaks = series.top_peaks(10, min_separation_days=1)
         assert len(peaks) == 2  # span only has two days
-
-
-class TestFig1ResultEdges:
-    def test_slope_requires_two_bins(self, small_dataset):
-        from repro.engagement import CohortFilter, fig1_curves
-
-        pool = list(CohortFilter.permissive().apply(small_dataset)
-                    .participants())
-        result = fig1_curves(pool, use_control_windows=False,
-                             min_bin_count=1)
-        with pytest.raises(AnalysisError):
-            result.slope("latency_ms", "mic_on_pct", 299.9, 300.0)
 
 
 class TestSignalSeriesEdges:

@@ -158,6 +158,14 @@ def extend_columns_records(
     ]
 
 
+def signal_attr(signal: Signal, key: str) -> Optional[str]:
+    """A signal's ``key`` attribute (the first pair per key), or None."""
+    for k, v in signal.attrs:
+        if k == key:
+            return v
+    return None
+
+
 def filter_records(
     signals,
     kind=None,
@@ -181,7 +189,7 @@ def filter_records(
             return False
         if end is not None and s.timestamp > end:
             return False
-        return all(s.attr(k) == v for k, v in attrs.items())
+        return all(signal_attr(s, k) == v for k, v in attrs.items())
 
     return [s for s in signals if keep(s)]
 
@@ -212,7 +220,7 @@ def bias_records(corrector, signals: List[Signal]) -> List[Signal]:
         seen: Dict[Tuple[str, object], int] = {}
         kept: List[Signal] = []
         for signal in signals:
-            key = (signal.attr("user") or "?", signal.date)
+            key = (signal_attr(signal, "user") or "?", signal.date)
             seen[key] = seen.get(key, 0) + 1
             if seen[key] <= corrector.per_author_daily_cap:
                 kept.append(signal)
@@ -232,7 +240,7 @@ def bias_records(corrector, signals: List[Signal]) -> List[Signal]:
 
 
 def distinct_users_records(signals: List[Signal]) -> int:
-    return len({s.attr("user") for s in signals if s.attr("user")})
+    return len({signal_attr(s, "user") for s in signals if signal_attr(s, "user")})
 
 
 def check_records(guard: PrivacyGuard, signals, context: str = "aggregate") -> None:
@@ -246,7 +254,7 @@ def check_records(guard: PrivacyGuard, signals, context: str = "aggregate") -> N
 
 def assert_scrubbed_records(signals) -> None:
     for signal in signals:
-        user = signal.attr("user")
+        user = signal_attr(signal, "user")
         if user and not is_scrubbed(user):
             raise PrivacyError(
                 f"signal at {signal.timestamp} carries raw identifier"
@@ -328,7 +336,7 @@ def watch_metric_records(
 def score_signal_units_records(signals) -> Dict[str, TrustScore]:
     per_user: Dict[str, Dict[str, object]] = {}
     for s in signals:
-        unit = s.attr("user")
+        unit = signal_attr(s, "user")
         if unit is None:
             continue
         entry = per_user.setdefault(unit, {"ratings": [], "days": {}})
@@ -529,7 +537,7 @@ class OracleService(UsaasService):
         values: List[float] = []
         kept: List[float] = []
         for signal in subset:
-            unit = signal.attr("user")
+            unit = signal_attr(signal, "user")
             trust = scores[unit].trust if unit in scores else 1.0
             values.append(signal.value)
             if trust > 0:
@@ -554,7 +562,7 @@ class OracleService(UsaasService):
     ):
         groups: Dict[str, List[Signal]] = {}
         for signal in subset:
-            value = signal.attr(attribute)
+            value = signal_attr(signal, attribute)
             if value is not None:
                 groups.setdefault(value, []).append(signal)
         insights: List[Insight] = []
@@ -584,10 +592,11 @@ class OracleService(UsaasService):
             raise QueryError("compare needs two distinct networks")
         rows: List[MetricComparison] = []
         pools = {}
+        gathered = self._gather()
         for network in (network_a, network_b):
             query = UsaasQuery(network=network, service=service,
                                implicit_metrics=metrics)
-            pool = self._record_pool(self._gather(), query)
+            pool = self._record_pool(gathered, query)
             assert_scrubbed_records(pool)
             check_records(self._privacy, pool, context=f"compare({network})")
             pools[network] = filter_records(

@@ -67,7 +67,7 @@ class TestTelemetrySignals:
     def test_platform_attr_carried(self, small_dataset):
         series = telemetry_signals(small_dataset, network="n")
         signal = next(iter(series))
-        assert signal.attr("platform") is not None
+        assert dict(signal.attrs).get("platform") is not None
 
 
 class TestSocialSignals:

@@ -289,7 +289,7 @@ class TestAnswerMemo:
         assert [ref() is None for ref in exported] == [True, True, True, False]
         # The one still alive is the registry's stale-fallback value.
         assert exported[-1]() is service.registry.last_good("telemetry")
-        service.registry.unregister("telemetry")
+        del service.registry._last_good["telemetry"]
         gc.collect()
         assert exported[-1]() is None
 

@@ -1,15 +1,23 @@
 """Tests for USaaS breakdown queries and A-vs-B comparison."""
 
+import datetime as dt
+
 import pytest
 
+from repro.core.signals import ImplicitSignal, SignalSeries
 from repro.core.usaas import (
     UsaasQuery,
     UsaasService,
     telemetry_signals,
 )
+from repro.core.usaas.privacy import scrub_author
 from repro.errors import AnalysisError, PrivacyError, QueryError
 from repro.netsim.link import LinkProfile
+from repro.resilience.clock import ManualClock
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
+from tests.usaas.oracle import OracleService
+
+DAY = dt.datetime(2022, 3, 1, 9)
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +121,40 @@ class TestCompare:
                                          service="teams")
         for m_ab, m_ba in zip(ab.metrics, ba.metrics):
             assert m_ab.effect_size == pytest.approx(-m_ba.effect_size)
+
+
+class TestCompareFetchesOnce:
+    """``compare`` gathers once: both sides read the same fetch."""
+
+    @staticmethod
+    def _changing_source(calls):
+        """Each call returns new values: call ``c`` puts ``100 * c + i``
+        on user ``i`` of both networks."""
+        def source():
+            calls.append(None)
+            shift = 100.0 * len(calls)
+            return SignalSeries([
+                ImplicitSignal(DAY + dt.timedelta(minutes=i), network,
+                               "presence", shift + i, service="teams",
+                               user=scrub_author(f"u{i}"))
+                for network in ("net-a", "net-b") for i in range(12)
+            ])
+        return source
+
+    @pytest.mark.parametrize("service_type", [UsaasService, OracleService])
+    def test_each_source_is_called_once_per_compare(self, service_type):
+        calls = []
+        service = service_type(clock=ManualClock())
+        service.register_source("telemetry", self._changing_source(calls))
+        service.compare("net-a", "net-b", metrics=("presence",))
+        assert len(calls) == 1
+        service.compare("net-a", "net-b", metrics=("presence",))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("service_type", [UsaasService, OracleService])
+    def test_both_sides_read_the_first_call(self, service_type):
+        service = service_type(clock=ManualClock())
+        service.register_source("telemetry", self._changing_source([]))
+        (row,) = service.compare("net-a", "net-b", metrics=("presence",)).metrics
+        assert row.mean_a == row.mean_b == 100.0 + 5.5
+        assert row.effect_size == 0.0

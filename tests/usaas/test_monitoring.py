@@ -14,7 +14,11 @@ from repro.rng import derive
 from repro.telemetry import CallDatasetGenerator, GeneratorConfig
 from repro.telemetry.meetings import MeetingScheduler
 
-from tests.usaas.oracle import telemetry_signals_records, watch_metric_records
+from tests.usaas.oracle import (
+    signal_attr,
+    telemetry_signals_records,
+    watch_metric_records,
+)
 
 START = dt.datetime(2022, 1, 1, 12)
 
@@ -131,7 +135,7 @@ class TestWatchMetricColumns:
             (SignalSeries(records), records),
             (telemetry_signals(outage_calls, network="starlink").filter(
                 platform="windows_pc"),
-             [s for s in records if s.attr("platform") == "windows_pc"]),
+             [s for s in records if signal_attr(s, "platform") == "windows_pc"]),
         ):
             assert watch_metric(series, "drop_off", DriftDetector(**detector)) == (
                 watch_metric_records(want, "drop_off", DriftDetector(**detector))

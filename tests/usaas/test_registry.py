@@ -7,6 +7,9 @@ import pytest
 from repro.core.signals import ImplicitSignal, SignalSeries
 from repro.core.usaas.registry import SignalSourceRegistry
 from repro.errors import QueryError
+from repro.resilience.clock import ManualClock
+from repro.resilience.executor import ResilienceConfig, SourceExecutor
+from repro.resilience.policy import RetryPolicy
 
 TS = dt.datetime(2022, 1, 1)
 
@@ -24,16 +27,16 @@ class TestRegistry:
         counter = {"calls": 0}
         registry.register("teams", make_source(counter))
         assert "teams" in registry
-        assert len(registry.series("teams")) == 1
+        assert len(registry.load("teams")) == 1
 
-    def test_lazy_and_cached(self):
+    def test_lazy_and_loaded_on_every_fetch(self):
         registry = SignalSourceRegistry()
         counter = {"calls": 0}
         registry.register("teams", make_source(counter))
         assert counter["calls"] == 0  # lazy
-        registry.series("teams")
-        registry.series("teams")
-        assert counter["calls"] == 1  # cached
+        registry.load("teams")
+        registry.load("teams")
+        assert counter["calls"] == 2  # no cache: every load runs the source
 
     def test_duplicate_name_rejected(self):
         registry = SignalSourceRegistry()
@@ -43,15 +46,7 @@ class TestRegistry:
 
     def test_unknown_source_rejected(self):
         with pytest.raises(QueryError):
-            SignalSourceRegistry().series("ghost")
-
-    def test_unregister(self):
-        registry = SignalSourceRegistry()
-        registry.register("x", lambda: SignalSeries())
-        registry.unregister("x")
-        assert "x" not in registry
-        with pytest.raises(QueryError):
-            registry.unregister("x")
+            SignalSourceRegistry().load("ghost")
 
     def test_non_callable_rejected(self):
         with pytest.raises(QueryError):
@@ -61,11 +56,12 @@ class TestRegistry:
         registry = SignalSourceRegistry()
         registry.register("b", lambda: SignalSeries())
         registry.register("a", lambda: SignalSeries())
-        names = [name for name, _ in registry.all_series()]
-        assert names == ["a", "b"]
+        assert registry.names() == ["a", "b"]  # the order sources are fetched
 
 
 class TestCacheCoherence:
+    """The last-good slot, the one value the registry keeps."""
+
     def _flaky_source(self, fail_first):
         state = {"calls": 0}
 
@@ -83,13 +79,15 @@ class TestCacheCoherence:
         registry = SignalSourceRegistry()
         source, state = self._flaky_source(fail_first=1)
         registry.register("flaky", source)
-        with pytest.raises(QueryError):
-            registry.series("flaky")
-        assert not registry.cached("flaky")
+        executor = SourceExecutor(
+            ResilienceConfig(retry=RetryPolicy(max_attempts=1)), ManualClock()
+        )
+        assert not executor.fetch(registry, "flaky").usable
         assert registry.last_good("flaky") is None
-        # The next call re-runs the source and caches the good result.
-        assert len(registry.series("flaky")) == 1
-        assert registry.cached("flaky")
+        # The next fetch re-runs the source and keeps the good result.
+        outcome = executor.fetch(registry, "flaky")
+        assert outcome.ok and len(outcome.series) == 1
+        assert registry.last_good("flaky") is outcome.series
 
     def test_wrong_type_never_populates_cache(self):
         from repro.errors import SchemaError
@@ -97,58 +95,22 @@ class TestCacheCoherence:
         registry = SignalSourceRegistry()
         registry.register("wrong", lambda: [1, 2, 3])
         with pytest.raises(SchemaError):
-            registry.series("wrong")
-        assert not registry.cached("wrong")
+            registry.load("wrong")
+        with pytest.raises(SchemaError):
+            registry.commit("wrong", [1, 2, 3])
+        assert registry.last_good("wrong") is None
 
     def test_invalidate_forces_refetch_but_keeps_last_good(self):
         registry = SignalSourceRegistry()
         counter = {"calls": 0}
         registry.register("teams", make_source(counter))
-        first = registry.series("teams")
+        first = registry.load("teams")
+        registry.commit("teams", first)
         registry.invalidate("teams")
-        assert not registry.cached("teams")
         assert registry.last_good("teams") is first
-        registry.series("teams")
+        registry.load("teams")
         assert counter["calls"] == 2
 
     def test_invalidate_unknown_rejected(self):
         with pytest.raises(QueryError):
             SignalSourceRegistry().invalidate("ghost")
-
-    def test_refresh_one_source(self):
-        registry = SignalSourceRegistry()
-        counter = {"calls": 0}
-        registry.register("teams", make_source(counter))
-        registry.series("teams")
-        registry.refresh("teams")
-        assert counter["calls"] == 2
-        assert registry.cached("teams")
-
-    def test_refresh_all_sources(self):
-        registry = SignalSourceRegistry()
-        a, b = {"calls": 0}, {"calls": 0}
-        registry.register("a", make_source(a))
-        registry.register("b", make_source(b))
-        registry.refresh()
-        assert a["calls"] == 1 and b["calls"] == 1
-
-    def test_failed_refresh_keeps_last_good_available(self):
-        registry = SignalSourceRegistry()
-        source, state = self._flaky_source(fail_first=0)
-        registry.register("flap", source)
-        good = registry.series("flap")
-        state["calls"] = -10  # make the next calls fail again
-        def broken():
-            raise QueryError("down again")
-        registry._sources["flap"] = broken
-        with pytest.raises(QueryError):
-            registry.refresh("flap")
-        assert not registry.cached("flap")
-        assert registry.last_good("flap") is good
-
-    def test_unregister_clears_last_good(self):
-        registry = SignalSourceRegistry()
-        registry.register("x", lambda: SignalSeries())
-        registry.series("x")
-        registry.unregister("x")
-        assert registry.last_good("x") is None

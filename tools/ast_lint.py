@@ -7,7 +7,8 @@ Every module under a ``repro`` package is covered by every rule, so a
 new package is covered the day it lands.  The only way out is a row in
 :data:`EXEMPTIONS`, which names the module and says why.  The
 whole-tree reachability lint (``check_reachable.py``) reads its
-``"reachable"`` rows, which name one def each, from the same table.
+``"reachable"`` rows, which name one def or method each, from the same
+table.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, List, Optional, Tuple
 
 Violation = Tuple[Path, int, str]
 
-#: rule -> module path under ``repro`` (or ``"<module>:<name>"``) -> why
-#: the rule skips it.
+#: rule -> module path under ``repro`` (or ``"<module>:<name>"`` /
+#: ``"<module>:<Class>.<method>"``) -> why the rule skips it.
 EXEMPTIONS = {
     "clock": {
         "resilience/clock.py":
@@ -41,9 +42,14 @@ EXEMPTIONS = {
         "telemetry/generator.py":
             "a sweep-id parse miss falls through to a typed ConfigError",
     },
-    # Keyed "<module>:<name>": top-level defs no entry point reaches
-    # that stay (tools/check_reachable.py).
+    # Keyed "<module>:<name>" (a top-level def) or
+    # "<module>:<Class>.<method>": defs no entry point reaches that stay
+    # (tools/check_reachable.py).
     "reachable": {
+        "streaming/journal.py:StreamJournal.recover":
+            "reads the journal back after a crash, repairing a torn tail; "
+            "the journal is to become the durable emission log that "
+            "resume reads",
         "io/jsonl.py:salvage_jsonl":
             "torn-tail recovery behind StreamJournal.recover; the journal "
             "is to become the durable emission log that resume reads",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lint: an entry point reaches every top-level def under ``src/repro``.
+"""AST lint: an entry point reaches every def under ``src/repro``.
 
 Code that no entry point runs still costs every reader, and it drifts:
 nothing notices when it stops agreeing with the path that does run.
@@ -9,26 +9,35 @@ entry points: a def only a test calls is reported.
 
 The scan works on names:
 
-* roots: every identifier in the entry-point files, the names they
-  import included, and in the module-level code of each ``src/repro``
-  module.  There, ``import`` lines (and with them a package
-  ``__init__``'s re-exports) and ``__all__`` do not count;
-* propagation: a def (a top-level function or class, or a method) is
-  reached when its name is, and a method only when its class is too;
-  dunder methods are reached with their class.  A reached def's
-  identifiers (decorators, signature, body; for a class, its bases and
-  the statements of its body that are not methods) are then reached
-  too.  This repeats to a fixpoint.
+* roots: every name, attribute and string constant in the entry-point
+  files, the names they import included, and in the module-level code
+  of each ``src/repro`` module.  There, ``import`` lines (and with them
+  a package ``__init__``'s re-exports) and ``__all__`` do not count;
+* top-level defs (functions and classes) are reached when reached code
+  uses their name in any of those ways;
+* a method (or a class nested in a class) is reached only when its
+  class is, and then only by an attribute access (``x.name``,
+  ``super().name``, ``Cls.name``), a string constant equal to its name
+  (``getattr(x, "name")``, ``attrgetter("name")``) or a bare name in
+  its own class body (an alias, ``other = name``).  A bare name
+  anywhere else is a local or a global, never a method.  Dunder
+  methods are reached with their class;
+* a reached def's names (decorators, signature, body; for a class, its
+  bases and the statements of its body that are not methods) are then
+  used too.  This repeats to a fixpoint.
 
 Because any use of a name reaches every def of that name, the scan
-under-reports: a dead def that shares its name with a live one, or
-that is named in a type hint of live code, is not found.  What it does
-report is a def that no entry point can run.
+under-reports: a dead def that shares its name with a live one (a
+method with a live attribute of the same name, say), or that is named
+in a type hint of live code, is not found.  What it does report is a
+def that no entry point can run.
 
-Only top-level defs are reported.  The one way out is a row in the
-``"reachable"`` table of ``tools/ast_lint.py``, keyed
-``"<module>:<name>"`` and giving the reason the def stays.  A row whose
-def is gone or now reached is reported as stale.
+Top-level defs and the methods of reached classes are reported.  The
+one way out is a row in the ``"reachable"`` table of
+``tools/ast_lint.py``, keyed ``"<module>:<name>"`` for a top-level def
+and ``"<module>:<Class>.<method>"`` for a method, giving the reason
+the def stays.  A row whose def is gone or now reached is reported as
+stale.
 
 Run directly (``python tools/check_reachable.py [repo]``; 0 clean,
 1 violations, 2 no ``src/repro`` under the path) or via the tier-1 test
@@ -80,10 +89,17 @@ def _is_all(stmt: ast.stmt) -> bool:
                for t in targets)
 
 
-def _identifiers(nodes: Iterable[ast.AST], imports: bool = False) -> Set[str]:
-    """Every name and attribute used under ``nodes``; with ``imports``,
-    the names ``from`` imports bind too."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _uses(nodes: Iterable[ast.AST],
+          imports: bool = False) -> Tuple[Set[str], Set[str]]:
+    """The bare names used under ``nodes`` (with ``imports``, the names
+    ``from`` imports bind too), and the attribute names and string
+    constants."""
     names: Set[str] = set()
+    attrs: Set[str] = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
@@ -94,9 +110,15 @@ def _identifiers(nodes: Iterable[ast.AST], imports: bool = False) -> Set[str]:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attrs.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names, attrs
+
+
+def _class_body(node: ast.ClassDef) -> List[ast.stmt]:
+    return [s for s in node.body if not isinstance(s, _DEFS)]
 
 
 def _own_parts(d: _Def) -> List[ast.AST]:
@@ -105,7 +127,7 @@ def _own_parts(d: _Def) -> List[ast.AST]:
     node = d.node
     if isinstance(node, ast.ClassDef):
         return [*node.decorator_list, *node.bases, *node.keywords,
-                *(s for s in node.body if not isinstance(s, _DEFS))]
+                *_class_body(node)]
     return [node]
 
 
@@ -128,21 +150,28 @@ def scan(repo: Path) -> Tuple[Dict[str, _Def], Set[str]]:
     repo = Path(repo)
     package = repo / "src" / "repro"
     defs: Dict[str, _Def] = {}
-    roots: Set[str] = set()
+    names: Set[str] = set()       # bare names used and not yet resolved
+    attrs: Set[str] = set()       # attributes and strings, likewise
+    seen_names: Set[str] = set()
+    seen_attrs: Set[str] = set()
+
+    def use(nodes: Iterable[ast.AST], imports: bool = False) -> None:
+        used_names, used_attrs = _uses(nodes, imports)
+        names.update(used_names - seen_names)
+        attrs.update(used_attrs - seen_attrs)
+
     entries = {package / name for name in ENTRY_MODULES}
     for sub in ENTRY_DIRS:
         entries.update((repo / sub).rglob("*.py"))
     for path in sorted(entries):
         if path.is_file():
-            roots |= _identifiers(_parse(path).body, imports=True)
+            use(_parse(path).body, imports=True)
     for path in sorted(package.rglob("*.py")):
         if path in entries:
             continue
         module = ast_lint.repro_module(path)
         tree = _parse(path)
-        roots |= _identifiers(
-            s for s in tree.body if not isinstance(s, _DEFS) and not _is_all(s)
-        )
+        use(s for s in tree.body if not isinstance(s, _DEFS) and not _is_all(s))
         for stmt in tree.body:
             if isinstance(stmt, _DEFS):
                 d = _Def(path, f"{module}:{stmt.name}", stmt, None)
@@ -155,28 +184,32 @@ def scan(repo: Path) -> Tuple[Dict[str, _Def], Set[str]]:
     for d in defs.values():
         by_name.setdefault(d.name, []).append(d)
     reached: Set[str] = set()
-    seen_names: Set[str] = set()
-    pending = set(roots)
     waiting: Dict[str, List[_Def]] = {}   # class key -> methods named so far
 
     def reach(d: _Def) -> None:
         if d.key in reached:
             return
         reached.add(d.key)
-        pending.update(_identifiers(_own_parts(d)) - seen_names)
+        use(_own_parts(d))
         for m in waiting.pop(d.key, ()):
             reach(m)
         if isinstance(d.node, ast.ClassDef):
+            aliases = _uses(_class_body(d.node))[0]
             for stmt in d.node.body:
-                if (isinstance(stmt, _DEFS) and stmt.name.startswith("__")
-                        and stmt.name.endswith("__")):
+                if isinstance(stmt, _DEFS) and (
+                        _is_dunder(stmt.name) or stmt.name in aliases):
                     reach(defs[f"{d.key}.{stmt.name}"])
 
-    while pending:
-        name = pending.pop()
-        seen_names.add(name)
+    while names or attrs:
+        is_attr = bool(attrs)
+        name = (attrs if is_attr else names).pop()
+        (seen_attrs if is_attr else seen_names).add(name)
         for d in by_name.get(name, ()):
-            if d.owner is None or d.owner.key in reached:
+            if d.owner is None:
+                reach(d)
+            elif not is_attr:
+                continue   # a bare name is never a method
+            elif d.owner.key in reached:
                 reach(d)
             else:
                 waiting.setdefault(d.owner.key, []).append(d)
@@ -186,13 +219,16 @@ def scan(repo: Path) -> Tuple[Dict[str, _Def], Set[str]]:
 def check_repo(
     repo: Path, exemptions: Optional[Mapping[str, str]] = None,
 ) -> List[Violation]:
-    """Unreached top-level defs, and stale exemption rows."""
+    """Unreached top-level defs and methods of reached classes, and
+    stale exemption rows."""
     if exemptions is None:
         exemptions = ast_lint.EXEMPTIONS["reachable"]
     defs, reached = scan(repo)
     violations: List[Violation] = []
     for key, d in defs.items():
-        if d.owner is None and key not in reached and key not in exemptions:
+        if key in reached or key in exemptions:
+            continue
+        if d.owner is None or d.owner.key in reached:
             violations.append((
                 d.path, d.node.lineno,
                 f"{key} is reached by no entry point; delete it, or add "
@@ -201,10 +237,10 @@ def check_repo(
             ))
     for key in exemptions:
         d = defs.get(key)
-        if d is None or d.owner is not None:
+        if d is None:
             violations.append((
                 Path(ast_lint.__file__), 0,
-                f"stale \"reachable\" row {key}: no such top-level def",
+                f"stale \"reachable\" row {key}: no such top-level def or method",
             ))
         elif key in reached:
             violations.append((
