@@ -308,16 +308,35 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
     Returns 0.0 when either input is constant (correlation undefined),
     which keeps downstream ranking logic total.
+
+    The arithmetic is ``np.corrcoef(x, y)[0, 1]``'s own, step for step,
+    without its wrapper calls: centre the stacked ``(2, n)`` rows on
+    their means, ``np.dot`` them with their transpose, scale by
+    ``1 / (n - 1)``, divide the off-diagonal entry by both standard
+    deviations and clip it to [-1, 1], NaN staying NaN.  "Constant" is
+    ``np.std(x) == 0``: the mean square of a centred row, which can
+    underflow to zero when the covariance diagonal does not.
     """
     x_arr = _as_1d(x, "x")
     y_arr = _as_1d(y, "y")
-    if len(x_arr) != len(y_arr):
+    n = len(x_arr)
+    if n != len(y_arr):
         raise AnalysisError("x and y must have equal length")
-    if len(x_arr) < 2:
+    if n < 2:
         raise AnalysisError("correlation needs at least two samples")
-    if np.std(x_arr) == 0 or np.std(y_arr) == 0:
+    rows = np.stack((x_arr, y_arr))
+    rows -= rows.mean(axis=1)[:, None]
+    if not ((rows * rows).sum(axis=1) / n).all():
         return 0.0
-    return float(np.corrcoef(x_arr, y_arr)[0, 1])
+    cov = np.dot(rows, rows.T)
+    cov *= np.true_divide(1, n - 1)
+    std = np.sqrt(cov.diagonal())
+    r = cov[0, 1] / std[0] / std[1]
+    if r > 1:
+        return 1.0
+    if r < -1:
+        return -1.0
+    return float(r)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

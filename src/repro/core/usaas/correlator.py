@@ -52,17 +52,6 @@ class CorrelationFinding:
 Daily = Tuple[np.ndarray, np.ndarray]
 
 
-def _joined(a_daily: Daily, b_daily: Daily, lag_days: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairs (a's mean on day d, b's mean on day d + lag), in a's day order."""
-    a_days, a_means = a_daily
-    b_days, b_means = b_daily
-    order = np.argsort(b_days)
-    shifted = a_days + lag_days
-    at = np.minimum(np.searchsorted(b_days[order], shifted), len(order) - 1)
-    hit = b_days[order[at]] == shifted
-    return a_means[hit], b_means[order[at[hit]]]
-
-
 def correlate_series(
     a: SignalSeries,
     b: SignalSeries,
@@ -87,16 +76,30 @@ def correlate_daily(
     max_lag_days: int = 3,
     min_overlap_days: int = 10,
 ) -> CorrelationFinding:
-    """:func:`correlate_series` on daily means already taken (``SignalSeries._daily``)."""
+    """:func:`correlate_series` on daily means already taken (``SignalSeries._daily``).
+
+    ``b``'s days are sorted once; each lag then pairs every day of
+    ``a``, in ``a``'s order, with ``b``'s day ``lag`` later by binary
+    search.  The finding is the lag of largest ``|r|`` (the earliest
+    on a tie) among those with at least ``min_overlap_days`` pairs.
+    """
     if max_lag_days < 0:
         raise AnalysisError("max_lag_days must be >= 0")
     if not len(a_daily[0]) or not len(b_daily[0]):
         raise AnalysisError(
             f"no data for {metric_a!r} or {metric_b!r}"
         )
+    a_days, a_means = a_daily
+    b_days, b_means = b_daily
+    order = np.argsort(b_days)
+    b_days, b_means = b_days[order], b_means[order]
+    last = len(b_days) - 1
     best: Optional[CorrelationFinding] = None
     for lag in range(-max_lag_days, max_lag_days + 1):
-        xs, ys = _joined(a_daily, b_daily, lag)
+        shifted = a_days + lag
+        at = np.minimum(np.searchsorted(b_days, shifted), last)
+        hit = b_days[at] == shifted
+        xs, ys = a_means[hit], b_means[at[hit]]
         if len(xs) < min_overlap_days:
             continue
         r = pearson(xs, ys)

@@ -38,14 +38,19 @@ class Insight:
         return dict(self.evidence)
 
 
-def confidence_from(n_samples: int, effect: float, n_ref: int = 200) -> float:
+#: The sample size at which :func:`confidence_from`'s size term is half way.
+CONFIDENCE_N_REF = 200
+
+
+def confidence_from(n_samples: int, effect: float) -> float:
     """A simple, monotone confidence heuristic.
 
-    Grows with sample size (saturating around ``n_ref``) and with effect
-    magnitude; bounded away from certainty because USaaS is observational.
+    Grows with sample size (saturating around :data:`CONFIDENCE_N_REF`)
+    and with effect magnitude; bounded away from certainty because
+    USaaS is observational.
     """
     if n_samples < 0:
         raise AnalysisError("n_samples must be >= 0")
-    size_term = n_samples / (n_samples + n_ref)
+    size_term = n_samples / (n_samples + CONFIDENCE_N_REF)
     effect_term = min(1.0, abs(effect))
     return round(min(0.95, 0.2 + 0.5 * size_term + 0.3 * effect_term), 3)

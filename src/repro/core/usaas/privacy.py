@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class PrivacyGuard:
             raise PrivacyError("min_users must be >= 1")
 
     def distinct_users(self, series: SignalSeries) -> int:
-        return int(_users_per_group(series)[0])
+        codes, named, _ = _users(series)
+        return int(np.count_nonzero(np.bincount(codes[named], minlength=1)))
 
     def covers(self, series: SignalSeries) -> bool:
         """True when the series reaches the floor (an aggregate may be released)."""
@@ -109,16 +110,28 @@ class PrivacyGuard:
             )
 
 
-def _users_per_group(
-    series: SignalSeries,
-    groups: Optional[np.ndarray] = None,
-    n_groups: int = 1,
-) -> np.ndarray:
-    """Distinct non-empty ``user`` attrs per group (every row in group 0 by default)."""
+def has_raw_identifiers(series: SignalSeries) -> bool:
+    """Whether the ``user`` vocabulary behind ``series`` holds a raw identifier.
+
+    The vocabulary belongs to the series' store, which only grows:
+    while this is False, no view of the store at its present length
+    can fail :meth:`PrivacyGuard.assert_scrubbed`.
+    """
+    _, vocab = series._attr("user")
+    return any(word and not is_scrubbed(word) for word in vocab.words)
+
+
+def _users(series: SignalSeries) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Per row its ``user`` code and whether it names a user; the vocabulary's size."""
     codes, vocab = series._attr("user")
     named = (codes >= 0) & (codes != vocab.code(""))
-    if groups is None:
-        groups = np.zeros(len(codes), dtype=np.int64)
-    width = max(len(vocab.words), 1)
+    return codes, named, max(len(vocab.words), 1)
+
+
+def _users_per_group(
+    series: SignalSeries, groups: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Distinct non-empty ``user`` attrs per group id in ``range(n_groups)``."""
+    codes, named, width = _users(series)
     pairs, _ = unique_counts(groups[named] * width + codes[named])
     return np.bincount(pairs // width, minlength=n_groups)

@@ -8,7 +8,7 @@ interest, application QoE metrics, etc."*
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import QueryError

@@ -25,14 +25,13 @@ from repro.core.signals import SignalKind, SignalSeries, concat_series
 from repro.core.usaas.bias import BiasCorrector
 from repro.core.usaas.correlator import CorrelationFinding, correlate_daily
 from repro.core.usaas.insights import Insight, confidence_from
-from repro.core.usaas.privacy import PrivacyGuard
+from repro.core.usaas.privacy import PrivacyGuard, has_raw_identifiers
 from repro.core.usaas.query import UsaasQuery
 from repro.core.usaas.registry import SignalSourceRegistry
 from repro.core.usaas.summarize import summarize_insights
 from repro.errors import (
     AnalysisError,
     DegradedServiceError,
-    PrivacyError,
     QueryError,
 )
 from repro.resilience.clock import Clock
@@ -85,11 +84,22 @@ class UsaasReport:
 #: shapes.
 ANSWER_MEMO_SIZE = 64
 
+#: Fewest sessions a breakdown group needs for a level insight of its own.
+MIN_GROUP_SIZE = 20
+
+
+#: The merged store of one data version (see ``UsaasService._merged``)
+#: and whether its user vocabulary holds a raw identifier.
+MergedStore = Tuple[SignalSeries, bool]
+
 
 @dataclass(frozen=True)
 class GatherResult:
     """One guarded fetch of every source: what each survivor served,
-    in ``survivors`` order, and the per-source accounting."""
+    in ``survivors`` order, and the per-source accounting.
+
+    :meth:`identity` names the data version it served; the service keys
+    both its answer memo and its merged store on it."""
 
     series: Tuple[SignalSeries, ...]
     health: Tuple[SourceHealth, ...]
@@ -102,7 +112,12 @@ class GatherResult:
         return bool(self.failed or self.stale)
 
     def pool(self, query: UsaasQuery) -> SignalSeries:
-        """The rows of the query's network and window, merged."""
+        """The rows of the query's network and window, merged.
+
+        Filters each served series, then concatenates what is left.
+        The first miss over a data version pools this way; later ones
+        filter the service's merged store (``UsaasService._merged``)
+        for the same rows in the same order."""
         return concat_series([
             series.filter(
                 network=query.network, start=query.start, end=query.end
@@ -135,6 +150,8 @@ class UsaasService:
     ``answer`` fetches every source on every call, then memoizes the
     report on the query and :meth:`GatherResult.identity`; a repeat
     over unchanged data gets the memoized report with fresh health.
+    From the second miss over one data version on, queries pool their
+    rows from one merged store of that data (:meth:`_merged`).
     """
 
     def __init__(
@@ -147,6 +164,10 @@ class UsaasService:
         self._bias = BiasCorrector()
         self._executor = SourceExecutor(resilience or ResilienceConfig(), clock)
         self._memo: "OrderedDict[Hashable, UsaasReport]" = OrderedDict()
+        # The identity of the last data a miss pooled and, from the
+        # second miss over it on, the merged store of that data with
+        # whether its user vocabulary holds a raw identifier.
+        self._store: Tuple[Hashable, Optional[MergedStore]] = (None, None)
 
     @property
     def registry(self) -> SignalSourceRegistry:
@@ -248,15 +269,61 @@ class UsaasService:
             self._memo.popitem(last=False)
         return report
 
+    def _merged(self, gathered: GatherResult) -> Optional[MergedStore]:
+        """The merged store of what ``gathered`` served; None on the first miss over it.
+
+        The service keeps one store, :func:`concat_series` of the served
+        series, with whether its user vocabulary holds a raw identifier.
+        It is keyed on :meth:`GatherResult.identity`, as the answer memo
+        is, and built by the second miss (an ``answer`` or a
+        ``compare``) that sees the same data.  So a source that serves a
+        new series on every fetch never pays for a merge: each of its
+        misses pools only the rows it asks for.
+        """
+        key = gathered.identity()
+        seen, store = self._store
+        if key != seen:
+            self._store = (key, None)
+            return None
+        if store is None:
+            merged = concat_series(gathered.series)
+            store = (merged, has_raw_identifiers(merged))
+            self._store = (key, store)
+        return store
+
+    def _scrubbed_pool(
+        self,
+        gathered: GatherResult,
+        store: Optional[MergedStore],
+        query: UsaasQuery,
+    ) -> SignalSeries:
+        """The rows of the query's network and window, checked for raw identifiers.
+
+        With a ``store`` (:meth:`_merged`), a view of it filtered by
+        network and window, which holds :meth:`GatherResult.pool`'s rows
+        in its order; the rows are scanned for raw identifiers only when
+        the store's vocabulary holds one.
+        """
+        if store is None:
+            pool = gathered.pool(query)
+            self._privacy.assert_scrubbed(pool)
+            return pool
+        merged, raw = store
+        pool = merged.filter(
+            network=query.network, start=query.start, end=query.end
+        )
+        if raw:
+            self._privacy.assert_scrubbed(pool)
+        return pool
+
     def _report(self, query: UsaasQuery, gathered: GatherResult) -> UsaasReport:
         """Compute ``query``'s report over what ``gathered`` served."""
-        pool = gathered.pool(query)
+        pool = self._scrubbed_pool(gathered, self._merged(gathered), query)
         guard = (
             PrivacyGuard(query.min_users)
             if query.min_users is not None
             else self._privacy
         )
-        guard.assert_scrubbed(pool)
         guard.check(pool, context=f"query({query.network})")
         pool = self._bias.apply(pool)
 
@@ -452,9 +519,11 @@ class UsaasService:
         metric: str,
         attribute: str,
         guard: PrivacyGuard,
-        min_group_size: int = 20,
     ) -> List[Insight]:
-        """Per-attribute-value level insights (with size and privacy floors)."""
+        """Per-attribute-value level insights (with size and privacy floors).
+
+        A group of fewer than :data:`MIN_GROUP_SIZE` sessions is left out.
+        """
         codes, vocab = subset._attr(attribute)
         values = subset._col("value")
         n_words = len(vocab.words)  # rows without the attribute: one more group
@@ -466,7 +535,7 @@ class UsaasService:
             (vocab.words[c], c) for c in vocab.present(codes).tolist()
         ):
             group = values[codes == code]
-            if len(group) < min_group_size or not covered[code]:
+            if len(group) < MIN_GROUP_SIZE or not covered[code]:
                 continue
             mean = float(np.mean(group))
             insights.append(
@@ -499,11 +568,11 @@ class UsaasService:
         rows: List[MetricComparison] = []
         pools = {}
         gathered = self._gather()
+        store = self._merged(gathered)
         for network in (network_a, network_b):
             query = UsaasQuery(network=network, service=service,
                                implicit_metrics=metrics)
-            pool = gathered.pool(query)
-            self._privacy.assert_scrubbed(pool)
+            pool = self._scrubbed_pool(gathered, store, query)
             self._privacy.check(pool, context=f"compare({network})")
             pools[network] = self._bias.apply(pool).filter(
                 kind=SignalKind.IMPLICIT, service=service

@@ -22,7 +22,7 @@ account all such confounders" — this is the taking-into-account.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 

@@ -21,9 +21,7 @@ one-size-fits-all default.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.netsim.link import LinkProfile

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.errors import AnalysisError
 from repro.io.tables import format_table
 

@@ -11,8 +11,8 @@ annotation comes back empty for its third-highest peak.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.nlp.news import NewsArticle, NewsIndex

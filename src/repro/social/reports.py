@@ -9,8 +9,6 @@ plus realistic uplink and latency values.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import ConfigError

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-import numpy as np
-
 from repro.core.timeline import Month, MonthlySeries
 from repro.errors import ConfigError
 from repro.starlink.launches import LAUNCH_CATALOG, LaunchCatalog

@@ -29,7 +29,6 @@ from repro.errors import AnalysisError, ConfigError
 from repro.starlink.capacity import CapacityModel
 from repro.starlink.launches import LaunchCatalog
 from repro.starlink.perception import PerceptionModel
-from repro.starlink.subscribers import SubscriberModel
 
 
 def modified_catalog(

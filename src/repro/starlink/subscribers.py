@@ -8,9 +8,7 @@ growth at this stage was multiplicative, not additive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.core.timeline import Month, iter_months
 from repro.errors import ConfigError

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union

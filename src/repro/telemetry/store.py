@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Union
 
 from repro.errors import SchemaError
 from repro.telemetry.schema import CallRecord, ParticipantRecord

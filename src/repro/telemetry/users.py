@@ -15,9 +15,8 @@ uses this to stage the paper's natural experiment.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import (
@@ -126,6 +126,81 @@ class TestCorrelations:
         y = [p[1] for p in pairs]
         assert -1.0001 <= pearson(x, y) <= 1.0001
         assert -1.0001 <= spearman(x, y) <= 1.0001
+
+
+def pearson_corrcoef(x, y) -> float:
+    """``pearson`` as it was written first: two ``np.std`` checks, then
+    ``np.corrcoef``.  The oracle of :class:`TestPearsonKernel`."""
+    x_arr = np.asarray(x, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    if np.std(x_arr) == 0 or np.std(y_arr) == 0:
+        return 0.0
+    return float(np.corrcoef(x_arr, y_arr)[0, 1])
+
+
+#: A step whose square is near the smallest subnormal: for columns of a
+#: few such steps, the mean square ``np.std`` takes can underflow to
+#: zero where the covariance diagonal does not.
+TINY = 1.5 * 2.0 ** -538
+
+
+@st.composite
+def pearson_columns(draw):
+    """Two equal-length columns, each drawn one of five ways."""
+    n = draw(st.integers(2, 500))
+
+    def column():
+        way = draw(st.sampled_from(
+            ("floats", "scaled", "constant", "near_constant", "tiny")
+        ))
+        if way == "floats":  # NaN and +-inf included
+            return draw(st.lists(st.floats(), min_size=n, max_size=n))
+        if way == "scaled":
+            base = np.array(draw(st.lists(
+                st.floats(-1, 1), min_size=n, max_size=n,
+            )))
+            values = base * 10.0 ** draw(st.integers(-200, 200))
+            digits = draw(st.none() | st.integers(0, 3))
+            return values if digits is None else np.round(values, digits)
+        if way == "constant":
+            return [draw(st.floats())] * n
+        if way == "near_constant":  # np.std of [0.1] * 3 is not 0
+            return [draw(st.sampled_from((0.1, 0.7, 1e-300, 3.3e10)))] * n
+        return np.array(draw(st.lists(
+            st.integers(0, 3), min_size=n, max_size=n,
+        ))) * TINY
+
+    return column(), column()
+
+
+class TestPearsonKernel:
+    """``pearson`` computes ``np.corrcoef``'s arithmetic itself: every
+    result equals the oracle's, NaN for NaN."""
+
+    @given(pearson_columns())
+    @example(([0.1] * 3, [1.0, 2.0, 3.0]))
+    @example(([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+    @example((np.array([0.0, 1.0, 1.0, 2.0]) * TINY, [0.0, 1.0, 2.0, 3.0]))
+    @example(([1.0, float("nan")], [1.0, 2.0]))
+    @example(([1.0, float("inf")], [1.0, 2.0]))
+    @example(([1.0, 2.0], [float("-inf"), float("inf")]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_corrcoef_oracle(self, columns):
+        with np.errstate(all="ignore"):
+            got, want = pearson(*columns), pearson_corrcoef(*columns)
+        assert got == want or (got != got and want != want), (got, want)
+
+    def test_a_mean_square_that_underflows_is_constant(self):
+        """np.std reads 0 here though the covariance diagonal does not."""
+        x = np.array([0.0, 1.0, 1.0, 2.0]) * TINY
+        assert np.std(x) == 0 and np.dot(x - x.mean(), x - x.mean()) > 0
+        assert pearson(x, [0.0, 1.0, 2.0, 3.0]) == 0.0
+
+    def test_clipped_to_one(self):
+        """Unclipped, this r is 1.0000000000000002."""
+        x = [0.4, 0.3, 0.0]
+        assert pearson(x, x) == pearson_corrcoef(x, x) == 1.0
+        assert pearson(x, [-v for v in x]) == -1.0
 
 
 class TestPercentile:

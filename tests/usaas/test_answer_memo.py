@@ -140,9 +140,9 @@ class World:
     that swaps fill with a new series, and ``flaky`` a feed that fails
     through a fault plan during an outage: it is then served stale, or
     counted failed when it never served.  The twin has its own clock
-    and fault plan, makes the same fetches and empties its memo before
-    each answer, so it reports what a service that went through the
-    same fetches computes from scratch.
+    and fault plan, makes the same fetches and empties its memo and its
+    merged store before each answer, so it reports what a service that
+    went through the same fetches computes from scratch.
     """
 
     def __init__(self, inputs):
@@ -186,6 +186,7 @@ class World:
     def ask(self, query):
         got = _outcome(lambda: self.memoized.answer(query))
         self.twin._memo.clear()
+        self.twin._store = (None, None)
         want = _outcome(lambda: self.twin.answer(query))
         assert got == want, query
 

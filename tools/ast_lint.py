@@ -1,11 +1,12 @@
 """Shared driver for the repo's AST lints, with one exemption table.
 
 Each per-file lint (``check_clock_discipline.py``,
-``check_no_bare_except.py``) supplies a ``check_file`` for its rule;
-this module decides where the rule applies and walks a tree with it.
-Every module under a ``repro`` package is covered by every rule, so a
-new package is covered the day it lands.  The only way out is a row in
-:data:`EXEMPTIONS`, which names the module and says why.  The
+``check_no_bare_except.py``, ``check_unused_imports.py``) supplies a
+``check_file`` for its rule; this module decides where the rule
+applies and walks a tree with it.  Every module under a ``repro``
+package is covered by every rule, so a new package is covered the day
+it lands.  The only way out is a row in :data:`EXEMPTIONS`, which names
+the module (for unused imports, one binding) and says why.  The
 whole-tree reachability lint (``check_reachable.py``) reads its
 ``"reachable"`` rows, which name one def or method each, from the same
 table.
@@ -73,6 +74,9 @@ EXEMPTIONS = {
             "public form of correlate_daily; tests pin it against the "
             "record oracle",
     },
+    # Keyed "<module>:<name>": import bindings the module never reads
+    # that stay (tools/check_unused_imports.py).
+    "unused-import": {},
 }
 
 
