@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.signals import SignalKind, SignalSeries
-from repro.core.usaas.privacy import scrub_all
 from repro.errors import QueryError, SchemaError
 from repro.perf.columnar import corpus_columns, participant_columns
 from repro.telemetry.store import CallDataset
@@ -98,7 +97,7 @@ def telemetry_signals(
         attrs={
             "country": (cols.country, row),
             "platform": (cols.platform, row),
-            "user": (scrub_all(cols.user_id), row),
+            "user": (cols.scrubbed_users(), row),
         },
     )
     return series
@@ -169,7 +168,7 @@ def social_signals(
         weight=wmat[pos, row],
         attrs={
             "topic": (cols.topic, row),
-            "user": (scrub_all(cols.author), row),
+            "user": (cols.scrubbed_authors(), row),
         },
     )
     return series

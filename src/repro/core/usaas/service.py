@@ -482,7 +482,7 @@ class UsaasService:
         from repro.integrity.trust import signal_unit_scores
 
         scores = signal_unit_scores(explicit)
-        if not scores.units:
+        if not len(scores.codes):
             return None
         metric, vocab = explicit._field("metric")
         for statistic_target in ("rating", "sentiment_polarity"):
@@ -499,7 +499,7 @@ class UsaasService:
             return None
         flagged = int(scores.n_items[scores.trust == 0.0].sum())
         return build_section(
-            n_units=len(scores.units),
+            n_units=len(scores.codes),
             n_flagged=int((scores.trust < 1.0).sum()),
             contamination=flagged / int(scores.n_items.sum()),
             naive_value=float(np.mean(values)),

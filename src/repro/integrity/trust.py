@@ -205,11 +205,13 @@ def score_raters(dataset) -> Dict[str, TrustScore]:
 class SignalUnitScores:
     """:func:`score_signal_units` as arrays, one entry per unit.
 
-    ``unit_of_row`` maps each row of the scored series to its unit's
-    index, -1 for rows without a ``user`` attr (unscored, weight 1).
+    ``codes`` holds each unit's code in the scored series' ``user``
+    vocabulary, ascending; ``unit_of_row`` maps each row of the series
+    to its unit's index, -1 for rows without a ``user`` attr
+    (unscored, weight 1).
     """
 
-    units: Tuple[str, ...]
+    codes: np.ndarray
     unit_of_row: np.ndarray
     n_items: np.ndarray
     burst_peak: np.ndarray
@@ -223,13 +225,12 @@ def signal_unit_scores(series: SignalSeries) -> SignalUnitScores:
     """Grouped counts by user code behind :func:`score_signal_units`."""
     codes, vocab = series._attr("user")
     present = vocab.present(codes)
-    units = [vocab.words[c] for c in present.tolist()]
+    k = len(present)
     lut = np.full(len(vocab.words) + 1, -1, dtype=np.int64)
-    lut[present + 1] = np.arange(len(units))
+    lut[present + 1] = np.arange(k)
     unit_of_row = lut[codes + 1]
     scored = unit_of_row >= 0
     unit = unit_of_row[scored]
-    k = len(units)
 
     day = series._col("day")[scored]
     n_items = np.bincount(unit, minlength=k)
@@ -254,7 +255,7 @@ def signal_unit_scores(series: SignalSeries) -> SignalUnitScores:
     burst = burst_peak >= BURST_DAY_POSTS
     trust = np.where(rating_fraud, 0.0, np.where(burst, 0.5, 1.0))
     return SignalUnitScores(
-        units=tuple(units),
+        codes=present,
         unit_of_row=unit_of_row,
         n_items=n_items,
         burst_peak=burst_peak,
@@ -277,6 +278,7 @@ def score_signal_units(signals: Iterable) -> Dict[str, TrustScore]:
     if not isinstance(signals, SignalSeries):
         signals = SignalSeries(signals)
     t = signal_unit_scores(signals)
+    words = signals._attr("user")[1].words
     scores = {
         unit: TrustScore(
             unit=unit,
@@ -291,9 +293,9 @@ def score_signal_units(signals: Iterable) -> Dict[str, TrustScore]:
             trust=trust,
         )
         for unit, n_items, burst_peak, bias, fraud, burst, trust in zip(
-            t.units, t.n_items.tolist(), t.burst_peak.tolist(),
-            t.rating_bias.tolist(), t.rating_fraud.tolist(), t.burst.tolist(),
-            t.trust.tolist(),
+            [words[c] for c in t.codes.tolist()], t.n_items.tolist(),
+            t.burst_peak.tolist(), t.rating_bias.tolist(),
+            t.rating_fraud.tolist(), t.burst.tolist(), t.trust.tolist(),
         )
     }
     return {unit: scores[unit] for unit in sorted(scores)}

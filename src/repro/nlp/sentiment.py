@@ -6,7 +6,7 @@ Output contract mirrors the cloud service the paper used: each text gets
 
 The scorer walks the token stream and, for every lexicon hit, applies:
 
-* **negation** — a negator within the three preceding tokens flips and
+* **negation** — a negator within the two preceding tokens flips and
   damps the valence ("not great" ≈ mildly negative);
 * **intensification** — boosters within the two preceding tokens scale
   it ("extremely slow" < "slow");
@@ -30,8 +30,11 @@ from repro.nlp.tokenize import tokenize
 
 STRONG_THRESHOLD = 0.7
 
-_NEGATION_WINDOW = 2
-_INTENSIFIER_WINDOW = 2
+#: How much plain text dilutes valence: the neutral mass is this weight
+#: times the square root of the count of words that miss the lexicon
+#: (at least 1).
+NEUTRAL_WEIGHT = 0.5
+
 _NEGATION_DAMP = 0.65  # "not great" is weaker than "bad"
 _CAPS_BOOST = 1.35
 _EXCLAIM_BOOST = 0.18  # per '!' up to 3
@@ -72,23 +75,15 @@ class SentimentScores:
 class SentimentAnalyzer:
     """Reusable scorer; scoring is stateless, the memo is bounded state."""
 
-    def __init__(
-        self, neutral_weight: float = 0.5, memo_cap: int = 4096
-    ) -> None:
-        """``neutral_weight`` scales how much plain text dilutes valence.
-
-        Higher values make the analyzer more conservative (more texts
-        classified neutral).  ``memo_cap`` bounds the batch-scoring
-        memo (distinct texts retained, LRU eviction): an adversarial
-        flood of unique texts — exactly what a spam brigade produces —
-        can no longer grow the memo without bound.  The cap changes
-        memory behaviour only; scores are byte-identical at any cap.
+    def __init__(self, memo_cap: int = 4096) -> None:
+        """``memo_cap`` bounds the batch-scoring memo (distinct texts
+        retained, LRU eviction): an adversarial flood of unique texts —
+        exactly what a spam brigade produces — can no longer grow the
+        memo without bound.  The cap changes memory behaviour only;
+        scores are byte-identical at any cap.
         """
-        if neutral_weight <= 0:
-            raise ExtractionError("neutral_weight must be positive")
         if memo_cap < 1:
             raise ExtractionError("memo_cap must be >= 1")
-        self._neutral_weight = neutral_weight
         self._memo_cap = int(memo_cap)
         self._memo: "OrderedDict[str, SentimentScores]" = OrderedDict()
 
@@ -98,48 +93,52 @@ class SentimentAnalyzer:
         if not tokens:
             return SentimentScores(positive=0.0, negative=0.0, neutral=1.0)
 
-        # Single normalisation pass: the window scans below index into
-        # this list instead of re-lowercasing neighbours per lexicon hit.
-        lowered = [t.lower() for t in tokens]
+        # One lower() for the whole text: no token holds a space, and
+        # every token is ASCII letters, decimal digits, "'", ".", "!",
+        # "?" or one emoji code point, none of which lowercases by
+        # context.  A "!"/"?" burst is a token of its own, so bursts
+        # start the text or follow a space.
+        joined = " ".join(tokens).lower()
+        lowered = joined.split(" ")
+        word_count = len(tokens) - (
+            joined.count(" !") + joined.count(" ?") + (joined[0] in "!?")
+        )
 
         pos_mass = 0.0
         neg_mass = 0.0
-        word_count = 0
         n_hits = 0
-        for i, token in enumerate(tokens):
-            is_exclaim = token[0] in "!?"
-            if not is_exclaim:
-                word_count += 1
-            valence = VALENCES.get(lowered[i])
-            if valence is None:
-                continue
-            n_hits += 1
+        if not VALENCES.keys().isdisjoint(lowered):
+            last = len(tokens) - 1
+            for i in [i for i, word in enumerate(lowered) if word in VALENCES]:
+                n_hits += 1
 
-            # Intensifiers immediately before the hit.
-            boost = 1.0
-            for j in range(max(0, i - _INTENSIFIER_WINDOW), i):
-                boost += INTENSIFIERS.get(lowered[j], 0.0)
-            boost = max(0.3, boost)
+                # Intensifiers in the two tokens before the hit.
+                boost = 1.0
+                if i >= 2:
+                    boost += INTENSIFIERS.get(lowered[i - 2], 0.0)
+                if i:
+                    boost += INTENSIFIERS.get(lowered[i - 1], 0.0)
+                if boost < 0.3:
+                    boost = 0.3
 
-            # Negation within the window flips and damps.
-            negated = any(
-                lowered[j] in NEGATORS
-                for j in range(max(0, i - _NEGATION_WINDOW), i)
-            )
+                # Emphasis: ALL-CAPS hit, trailing exclamations.
+                token = tokens[i]
+                if token.isupper() and len(token) > 2:
+                    boost *= _CAPS_BOOST
+                if i < last and tokens[i + 1][0] == "!":
+                    boost *= 1.0 + _EXCLAIM_BOOST * min(3, len(tokens[i + 1]))
 
-            # Emphasis: ALL-CAPS hit, trailing exclamations.
-            if token.isupper() and len(token) > 2:
-                boost *= _CAPS_BOOST
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "!":
-                boost *= 1.0 + _EXCLAIM_BOOST * min(3, len(tokens[i + 1]))
-
-            signed = valence * boost
-            if negated:
-                signed = -signed * _NEGATION_DAMP
-            if signed >= 0:
-                pos_mass += signed
-            else:
-                neg_mass += -signed
+                # A negator in the same two tokens flips and damps.
+                signed = VALENCES[lowered[i]] * boost
+                if i and (
+                    lowered[i - 1] in NEGATORS
+                    or (i >= 2 and lowered[i - 2] in NEGATORS)
+                ):
+                    signed = -signed * _NEGATION_DAMP
+                if signed >= 0:
+                    pos_mass += signed
+                else:
+                    neg_mass += -signed
 
         # A text where one polarity clearly dominates across several hits
         # reads unambiguously no matter how long it is — amplify the
@@ -153,9 +152,7 @@ class SentimentAnalyzer:
                 neg_mass *= amplifier
 
         # Dilute by text length: valence mass competes with neutral mass.
-        neutral_mass = self._neutral_weight * max(
-            1.0, (word_count - n_hits) ** 0.5
-        )
+        neutral_mass = NEUTRAL_WEIGHT * max(1.0, (word_count - n_hits) ** 0.5)
         total = pos_mass + neg_mass + neutral_mass
         return SentimentScores(
             positive=pos_mass / total,

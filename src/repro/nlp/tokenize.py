@@ -29,9 +29,14 @@ def tokenize(text: str, lowercase: bool = False) -> List[str]:
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
-    cleaned = _URL_RE.sub(" ", text)
-    cleaned = _MENTION_RE.sub(" ", cleaned)
-    tokens = _TOKEN_RE.findall(cleaned)
+    # Each substitution runs only where it can match: every URL match
+    # holds "://" or "www.", every mention match "u/" or "r/", and the
+    # space a URL becomes cannot form either.
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "u/" in text or "r/" in text:
+        text = _MENTION_RE.sub(" ", text)
+    tokens = _TOKEN_RE.findall(text)
     if lowercase:
         return [t.lower() for t in tokens]
     return tokens

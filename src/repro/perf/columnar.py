@@ -95,6 +95,14 @@ def _check_len(name: str, seq: Sequence, n: int) -> Sequence:
     return seq
 
 
+def _scrub_all(identifiers: List[str]) -> List[str]:
+    # ``repro.core.usaas`` imports this module, so its privacy module
+    # is imported at first use.
+    from repro.core.usaas.privacy import scrub_all
+
+    return scrub_all(identifiers)
+
+
 # -- participant columns ---------------------------------------------------
 
 
@@ -122,9 +130,23 @@ class ParticipantColumns:
     dropped_early: np.ndarray
     rating: np.ndarray
     network: Dict[str, Dict[str, np.ndarray]]
+    _scrubbed_users: Optional[List[str]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.call_id)
+
+    def scrubbed_users(self) -> List[str]:
+        """``user_id`` as scrubbed keys, hashed once per block.
+
+        Memoized on this object, so the USaaS signal export and the
+        stream export share one :func:`~repro.core.usaas.privacy.scrub_all`
+        pass.
+        """
+        if self._scrubbed_users is None:
+            self._scrubbed_users = _scrub_all(self.user_id)
+        return self._scrubbed_users
 
     def metric(self, name: str, stat: str = "mean") -> np.ndarray:
         """Column analogue of :meth:`ParticipantRecord.metric`."""
@@ -374,6 +396,9 @@ class CorpusColumns:
     speed_indices: np.ndarray
     posts: List[Any]
     _sentiment: Optional[SentimentBlock] = field(default=None, repr=False)
+    _scrubbed_authors: Optional[List[str]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.post_id)
@@ -403,6 +428,17 @@ class CorpusColumns:
                 )
             return self._sentiment
         return SentimentBlock(analyzer.score_many(self.full_text))
+
+    def scrubbed_authors(self) -> List[str]:
+        """``author`` as scrubbed keys, hashed once per block.
+
+        Memoized on this object, so the USaaS signal export and the
+        stream export share one :func:`~repro.core.usaas.privacy.scrub_all`
+        pass.
+        """
+        if self._scrubbed_authors is None:
+            self._scrubbed_authors = _scrub_all(self.author)
+        return self._scrubbed_authors
 
     # -- construction ----------------------------------------------------
 

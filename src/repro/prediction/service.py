@@ -42,31 +42,33 @@ from repro.serving.deadline import Deadline
 #: Weight of the newest observation in the cost EWMA.
 _EWMA_ALPHA = 0.3
 
+#: The cost model's marginal cost per predicted row.
+PER_ROW_S = 2e-6
+
 
 @dataclass(frozen=True)
 class PredictionCostModel:
-    """Affine per-batch cost model for the deadline ladder.
+    """Affine per-batch cost model for the deadline ladder:
+    ``base_s + PER_ROW_S * n_rows``.
 
     Attributes:
         base_s: fixed per-batch dispatch cost.
-        per_row_s: marginal cost per predicted row.
         fallback_scale: the E-model prior's cost as a fraction of the
             full model's (it skips standardisation and the trained
             weights, so it is strictly cheaper).
     """
 
     base_s: float = 0.002
-    per_row_s: float = 2e-6
     fallback_scale: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.base_s < 0 or self.per_row_s < 0:
-            raise ConfigError("cost model terms must be non-negative")
+        if self.base_s < 0:
+            raise ConfigError("base_s must be non-negative")
         if not 0 < self.fallback_scale <= 1:
             raise ConfigError("fallback_scale must be in (0, 1]")
 
     def batch_cost_s(self, n_rows: int) -> float:
-        return self.base_s + self.per_row_s * n_rows
+        return self.base_s + PER_ROW_S * n_rows
 
     def fallback_cost_s(self, n_rows: int) -> float:
         return self.fallback_scale * self.batch_cost_s(n_rows)

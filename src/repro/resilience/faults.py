@@ -197,6 +197,17 @@ class StreamDelivery:
     duplicate: bool = False
 
 
+#: Seeded days a brigade concentrates on.
+BRIGADE_DAYS = 3
+#: Bot accounts that author a brigade's posts.
+RING_SIZE = 3
+#: Brigade templates the ring cycles, from the front of
+#: :data:`BRIGADE_TEMPLATES`.
+TEMPLATE_COUNT = 2
+#: Shill accounts that rating-fraud sessions are rewritten to.
+FRAUD_COHORT = 4
+
+
 @dataclass(frozen=True)
 class DataFaultSpec:
     """Adversarial *data* faults: the signals themselves lie.
@@ -210,11 +221,11 @@ class DataFaultSpec:
 
     * **brigade** — ``brigade_fraction`` of the corpus size is injected
       as near-duplicate strongly-negative spam posts, written by a bot
-      ring of ``ring_size`` authors cycling ``template_count`` template
-      texts, concentrated on ``brigade_days`` seeded days;
+      ring of :data:`RING_SIZE` authors cycling :data:`TEMPLATE_COUNT`
+      template texts, concentrated on :data:`BRIGADE_DAYS` seeded days;
     * **rating fraud** — each session is overwritten with probability
       ``fraud_fraction``: its rating becomes ``fraud_rating`` and its
-      author one of ``fraud_cohort`` shill accounts;
+      author one of :data:`FRAUD_COHORT` shill accounts;
     * **sensor drift** — each (non-fraud) session drifts with
       probability ``drift_fraction``: every aggregate of
       ``drift_metric`` gains ``drift_bias``;
@@ -224,12 +235,8 @@ class DataFaultSpec:
     """
 
     brigade_fraction: float = 0.0
-    brigade_days: int = 3
-    ring_size: int = 3
-    template_count: int = 2
     fraud_fraction: float = 0.0
     fraud_rating: int = 1
-    fraud_cohort: int = 4
     drift_fraction: float = 0.0
     drift_metric: str = "latency_ms"
     drift_bias: float = 40.0
@@ -246,16 +253,8 @@ class DataFaultSpec:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.malform_rate + self.drop_rate > 1.0:
             raise ConfigError("malform_rate + drop_rate must be <= 1")
-        if self.brigade_days < 1:
-            raise ConfigError("brigade_days must be >= 1")
-        if self.ring_size < 1:
-            raise ConfigError("ring_size must be >= 1")
-        if self.template_count < 1:
-            raise ConfigError("template_count must be >= 1")
         if self.fraud_rating not in (1, 2, 3, 4, 5):
             raise ConfigError("fraud_rating must be a 1-5 star value")
-        if self.fraud_cohort < 1:
-            raise ConfigError("fraud_cohort must be >= 1")
         if not self.drift_metric:
             raise ConfigError("drift_metric must be non-empty")
 
@@ -335,8 +334,9 @@ class DataFaultInjector:
 
         Returns a *new* corpus (same config) holding the clean posts
         plus ``round(brigade_fraction * len(corpus))`` injected ones,
-        concentrated on ``brigade_days`` seeded days and authored by a
-        ``ring_size`` bot ring cycling ``template_count`` templates.
+        concentrated on :data:`BRIGADE_DAYS` seeded days and authored by
+        a :data:`RING_SIZE` bot ring cycling :data:`TEMPLATE_COUNT`
+        templates.
         """
         import datetime as dt
 
@@ -356,15 +356,13 @@ class DataFaultInjector:
         config = corpus.config
         span_days = (config.span_end - config.span_start).days + 1
         day_offsets: List[int] = []
-        while len(day_offsets) < min(spec.brigade_days, span_days):
+        while len(day_offsets) < min(BRIGADE_DAYS, span_days):
             offset = int(float(stream.random()) * span_days)
             if offset not in day_offsets:
                 day_offsets.append(offset)
-        templates = BRIGADE_TEMPLATES[
-            : min(spec.template_count, len(BRIGADE_TEMPLATES))
-        ]
+        templates = BRIGADE_TEMPLATES[:TEMPLATE_COUNT]
         ring = tuple(
-            f"{self._name}-ring-{j}" for j in range(spec.ring_size)
+            f"{self._name}-ring-{j}" for j in range(RING_SIZE)
         )
         injected: List[Post] = []
         for i in range(n_inject):
@@ -396,7 +394,7 @@ class DataFaultInjector:
         """Apply rating fraud and sensor drift to a call dataset.
 
         Fraud rewrites a session's rating to ``fraud_rating`` and its
-        author to one of ``fraud_cohort`` shill handles; drift adds
+        author to one of :data:`FRAUD_COHORT` shill handles; drift adds
         ``drift_bias`` to every aggregate of ``drift_metric``.  Both
         are per-session seeded coin flips over a *new* dataset — clean
         records are reused, rewritten ones rebuilt via ``replace``.
@@ -408,7 +406,7 @@ class DataFaultInjector:
         spec = self.spec
         stream = self._plan._stream(self._name + "#calls")
         fraud_users = tuple(
-            f"{self._name}-shill-{k}" for k in range(spec.fraud_cohort)
+            f"{self._name}-shill-{k}" for k in range(FRAUD_COHORT)
         )
         fraud_sessions: List[Tuple[str, str]] = []
         drifted_sessions: List[Tuple[str, str]] = []

@@ -14,7 +14,8 @@ export share, so no post is scored twice.
 
 Authors are scrubbed at this boundary with the same
 :func:`~repro.core.usaas.privacy.scrub_author` scheme the batch
-adapters use: raw handles never reach the streaming layer.
+adapters use, from the scrubbed column the block memoizes for both:
+raw handles never reach the streaming layer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import datetime as dt
 from operator import attrgetter
 from typing import List, Optional
 
-from repro.core.usaas.privacy import scrub_all
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.perf.columnar import corpus_columns
 from repro.social.corpus import RedditCorpus
@@ -48,32 +48,22 @@ def social_stream(
     if epoch is None:
         epoch = min(cols.created)
     polarity = cols.sentiment(analyzer).polarity.tolist()
-    speed_of = {
-        i: float(post.speed_test.download_mbps)
+    keys = cols.scrubbed_authors()
+    times = [(created - epoch).total_seconds() for created in cols.created]
+    # One metric at a time, each in post order: the stable sort then
+    # breaks ties in the same order as one pass over the posts.
+    records = [
+        StreamRecord(t, "social", "sentiment_polarity", value, key, "experience")
+        for t, value, key in zip(times, polarity, keys)
+    ]
+    records += [
+        StreamRecord(
+            times[i], "social", "reported_downlink_mbps",
+            float(post.speed_test.download_mbps), keys[i], "network",
+        )
         for i, post in zip(
             cols.speed_indices.tolist(), cols.speed_share_posts()
         )
-    }
-    keys = scrub_all(cols.author)
-    records: List[StreamRecord] = []
-    for i, (created, key) in enumerate(zip(cols.created, keys)):
-        t = (created - epoch).total_seconds()
-        records.append(StreamRecord(
-            event_time_s=t,
-            source="social",
-            metric="sentiment_polarity",
-            value=polarity[i],
-            key=key,
-            role="experience",
-        ))
-        if i in speed_of:
-            records.append(StreamRecord(
-                event_time_s=t,
-                source="social",
-                metric="reported_downlink_mbps",
-                value=speed_of[i],
-                key=key,
-                role="network",
-            ))
+    ]
     records.sort(key=attrgetter("event_time_s", "metric", "key"))
     return records

@@ -155,13 +155,6 @@ class OnlineChangePointDetector:
         self.change_points: List[ChangePoint] = []
         self.emissions_seen = 0
 
-    def _window(self, metric: str) -> Deque[Tuple[float, float]]:
-        tail = self._tails.get(metric)
-        if tail is None:
-            tail = deque(maxlen=self.reference_n + self.test_n)
-            self._tails[metric] = tail
-        return tail
-
     def _attribute(
         self, at_s: float
     ) -> Tuple[Optional[str], Optional[float]]:
@@ -185,18 +178,24 @@ class OnlineChangePointDetector:
         self.emissions_seen += 1
         metric = f"{emission.metric}:{emission.operator}"
         self._roles.setdefault(metric, emission.role)
-        tail = self._window(metric)
-        tail.append((emission.at_s, emission.value))
-        if len(tail) < self.reference_n + self.test_n:
+        tail = self._tails.get(metric)
+        if tail is None:
+            tail = self._tails[metric] = deque(
+                maxlen=self.reference_n + self.test_n
+            )
+        at_s = emission.at_s
+        tail.append((at_s, emission.value))
+        if len(tail) < tail.maxlen:
             return None
         last_cp = self._last_cp_s.get(metric)
-        if last_cp is not None and emission.at_s - last_cp < self.min_gap_s:
+        if last_cp is not None and at_s - last_cp < self.min_gap_s:
             return None
+        reference_n = self.reference_n
         values = [v for _, v in tail]
-        ref = values[: self.reference_n]
-        test = values[self.reference_n:]
+        ref = values[:reference_n]
+        test = values[reference_n:]
         ref_mean = sum(ref) / len(ref)
-        ref_var = sum((v - ref_mean) ** 2 for v in ref) / len(ref)
+        ref_var = sum([(v - ref_mean) ** 2 for v in ref]) / len(ref)
         ref_std = max(ref_var ** 0.5, STD_FLOOR)
         test_mean = sum(test) / len(test)
         z = (test_mean - ref_mean) / ref_std
@@ -209,20 +208,20 @@ class OnlineChangePointDetector:
         attributed_to: Optional[str] = None
         attributed_at: Optional[float] = None
         if role == "experience":
-            attributed_to, attributed_at = self._attribute(emission.at_s)
+            attributed_to, attributed_at = self._attribute(at_s)
         cp = ChangePoint(
-            at_s=emission.at_s,
+            at_s=at_s,
             metric=metric,
             role=role,
             z_score=z,
             reference_mean=ref_mean,
             test_mean=test_mean,
-            shift_at_s=tail[self.reference_n][0],
+            shift_at_s=tail[reference_n][0],
             attributed_to=attributed_to,
             attributed_at_s=attributed_at,
         )
         self.change_points.append(cp)
-        self._last_cp_s[metric] = emission.at_s
+        self._last_cp_s[metric] = at_s
         return cp
 
     # -- checkpointing ----------------------------------------------------

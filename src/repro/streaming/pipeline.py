@@ -35,7 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -239,15 +241,41 @@ class StreamResult:
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
+def _json_scalar(value: Any) -> str:
+    """``value`` exactly as :data:`_SORTED_JSON` writes it.
+
+    Finite floats, strings and ints take the encoder's own formatting
+    (``float.__repr__``, ASCII-escaped strings, ``int.__repr__``)
+    directly; anything else, a NaN or an infinity included, goes
+    through the encoder.
+    """
+    cls = value.__class__
+    if cls is float:
+        if isfinite(value):
+            return float.__repr__(value)
+    elif cls is str:
+        return encode_basestring_ascii(value)
+    elif cls is int:
+        return int.__repr__(value)
+    return _SORTED_JSON.encode(value)
+
+
 def emissions_digest(emissions: List[Emission]) -> str:
     """Order-sensitive SHA-256 over the full emission log.
 
-    Hashes one sorted-key JSON line per emission.  Byte-identical
-    across reruns of the same seed, and across crash-resume vs.
-    uninterrupted runs — the convergence oracle the soak asserts on.
+    Hashes one sorted-key JSON line per emission, written field by
+    field in the bytes ``_SORTED_JSON.encode(e.to_dict())`` gives.
+    Byte-identical across reruns of the same seed, and across
+    crash-resume vs. uninterrupted runs — the convergence oracle the
+    soak asserts on.
     """
-    encode = _SORTED_JSON.encode
-    blob = "".join([encode(e.to_dict()) + "\n" for e in emissions])
+    blob = "".join([
+        f'{{"at_s": {_json_scalar(e.at_s)}, "count": {_json_scalar(e.count)}, '
+        f'"metric": {_json_scalar(e.metric)}, '
+        f'"operator": {_json_scalar(e.operator)}, '
+        f'"role": {_json_scalar(e.role)}, "value": {_json_scalar(e.value)}}}\n'
+        for e in emissions
+    ])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -428,8 +456,6 @@ class StreamPipeline:
             queue.append(emission)
 
     def _drain_detector(self) -> None:
-        from dataclasses import replace as dc_replace
-
         emissions = self._to_detector.drain()
         for emission in emissions:
             self.emissions.append(emission)
@@ -443,7 +469,7 @@ class StreamPipeline:
                     self.trust_gate is not None
                     and self.trust_gate.burst_active(cp.at_s)
                 ):
-                    self.detector.change_points[-1] = dc_replace(
+                    self.detector.change_points[-1] = replace(
                         cp, suspect=True
                     )
         if self.journal is not None and emissions:

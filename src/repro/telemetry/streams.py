@@ -25,7 +25,6 @@ import math
 from operator import attrgetter
 from typing import List, Optional
 
-from repro.core.usaas.privacy import scrub_all
 from repro.perf.columnar import participant_columns
 from repro.streaming.records import StreamRecord
 from repro.telemetry.schema import NETWORK_METRICS
@@ -50,30 +49,20 @@ def telemetry_stream(
     if epoch is None:
         # Every call anchors the axis, including one without sessions.
         epoch = min(call.start for call in dataset)
-    values = [cols.metric(metric).tolist() for metric in NETWORK_METRICS]
-    ratings = cols.rating.tolist()
-    keys = scrub_all(cols.user_id)
+    keys = cols.scrubbed_users()
+    times = [(start - epoch).total_seconds() for start in cols.call_start]
+    # One metric at a time, each in participant order: the stable sort
+    # then breaks ties in the same order as one pass over the sessions.
     records: List[StreamRecord] = []
-    for i, (start, key) in enumerate(zip(cols.call_start, keys)):
-        t = (start - epoch).total_seconds()
-        for metric, column in zip(NETWORK_METRICS, values):
-            records.append(StreamRecord(
-                event_time_s=t,
-                source="telemetry",
-                metric=metric,
-                value=column[i],
-                key=key,
-                role="network",
-            ))
-        rating = ratings[i]
-        if not math.isnan(rating):  # NaN marks an unrated session
-            records.append(StreamRecord(
-                event_time_s=t,
-                source="telemetry",
-                metric="rating",
-                value=rating,
-                key=key,
-                role="experience",
-            ))
+    for metric in NETWORK_METRICS:
+        records += [
+            StreamRecord(t, "telemetry", metric, value, key, "network")
+            for t, value, key in zip(times, cols.metric(metric).tolist(), keys)
+        ]
+    records += [
+        StreamRecord(t, "telemetry", "rating", rating, key, "experience")
+        for t, rating, key in zip(times, cols.rating.tolist(), keys)
+        if not math.isnan(rating)  # NaN marks an unrated session
+    ]
     records.sort(key=attrgetter("event_time_s", "metric", "key"))
     return records

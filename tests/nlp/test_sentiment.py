@@ -109,10 +109,6 @@ class TestAnalyzer:
         s = analyzer.score(mixed)
         assert not s.is_strong_positive and not s.is_strong_negative
 
-    def test_rejects_bad_neutral_weight(self):
-        with pytest.raises(ExtractionError):
-            SentimentAnalyzer(neutral_weight=0)
-
     @given(st.text(max_size=400))
     @settings(max_examples=100, deadline=None)
     def test_scores_always_valid(self, text):

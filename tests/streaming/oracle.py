@@ -24,6 +24,12 @@ learned to forget at the watermark: it remembers every fingerprint for
 window from the full record list, the batch answer the incremental
 :class:`~repro.streaming.operators.SlidingWindowAggregate` must equal.
 
+:func:`emissions_digest` is the digest as it ran before it wrote each
+emission's JSON line itself: ``to_dict()`` through a sorted-key
+``JSONEncoder`` per emission.  :class:`ReferenceChangePointDetector`
+is the detector's per-emission step as it ran before it looked up the
+metric's tail once and summed the variance terms from a list.
+
 They live here only so tests can pin the code in ``src/`` against
 them; nothing in ``src/`` calls them.
 """
@@ -31,6 +37,8 @@ them; nothing in ``src/`` calls them.
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import json
 import math
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
@@ -39,6 +47,11 @@ from repro.core.usaas.privacy import scrub_author
 from repro.integrity.online import SUSPECT_HISTORY_CAP, OnlineTrustGate
 from repro.nlp.sentiment import SentimentAnalyzer
 from repro.social.corpus import RedditCorpus
+from repro.streaming.detector import (
+    STD_FLOOR,
+    ChangePoint,
+    OnlineChangePointDetector,
+)
 from repro.streaming.operators import (
     DecayedAggregate,
     Emission,
@@ -375,3 +388,65 @@ def batch_window_aggregates(
         for (metric, k), cell in sums.items()
         if k * slide_s <= max_t
     }
+
+
+def emissions_digest(emissions: List[Emission]) -> str:
+    """SHA-256 over one sorted-key JSON line per emission."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    blob = "".join([encode(e.to_dict()) + "\n" for e in emissions])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class ReferenceChangePointDetector(OnlineChangePointDetector):
+    """The detector stepping through ``_window`` and generator sums."""
+
+    def _window(self, metric: str) -> Deque[Tuple[float, float]]:
+        tail = self._tails.get(metric)
+        if tail is None:
+            tail = deque(maxlen=self.reference_n + self.test_n)
+            self._tails[metric] = tail
+        return tail
+
+    def on_emission(self, emission: Emission) -> Optional[ChangePoint]:
+        self.emissions_seen += 1
+        metric = f"{emission.metric}:{emission.operator}"
+        self._roles.setdefault(metric, emission.role)
+        tail = self._window(metric)
+        tail.append((emission.at_s, emission.value))
+        if len(tail) < self.reference_n + self.test_n:
+            return None
+        last_cp = self._last_cp_s.get(metric)
+        if last_cp is not None and emission.at_s - last_cp < self.min_gap_s:
+            return None
+        values = [v for _, v in tail]
+        ref = values[: self.reference_n]
+        test = values[self.reference_n:]
+        ref_mean = sum(ref) / len(ref)
+        ref_var = sum((v - ref_mean) ** 2 for v in ref) / len(ref)
+        ref_std = max(ref_var ** 0.5, STD_FLOOR)
+        test_mean = sum(test) / len(test)
+        z = (test_mean - ref_mean) / ref_std
+        if abs(z) < self.z_threshold:
+            return None
+        scale = max(abs(ref_mean), ref_std)
+        if abs(test_mean - ref_mean) < self.min_shift_frac * scale:
+            return None
+        role = self._roles[metric]
+        attributed_to: Optional[str] = None
+        attributed_at: Optional[float] = None
+        if role == "experience":
+            attributed_to, attributed_at = self._attribute(emission.at_s)
+        cp = ChangePoint(
+            at_s=emission.at_s,
+            metric=metric,
+            role=role,
+            z_score=z,
+            reference_mean=ref_mean,
+            test_mean=test_mean,
+            shift_at_s=tail[self.reference_n][0],
+            attributed_to=attributed_to,
+            attributed_at_s=attributed_at,
+        )
+        self.change_points.append(cp)
+        self._last_cp_s[metric] = emission.at_s
+        return cp

@@ -1,5 +1,6 @@
 """Dataset → stream adapters: the batch/live boundary is deterministic."""
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -115,6 +116,43 @@ def fresh(corpus):
     return RedditCorpus(corpus.posts(), corpus.config)
 
 
+@pytest.fixture(scope="module")
+def tied(corpus):
+    """Records whose sort keys tie: one author posting twice at one
+    ``created`` time (both posts with a speed test), and one user with
+    two sessions in one call.  Ties keep their input order, so the two
+    twins must come out in post (session) order."""
+    posts = corpus.posts()
+    first = posts[0]
+    speed = first.speed_test or corpus.speed_shares()[0].speed_test
+    twins = [
+        dataclasses.replace(
+            first, post_id=f"{first.post_id}-{i}", text=text,
+            speed_test=dataclasses.replace(speed, download_mbps=mbps),
+        )
+        for i, (text, mbps) in enumerate(
+            (("terrible, awful outage", 12.5), ("amazing, fast, great", 250.0))
+        )
+    ]
+    tied_corpus = RedditCorpus(twins + posts, corpus.config)
+    calls = list(CallDatasetGenerator(
+        GeneratorConfig(n_calls=4, seed=7, mos_sample_rate=1.0)
+    ).generate())
+    call = calls[0]
+    twin = dataclasses.replace(
+        call.participants[0],
+        network={
+            metric: {stat: value + 1.0 for stat, value in stats.items()}
+            for metric, stats in call.participants[0].network.items()
+        },
+        rating=6 - (call.participants[0].rating or 3),
+    )
+    calls[0] = dataclasses.replace(
+        call, participants=[*call.participants, twin]
+    )
+    return CallDataset(calls), tied_corpus
+
+
 class TestExportsMatchRecordOracles:
     def test_telemetry_default_epoch(self, seeded):
         calls, _ = seeded
@@ -150,6 +188,24 @@ class TestExportsMatchRecordOracles:
             social_stream_records(corpus, analyzer=SentimentAnalyzer())
         )
 
+    def test_social_ties_keep_post_order(self, tied):
+        _, corpus = tied
+        records = social_stream(fresh(corpus))
+        tie = (records[0].event_time_s, records[0].key)
+        speeds = [
+            r.value for r in records
+            if (r.event_time_s, r.key) == tie
+            and r.metric == "reported_downlink_mbps"
+        ]
+        assert speeds[:2] == [12.5, 250.0]
+        assert records == social_stream_records(corpus)
+
+    def test_telemetry_ties_keep_session_order(self, tied):
+        calls, _ = tied
+        assert telemetry_stream(CallDataset(list(calls))) == (
+            telemetry_stream_records(calls)
+        )
+
     def test_empty_dataset(self):
         assert telemetry_stream(CallDataset()) == []
         assert telemetry_stream_records(CallDataset()) == []
@@ -177,3 +233,26 @@ def test_social_stream_reads_the_shared_sentiment_block(
     monkeypatch.setattr(SentimentAnalyzer, "score", counting)
     assert social_stream(again) == expected
     assert calls == []
+
+
+def test_one_pass_hashes_each_id_once(seeded, monkeypatch):
+    """The USaaS and stream exports share each block's scrubbed column."""
+    from repro.core.usaas import privacy, social_signals, telemetry_signals
+
+    calls, corpus = seeded
+    calls, corpus = CallDataset(list(calls)), fresh(corpus)
+    hashed = []
+    scrub = privacy.scrub_author
+
+    def counting(identifier):
+        hashed.append(identifier)
+        return scrub(identifier)
+
+    monkeypatch.setattr(privacy, "scrub_author", counting)
+    telemetry_signals(calls, network="starlink")
+    social_signals(corpus, network="starlink")
+    telemetry_stream(calls)
+    social_stream(corpus)
+    users = {p.user_id for call in calls for p in call.participants}
+    authors = {post.author for post in corpus}
+    assert sorted(hashed) == sorted([*users, *authors])

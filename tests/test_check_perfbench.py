@@ -176,6 +176,38 @@ def _won(out, metric):
     return row.split()[-2]
 
 
+def _resolved(out, metric):
+    """The ``resolved`` cell of ``metric``'s row."""
+    row = next(line for line in out.splitlines()
+               if line.strip().startswith(metric))
+    return row.split()[-3]
+
+
+def test_resolved_compares_the_median_gap_with_the_parent_iqr(
+    tmp_path, spec, capsys,
+):
+    tool = _load_tool()
+    # Parent busy_s quartiles [0.925, 1.075]: an IQR of 0.15.
+    parent = _runs(tmp_path / "parent", "report",
+                   _noisy([0.9, 0.95, 1.0, 1.05, 1.1]))
+    wide = _runs(tmp_path / "wide", "report",
+                 _noisy([0.7, 0.75, 0.8, 0.85, 0.9]))
+    narrow = _runs(tmp_path / "narrow", "report",
+                   _noisy([0.8, 0.85, 0.9, 0.95, 1.0]))
+    worse = _runs(tmp_path / "worse", "report",
+                  _noisy([1.1, 1.15, 1.2, 1.25, 1.3]))
+    assert tool.check(parent, wide, spec) == 0
+    out = capsys.readouterr().out
+    assert _resolved(out, "busy_s") == "yes"  # 0.20 gap > 0.15 IQR
+    assert _resolved(out, "peak_rss_mb") == "no"  # no gap at all
+    assert _won(out, "busy_s") == "5/5"
+    assert tool.check(parent, narrow, spec) == 0
+    assert _resolved(capsys.readouterr().out, "busy_s") == "no"  # 0.10
+    # A resolved regression inside its bound still exits 0.
+    assert tool.check(parent, worse, spec) == 0
+    assert _resolved(capsys.readouterr().out, "busy_s") == "yes"
+
+
 def test_pair_wins_counted_ties_for_neither_side(tmp_path, spec, capsys):
     tool = _load_tool()
     parent = _runs(tmp_path / "parent", "report", [

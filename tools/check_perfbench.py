@@ -12,8 +12,10 @@ metric's ``bound`` (the share by which it may worsen).
 A file name present in both directories makes the two runs one
 parent/change pair (save alternating runs as ``ingest-01.json`` ...
 on each side).  For each metric the gate also prints how many pairs
-the change won; a tie counts for neither side.  Pair wins are printed
-only: they never change the exit code.
+the change won (a tie counts for neither side), and whether the gap
+between the two medians is ``resolved``: larger than the parent's
+interquartile spread, the least a claimed gain must clear.  Pair wins
+and ``resolved`` are printed only: they never change the exit code.
 
 Usage::
 
@@ -96,6 +98,14 @@ def pair_wins(parent: Dict[str, dict], change: Dict[str, dict],
     return won, len(pairs)
 
 
+def resolved(parent: Tuple[float, float, float],
+             change: Tuple[float, float, float]) -> bool:
+    """Whether the medians of two ``spread`` triples differ by more than
+    the parent's interquartile spread."""
+    (before, q1, q3), (after, *_) = parent, change
+    return abs(after - before) > q3 - q1
+
+
 def compare(workload: str, parent: Dict[str, dict], change: Dict[str, dict],
             bounds: List[dict]) -> List[str]:
     """Print one workload's table; returns its failures."""
@@ -103,7 +113,7 @@ def compare(workload: str, parent: Dict[str, dict], change: Dict[str, dict],
     print(f"{workload}: parent {len(parent)} runs, change {len(change)} runs")
     print(f"  {'metric':16s} {'parent median [q1, q3]':>38s} "
           f"{'change median [q1, q3]':>38s} {'worse':>8s} {'bound':>6s} "
-          f"{'won':>7s}")
+          f"{'resolved':>8s} {'won':>7s}")
     for spec in bounds:
         name = spec["name"]
         sides = [
@@ -126,9 +136,10 @@ def compare(workload: str, parent: Dict[str, dict], change: Dict[str, dict],
             f"{m:.4f} [{q1:.4f}, {q3:.4f}] n={len(runs)}"
             for (m, q1, q3), runs in zip(sides, (parent, change))
         ]
+        gap = "yes" if resolved(*sides) else "no"
         print(f"  {name:16s} {cells[0]:>38s} {cells[1]:>38s} "
-              f"{worse:+8.1%} {spec['bound']:6.0%} {f'{won}/{pairs}':>7s}  "
-              f"{verdict}")
+              f"{worse:+8.1%} {spec['bound']:6.0%} {gap:>8s} "
+              f"{f'{won}/{pairs}':>7s}  {verdict}")
     for side, runs in (("parent", parent), ("change", change)):
         wrong = sum(1 for r in runs.values() if not r["correct"])
         if wrong:
