@@ -26,7 +26,6 @@ byte-identical.
 from __future__ import annotations
 
 import math
-import re
 from collections import OrderedDict, deque
 from collections.abc import Mapping
 from numbers import Real
@@ -81,7 +80,7 @@ class OnlineTrustGate:
 
         A payload repeats when metric and value are equal and, for a
         zero value, its sign is too: ``0.0`` and ``-0.0`` are two
-        payloads, as their ``repr`` tokens in a checkpoint are.
+        payloads, as their ``repr`` texts in a checkpoint are.
         """
         self.observed += 1
         t = record.event_time_s
@@ -151,54 +150,43 @@ class OnlineTrustGate:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
+        """The per-key state as parallel columns in LRU order, each
+        key's window times counted in ``n_times`` over one flat
+        ``times`` column."""
+        keys = list(self._keys)
+        states = list(self._keys.values())
         return {
-            "keys": [
-                [
-                    f"{_escape(source)}/{_escape(key)}", list(times),
-                    f"{metric}:{value!r}", run,
-                ]
-                for (source, key), (times, metric, value, run)
-                in self._keys.items()
-            ],
+            "source": [source for source, _ in keys],
+            "key": [key for _, key in keys],
+            "metric": [state[1] for state in states],
+            "value": [state[2] for state in states],
+            "run": [state[3] for state in states],
+            "n_times": [len(state[0]) for state in states],
+            "times": [t for state in states for t in state[0]],
             "recent_quarantined": list(self._recent_quarantined),
             "observed": self.observed,
             "quarantined": self.quarantined,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        times = state.get("times", [])
         self._keys = OrderedDict()
-        for key, times, token, run in state.get("keys", []):
-            # A float's repr holds no ":", so the token's last one ends
-            # the metric.
-            metric, _, value = str(token).rpartition(":")
-            self._keys[_split_key(str(key))] = [
-                deque(float(t) for t in times), metric, float(value),
-                int(run),
+        stop = 0
+        for source, key, metric, value, run, n_times in zip(
+            state.get("source", []), state.get("key", []),
+            state.get("metric", []), state.get("value", []),
+            state.get("run", []), state.get("n_times", []),
+        ):
+            start, stop = stop, stop + int(n_times)
+            self._keys[(str(source), str(key))] = [
+                deque(float(t) for t in times[start:stop]), str(metric),
+                float(value), int(run),
             ]
         self._recent_quarantined = deque(
             float(t) for t in state.get("recent_quarantined", [])
         )
         self.observed = int(state.get("observed", 0))
         self.quarantined = int(state.get("quarantined", 0))
-
-
-def _escape(field: str) -> str:
-    """``field`` with ``\\`` and ``/`` backslash-escaped, so a checkpointed
-    ``source/key`` splits back one way only."""
-    return field.replace("\\", "\\\\").replace("/", "\\/")
-
-
-#: A :func:`_escape`-joined ``source/key``: the source ends at the first
-#: unescaped ``/``.
-_JOINED_KEY = re.compile(r"((?:[^\\/]|\\.)*)/(.*)", re.S)
-_ESCAPED = re.compile(r"\\(.)", re.S)
-
-
-def _split_key(text: str) -> Tuple[str, str]:
-    """The ``(source, key)`` that :func:`_escape` joined into ``text``."""
-    match = _JOINED_KEY.fullmatch(text)
-    source, key = match.groups() if match else (text, "")
-    return _ESCAPED.sub(r"\1", source), _ESCAPED.sub(r"\1", key)
 
 
 #: Quarantine reasons the boundary parser distinguishes.

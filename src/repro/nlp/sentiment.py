@@ -35,6 +35,12 @@ STRONG_THRESHOLD = 0.7
 #: (at least 1).
 NEUTRAL_WEIGHT = 0.5
 
+#: How many distinct texts the batch-scoring memo keeps (LRU): an
+#: adversarial flood of unique texts, which is what a spam brigade
+#: produces, cannot grow it without bound.  The cap changes memory
+#: behaviour only; scores are byte-identical at any cap.
+MEMO_CAP = 4096
+
 _NEGATION_DAMP = 0.65  # "not great" is weaker than "bad"
 _CAPS_BOOST = 1.35
 _EXCLAIM_BOOST = 0.18  # per '!' up to 3
@@ -75,16 +81,7 @@ class SentimentScores:
 class SentimentAnalyzer:
     """Reusable scorer; scoring is stateless, the memo is bounded state."""
 
-    def __init__(self, memo_cap: int = 4096) -> None:
-        """``memo_cap`` bounds the batch-scoring memo (distinct texts
-        retained, LRU eviction): an adversarial flood of unique texts —
-        exactly what a spam brigade produces — can no longer grow the
-        memo without bound.  The cap changes memory behaviour only;
-        scores are byte-identical at any cap.
-        """
-        if memo_cap < 1:
-            raise ExtractionError("memo_cap must be >= 1")
-        self._memo_cap = int(memo_cap)
+    def __init__(self) -> None:
         self._memo: "OrderedDict[str, SentimentScores]" = OrderedDict()
 
     def score(self, text: str) -> SentimentScores:
@@ -171,12 +168,12 @@ class SentimentAnalyzer:
         exactly the same scores.
 
         The memo lives on the analyzer (so repeated batches share it)
-        and is LRU-bounded at ``memo_cap`` distinct texts — a cache
+        and is LRU-bounded at :data:`MEMO_CAP` distinct texts — a cache
         miss past the cap evicts the least recently used entry and
         rescores on the next occurrence, changing timing, never values.
         """
         memo = self._memo
-        cap = self._memo_cap
+        cap = MEMO_CAP
         score = self.score
         out: List[SentimentScores] = []
         for text in texts:

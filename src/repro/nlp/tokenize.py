@@ -21,7 +21,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(text: str, lowercase: bool = False) -> List[str]:
+def tokenize(text: str) -> List[str]:
     """Split text into word / number / punctuation-burst tokens.
 
     >>> tokenize("Starlink isn't working!!! 50 Mbps down")
@@ -36,10 +36,7 @@ def tokenize(text: str, lowercase: bool = False) -> List[str]:
         text = _URL_RE.sub(" ", text)
     if "u/" in text or "r/" in text:
         text = _MENTION_RE.sub(" ", text)
-    tokens = _TOKEN_RE.findall(text)
-    if lowercase:
-        return [t.lower() for t in tokens]
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
 def words(text: str) -> List[str]:

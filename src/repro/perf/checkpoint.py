@@ -39,9 +39,11 @@ PathLike = Union[str, Path]
 
 #: Bump when the manifest layout, the shard file framing or the layout
 #: of a stream epoch changes; old checkpoint directories then
-#: re-execute cleanly instead of deserialising into garbage.  "2":
-#: reorder-buffer rows are positional and carry their fault tags.
-CHECKPOINT_SCHEMA_VERSION = "2"
+#: re-execute cleanly instead of deserialising into garbage.  "3": a
+#: stream epoch holds only the emissions and side-channel records since
+#: the epoch before it, and the reorder buffer and trust gate as
+#: parallel columns.
+CHECKPOINT_SCHEMA_VERSION = "3"
 
 MANIFEST_NAME = "manifest.json"
 

@@ -42,36 +42,27 @@ from repro.serving.deadline import Deadline
 #: Weight of the newest observation in the cost EWMA.
 _EWMA_ALPHA = 0.3
 
+#: The cost model's fixed per-batch dispatch cost.
+BASE_S = 0.002
+
 #: The cost model's marginal cost per predicted row.
 PER_ROW_S = 2e-6
 
+#: The E-model prior's cost as a fraction of the full model's (it skips
+#: standardisation and the trained weights, so it is strictly cheaper).
+FALLBACK_SCALE = 0.25
 
-@dataclass(frozen=True)
+
 class PredictionCostModel:
     """Affine per-batch cost model for the deadline ladder:
-    ``base_s + PER_ROW_S * n_rows``.
-
-    Attributes:
-        base_s: fixed per-batch dispatch cost.
-        fallback_scale: the E-model prior's cost as a fraction of the
-            full model's (it skips standardisation and the trained
-            weights, so it is strictly cheaper).
-    """
-
-    base_s: float = 0.002
-    fallback_scale: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.base_s < 0:
-            raise ConfigError("base_s must be non-negative")
-        if not 0 < self.fallback_scale <= 1:
-            raise ConfigError("fallback_scale must be in (0, 1]")
+    ``BASE_S + PER_ROW_S * n_rows``, and :data:`FALLBACK_SCALE` of that
+    for the E-model prior."""
 
     def batch_cost_s(self, n_rows: int) -> float:
-        return self.base_s + PER_ROW_S * n_rows
+        return BASE_S + PER_ROW_S * n_rows
 
     def fallback_cost_s(self, n_rows: int) -> float:
-        return self.fallback_scale * self.batch_cost_s(n_rows)
+        return FALLBACK_SCALE * self.batch_cost_s(n_rows)
 
 
 @dataclass(frozen=True)
@@ -148,9 +139,7 @@ class PredictionEngine:
         configured = self.cost_model.batch_cost_s(n_rows)
         if self._observed_per_row_s is None:
             return configured
-        observed = (
-            self.cost_model.base_s + self._observed_per_row_s * n_rows
-        )
+        observed = BASE_S + self._observed_per_row_s * n_rows
         return max(configured, observed)
 
     def _observe(self, elapsed_s: float, n_rows: int) -> None:

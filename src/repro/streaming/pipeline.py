@@ -18,10 +18,11 @@ Stages, in delivery order:
 5. **incremental operators** → **change-point detector**.
 
 Every stage exposes ``state_dict``/``load_state``; a checkpoint drains
-the queues, snapshots all stages plus the emission log, and commits the
-lot as one epoch through :class:`~repro.perf.checkpoint.CheckpointStore`
-(run-keyed on the config fingerprint, so a checkpoint can never resume
-a different stream).  The exactly-once ledger —
+the queues, snapshots all stages plus the emissions and side-channel
+records since the previous epoch, and commits the lot as one epoch
+through :class:`~repro.perf.checkpoint.CheckpointStore` (run-keyed on
+the config fingerprint, so a checkpoint can never resume a different
+stream).  The exactly-once ledger —
 
     emitted == aggregated + late_dropped + late_side + deduped + quarantined
 
@@ -318,6 +319,10 @@ class StreamPipeline:
         )
         self.emissions: List[Emission] = []
         self.side_channel: List[StreamRecord] = []
+        #: How many entries of each log the committed epochs hold; an
+        #: epoch writes only the entries past these marks.
+        self._emissions_saved = 0
+        self._side_saved = 0
         self._to_operators = BoundedQueue(config.queue_capacity)
         self._to_detector = BoundedQueue(config.queue_capacity)
         self._store: Optional[CheckpointStore] = None
@@ -483,6 +488,11 @@ class StreamPipeline:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
+        """One epoch: every stage whole, and of the two append-only logs
+        only the entries past the ``emissions_from`` and
+        ``side_channel_from`` entries the earlier epochs hold."""
+        emissions_from = self._emissions_saved
+        side_from = self._side_saved
         return {
             "counters": self.counters.counters_dict(),
             "watermark": self.watermark.state_dict(),
@@ -491,8 +501,14 @@ class StreamPipeline:
             "window_op": self.window_op.state_dict(),
             "decay_op": self.decay_op.state_dict(),
             "detector": self.detector.state_dict(),
-            "emissions": [e.to_dict() for e in self.emissions],
-            "side_channel": [r.to_dict() for r in self.side_channel],
+            "emissions_from": emissions_from,
+            "emissions": [
+                e.to_dict() for e in self.emissions[emissions_from:]
+            ],
+            "side_channel_from": side_from,
+            "side_channel": [
+                r.to_dict() for r in self.side_channel[side_from:]
+            ],
             "cursor": self.counters.emitted,
             "clock_s": self.clock.now(),
             "epoch": self._epoch,
@@ -508,6 +524,24 @@ class StreamPipeline:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        """Fold one epoch in: its emissions and side-channel records
+        extend the two logs, and its other sections replace this
+        pipeline's.
+
+        Raises :class:`ConfigError`, changing nothing, unless the logs
+        hold exactly the ``emissions_from`` and ``side_channel_from``
+        entries the epoch continues.
+        """
+        if (
+            state.get("emissions_from") != len(self.emissions)
+            or state.get("side_channel_from") != len(self.side_channel)
+        ):
+            raise ConfigError(
+                f"epoch {state.get('epoch')} does not continue the "
+                f"{len(self.emissions)} emissions and "
+                f"{len(self.side_channel)} side-channel records folded "
+                "so far"
+            )
         self.counters.load_state(state.get("counters", {}))
         self.watermark.load_state(state.get("watermark", {}))
         self.buffer.load_state(state.get("buffer", {}))
@@ -515,13 +549,15 @@ class StreamPipeline:
         self.window_op.load_state(state.get("window_op", {}))
         self.decay_op.load_state(state.get("decay_op", {}))
         self.detector.load_state(state.get("detector", {}))
-        self.emissions = [
+        self.emissions += [
             Emission.from_dict(e) for e in state.get("emissions", [])
         ]
-        self.side_channel = [
+        self.side_channel += [
             StreamRecord.from_dict(r)
             for r in state.get("side_channel", [])
         ]
+        self._emissions_saved = len(self.emissions)
+        self._side_saved = len(self.side_channel)
         self._epoch = int(state.get("epoch", 0))
         self._next_checkpoint_s = float(
             state.get("next_checkpoint_s", self.config.checkpoint_every_s)
@@ -551,6 +587,8 @@ class StreamPipeline:
         self._store.commit(
             Shard(index=self._epoch, start=0, stop=0), [self.state_dict()]
         )
+        self._emissions_saved = len(self.emissions)
+        self._side_saved = len(self.side_channel)
         return self._epoch
 
     @classmethod
@@ -561,35 +599,44 @@ class StreamPipeline:
         journal: Optional[StreamJournal] = None,
         trust_gate: Optional[Any] = None,
     ) -> Tuple["StreamPipeline", int]:
-        """Rebuild a pipeline from its latest committed epoch.
+        """Rebuild a pipeline from its committed epochs.
+
+        Each epoch holds the emissions and side-channel records since
+        the one before it, so the epochs fold in index order from the
+        first.  The fold stops at the first epoch that fails
+        verification or does not continue the logs folded so far, and
+        the pipeline resumes from the last epoch it folded; with none
+        (a torn first epoch, say) this raises :class:`ConfigError`.
 
         Returns ``(pipeline, cursor)`` where ``cursor`` is the number of
-        deliveries the checkpoint had already ingested — the driver
+        deliveries that epoch had already ingested — the caller
         replays the arrival sequence from that index and the result
         converges byte-identically to an uninterrupted run.  The
         journal, when given, is atomically truncated to the emissions
         the checkpoint vouches for, so resumption re-emits nothing.
         """
         store = CheckpointStore(checkpoint_dir, run_key=config.fingerprint())
-        epochs = store.completed_indices()
-        state: Optional[Dict[str, Any]] = None
-        while epochs and state is None:
-            epoch = epochs.pop()
-            records = store.load(Shard(index=epoch, start=0, stop=0))
-            if records:
-                state = records[0]
-        if state is None:
-            raise ConfigError(
-                f"no resumable checkpoint under {checkpoint_dir}"
-            )
         pipeline = cls(
             config,
-            clock=ManualClock(start=float(state.get("clock_s", 0.0))),
             checkpoint_dir=checkpoint_dir,
             journal=journal,
             trust_gate=trust_gate,
         )
-        pipeline.load_state(state)
+        state: Optional[Dict[str, Any]] = None
+        for epoch in store.completed_indices():
+            records = store.load(Shard(index=epoch, start=0, stop=0))
+            if not records:
+                break
+            try:
+                pipeline.load_state(records[0])
+            except ConfigError:
+                break
+            state = records[0]
+        if state is None:
+            raise ConfigError(
+                f"no resumable checkpoint under {checkpoint_dir}"
+            )
+        pipeline.clock = ManualClock(start=float(state.get("clock_s", 0.0)))
         pipeline.counters.resumes += 1
         if journal is not None:
             journal.rewrite(pipeline.emissions)

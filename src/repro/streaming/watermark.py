@@ -122,8 +122,9 @@ class ReorderBuffer:
     times release in arrival order — a total, deterministic order, which
     is what makes replayed runs byte-identical.  Each entry carries the
     delivery's fault tags, so its terminal bucket is attributed to the
-    delivery that reached it.  Checkpoints store each entry as one
-    positional row with its tags.
+    delivery that reached it.  Checkpoints store the entries as parallel
+    columns in heap-array order, and a restore rebuilds that very array,
+    so a resumed buffer evolves exactly as the one it was taken from.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -170,32 +171,36 @@ class ReorderBuffer:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        # (event_time_s, seq) is unique, so sorting whole entries never
-        # compares records.
+        heap = self._heap
+        records = [entry[2] for entry in heap]
         return {
             "arrivals": self._arrivals,
-            "entries": [
-                [
-                    t, seq, record.source, record.metric, record.value,
-                    record.key, record.role, list(tags),
-                ]
-                for t, seq, record, tags in sorted(self._heap)
-            ],
+            "event_time_s": [entry[0] for entry in heap],
+            "seq": [entry[1] for entry in heap],
+            "source": [r.source for r in records],
+            "metric": [r.metric for r in records],
+            "value": [r.value for r in records],
+            "key": [r.key for r in records],
+            "role": [r.role for r in records],
+            "tags": [list(entry[3]) for entry in heap],
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self._arrivals = int(state.get("arrivals", 0))
-        self._heap = []
-        for t, seq, source, metric, value, key, role, tags in state.get(
-            "entries", []
-        ):
-            record = StreamRecord(
-                event_time_s=float(t), source=str(source),
-                metric=str(metric), value=float(value), key=str(key),
-                role=str(role),
-            )
-            self._heap.append((
+        # Already a heap: the columns hold the array in its own order.
+        self._heap = [
+            (
                 record.event_time_s, int(seq), record,
                 tuple(str(tag) for tag in tags),
-            ))
-        heapq.heapify(self._heap)
+            )
+            for record, seq, tags in zip(
+                map(
+                    StreamRecord,
+                    state.get("event_time_s", []), state.get("source", []),
+                    state.get("metric", []), state.get("value", []),
+                    state.get("key", []), state.get("role", []),
+                ),
+                state.get("seq", []),
+                state.get("tags", []),
+            )
+        ]

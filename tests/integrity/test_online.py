@@ -138,15 +138,24 @@ class TestCheckpoint:
         gate.load_state({})
         assert gate.observed == 0 and gate.quarantined == 0
 
-    def test_state_layout_is_the_joined_key_and_payload_token(self):
+    def test_state_layout_is_lru_columns(self):
         gate = OnlineTrustGate()
         gate.observe(_record(1.0, key="u1", value=-0.0))
-        gate.observe(_record(2.0, key="u1", value=-0.0))
-        gate.observe(_record(3.0, source="a/b\\", key="c/", value=2.5))
-        assert gate.state_dict()["keys"] == [
-            ["telemetry/u1", [1.0, 2.0], "latency_ms:-0.0", 2],
-            ["a\\/b\\\\/c\\/", [3.0], "latency_ms:2.5", 1],
-        ]
+        gate.observe(_record(2.0, source="a/b\\", key="c/", value=2.5))
+        gate.observe(_record(3.0, key="u1", value=-0.0))
+        # u1 was observed last, so it is the most recently used.
+        assert gate.state_dict() == {
+            "source": ["a/b\\", "telemetry"],
+            "key": ["c/", "u1"],
+            "metric": ["latency_ms", "latency_ms"],
+            "value": [2.5, -0.0],
+            "run": [1, 2],
+            "n_times": [1, 2],
+            "times": [2.0, 1.0, 3.0],
+            "recent_quarantined": [],
+            "observed": 3,
+            "quarantined": 0,
+        }
 
     def test_round_trip_keeps_separators_and_signed_zeros(self):
         """Keys holding ``/`` or ``\\`` and a ``-0.0`` payload come back
@@ -179,7 +188,10 @@ class TestKeySeparators:
         gate = OnlineTrustGate(burst_limit=1, repeat_limit=1)
         assert not gate.observe(_record(1.0, source="a/b", key="c"))
         assert not gate.observe(_record(1.0, source="a", key="b/c"))
-        assert len(gate.state_dict()["keys"]) == 2
+        state = gate.state_dict()
+        assert list(zip(state["source"], state["key"])) == [
+            ("a/b", "c"), ("a", "b/c"),
+        ]
 
     def test_signed_zeros_are_different_payloads(self):
         gate = OnlineTrustGate(burst_limit=1000, repeat_limit=1)
@@ -194,10 +206,8 @@ class TestLru:
                                repeat_limit=1000)
         for i in range(10):
             gate.observe(_record(float(i), key=f"k{i}", value=float(i)))
-        assert len(gate.state_dict()["keys"]) == 4
         # The survivors are the most recently observed keys.
-        kept = [entry[0] for entry in gate.state_dict()["keys"]]
-        assert kept == [f"telemetry/k{i}" for i in (6, 7, 8, 9)]
+        assert gate.state_dict()["key"] == [f"k{i}" for i in (6, 7, 8, 9)]
 
 
 class TestValidation:

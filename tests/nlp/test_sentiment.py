@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExtractionError
+from repro.nlp import sentiment as sentiment_mod
 from repro.nlp.lexicon import NEGATIVE, POSITIVE, VALENCES
 from repro.nlp.sentiment import STRONG_THRESHOLD, SentimentAnalyzer, SentimentScores
 
@@ -158,34 +159,34 @@ class TestAnalyzer:
 
 
 class TestMemoCap:
-    def test_memo_never_exceeds_cap(self):
-        analyzer = SentimentAnalyzer(memo_cap=8)
+    def test_memo_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(sentiment_mod, "MEMO_CAP", 8)
+        analyzer = SentimentAnalyzer()
         analyzer.score_many(f"distinct text number {i}" for i in range(50))
         assert len(analyzer._memo) == 8
 
-    def test_eviction_is_lru(self):
-        analyzer = SentimentAnalyzer(memo_cap=2)
+    def test_eviction_is_lru(self, monkeypatch):
+        monkeypatch.setattr(sentiment_mod, "MEMO_CAP", 2)
+        analyzer = SentimentAnalyzer()
         analyzer.score_many(["alpha", "beta"])
         # Touch alpha so beta is the least recently used, then insert.
         analyzer.score_many(["alpha", "gamma"])
         assert len(analyzer._memo) == 2
         assert "alpha" in analyzer._memo and "beta" not in analyzer._memo
 
-    def test_scores_byte_identical_at_any_cap(self):
+    def test_scores_byte_identical_at_any_cap(self, monkeypatch):
         texts = [f"repetitive outage report {i % 5}" for i in range(40)]
         unbounded = SentimentAnalyzer().score_many(texts)
-        tiny = SentimentAnalyzer(memo_cap=1).score_many(texts)
+        monkeypatch.setattr(sentiment_mod, "MEMO_CAP", 1)
+        tiny = SentimentAnalyzer().score_many(texts)
         assert unbounded == tiny
 
     def test_adversarial_distinct_flood_stays_bounded(self):
         """The brigade threat: unbounded distinct texts must not grow
         the memo without bound."""
-        analyzer = SentimentAnalyzer(memo_cap=16)
+        analyzer = SentimentAnalyzer()
         analyzer.score_many(
-            f"Completely unusable tonight, ticket {i}!!" for i in range(500)
+            f"Completely unusable tonight, ticket {i}!!"
+            for i in range(sentiment_mod.MEMO_CAP + 500)
         )
-        assert len(analyzer._memo) == 16
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(ExtractionError):
-            SentimentAnalyzer(memo_cap=0)
+        assert len(analyzer._memo) == sentiment_mod.MEMO_CAP

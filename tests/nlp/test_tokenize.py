@@ -30,9 +30,6 @@ class TestTokenize:
     def test_exclamation_bursts_are_tokens(self):
         assert "!!!" in tokenize("amazing!!!")
 
-    def test_lowercase_option(self):
-        assert tokenize("FAST Speeds", lowercase=True) == ["fast", "speeds"]
-
     def test_rejects_non_string(self):
         with pytest.raises(TypeError):
             tokenize(42)

@@ -154,9 +154,9 @@ class TestManifestIdentity:
     def test_manifest_bytes_pinned(self, tmp_path):
         store = _primed(tmp_path)
         raw = (store.root / MANIFEST_NAME).read_bytes()
-        assert b'"schema": "2"' in raw
+        assert b'"schema": "3"' in raw
         assert hashlib.sha256(raw).hexdigest() == (
-            "c97dd0a004a508564839588a181bbf076dde764d279c11a25fe7b86f4ea5abc4"
+            "9bb5a06b14e11989ead174a56de04e90104fd418a912ab31d696021f708ee25e"
         )
 
 

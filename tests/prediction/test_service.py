@@ -28,14 +28,6 @@ def _engine(rated_columns, fitted_model, **kwargs):
 
 
 class TestCostModel:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PredictionCostModel(base_s=-1.0)
-        with pytest.raises(ConfigError):
-            PredictionCostModel(fallback_scale=0.0)
-        with pytest.raises(ConfigError):
-            PredictionCostModel(fallback_scale=1.5)
-
     def test_fallback_is_strictly_cheaper(self):
         cost = PredictionCostModel()
         assert cost.fallback_cost_s(100) < cost.batch_cost_s(100)

@@ -40,6 +40,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import re
 from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -209,10 +210,23 @@ def _gate_escape(field: str) -> str:
     return field.replace("\\", "\\\\").replace("/", "\\/")
 
 
+#: A :func:`_gate_escape`-joined ``source/key``: the source ends at the
+#: first unescaped ``/``.
+_GATE_KEY = re.compile(r"((?:[^\\/]|\\.)*)/(.*)", re.S)
+_GATE_ESCAPED = re.compile(r"\\(.)", re.S)
+
+
+def _gate_split(text: str) -> Tuple[str, str]:
+    """The ``(source, key)`` that :func:`_gate_escape` joined."""
+    source, key = _GATE_KEY.fullmatch(text).groups()
+    return _GATE_ESCAPED.sub(r"\1", source), _GATE_ESCAPED.sub(r"\1", key)
+
+
 class ReferenceTrustGate(OnlineTrustGate):
     """The gate's per-record state machine: one dict per escaped
     ``source/key`` string and a ``metric:repr(value)`` token per
-    payload.  ``burst_active`` is the gate's own."""
+    payload.  ``burst_active`` is the gate's own; the checkpoint
+    columns are split out of those strings."""
 
     def observe(self, record) -> bool:
         self.observed += 1
@@ -248,22 +262,36 @@ class ReferenceTrustGate(OnlineTrustGate):
         return verdict
 
     def state_dict(self) -> Dict[str, Any]:
+        units = [_gate_split(key) for key in self._keys]
+        states = list(self._keys.values())
+        # A float's repr holds no ":", so a token's last one ends the
+        # metric.
+        payloads = [state["token"].rpartition(":") for state in states]
         return {
-            "keys": [
-                [key, list(state["times"]), state["token"], state["run"]]
-                for key, state in self._keys.items()
-            ],
+            "source": [source for source, _ in units],
+            "key": [key for _, key in units],
+            "metric": [metric for metric, _, _ in payloads],
+            "value": [float(value) for _, _, value in payloads],
+            "run": [state["run"] for state in states],
+            "n_times": [len(state["times"]) for state in states],
+            "times": [t for state in states for t in state["times"]],
             "recent_quarantined": list(self._recent_quarantined),
             "observed": self.observed,
             "quarantined": self.quarantined,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        times = iter(state.get("times", []))
         self._keys = OrderedDict()
-        for key, times, token, run in state.get("keys", []):
-            self._keys[str(key)] = {
-                "times": deque(float(t) for t in times),
-                "token": str(token),
+        for source, key, metric, value, run, n_times in zip(
+            state.get("source", []), state.get("key", []),
+            state.get("metric", []), state.get("value", []),
+            state.get("run", []), state.get("n_times", []),
+        ):
+            unit = f"{_gate_escape(source)}/{_gate_escape(key)}"
+            self._keys[unit] = {
+                "times": deque(float(next(times)) for _ in range(n_times)),
+                "token": f"{metric}:{float(value)!r}",
                 "run": int(run),
             }
         self._recent_quarantined = deque(

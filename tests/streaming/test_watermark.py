@@ -1,5 +1,7 @@
 """Watermarks, reorder buffering and dedup: the ordering guarantees."""
 
+import json
+
 import pytest
 
 from repro import rng as rng_mod
@@ -157,17 +159,40 @@ class TestReorderBuffer:
         clone.load_state(buf.state_dict())
         assert clone.release(10.0) == buf.release(10.0)
 
-    def test_state_rows_are_positional_and_carry_tags(self):
+    def test_state_is_columns_in_heap_order(self):
         buf = ReorderBuffer(capacity=8)
         buf.push(rec(3.0, metric="mos", value=4.5, key="u3"), ("skew",))
         buf.push(rec(1.0))
+        buf.push(rec(2.0, key="u2"), ("reorder", "duplicate"))
+        # The heap array is [1.0, 3.0, 2.0], not the release order.
         assert buf.state_dict() == {
-            "arrivals": 2,
-            "entries": [
-                [1.0, 1, "test", "latency_ms", 40.0, "u0", "network", []],
-                [3.0, 0, "test", "mos", 4.5, "u3", "network", ["skew"]],
-            ],
+            "arrivals": 3,
+            "event_time_s": [1.0, 3.0, 2.0],
+            "seq": [1, 0, 2],
+            "source": ["test", "test", "test"],
+            "metric": ["latency_ms", "mos", "latency_ms"],
+            "value": [40.0, 4.5, 40.0],
+            "key": ["u0", "u3", "u2"],
+            "role": ["network", "network", "network"],
+            "tags": [[], ["skew"], ["reorder", "duplicate"]],
         }
+
+    def test_restore_rebuilds_the_heap_array(self):
+        """A restored buffer holds the very array it was taken from, so
+        it goes on evolving exactly as the original does: the next
+        checkpoint of each is the same."""
+        buf = ReorderBuffer(capacity=16)
+        for i, t in enumerate((9.0, 4.0, 7.0, 1.0, 8.0, 2.0, 6.0)):
+            buf.push(rec(t, key=f"u{i}"), (f"tag{i}",) if i % 2 else ())
+        clone = ReorderBuffer(capacity=16)
+        clone.load_state(json.loads(json.dumps(buf.state_dict())))
+        assert clone.state_dict() == buf.state_dict()
+        for twin in (buf, clone):
+            twin.release(4.0)
+            twin.push(rec(5.0, key="late"), ("skew",))
+            twin.pop_oldest()
+        assert clone.state_dict() == buf.state_dict()
+        assert clone.release(10.0) == buf.release(10.0)
 
 
 class TestDedupFilter:
